@@ -17,21 +17,23 @@ separately, as is the raw unnormalized class sum.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .constraint_graph import (
     ConstraintGraph,
     MaximalPair,
     WeightSet,
     apply_perm_to_mask,
-    automorphisms,
+    automorphism_generators,
     common_neighborhood,
     complete_graph,
     eta_and_maximal_pairs,
+    orbit_closure,
     subset_weight,
 )
 from .errors import NotEquipartition, ZeroConditioning, ZeroDenominator
@@ -46,7 +48,50 @@ ODD = "odd"
 
 # ------------------------------------------------------- equipartition
 
+class EquipartitionOrbit(NamedTuple):
+    """The equipartition class with what its orbit step cost."""
+
+    label: str
+    generators: int  # automorphism generators the search found
+    orbit_size: int  # pairs reached from the first pair and its swap
+    nodes: int  # backtracking nodes the generator search visited
+    seconds: float
+
+
 @lru_cache(maxsize=None)
+def _equipartition(g: ConstraintGraph, w: WeightSet) -> EquipartitionOrbit:
+    _, pairs = eta_and_maximal_pairs(g, w)
+    mset = set(pairs)
+    if len(mset) == 1:
+        return EquipartitionOrbit("singleton", 0, 1, 0, 0.0)
+    if len(mset) == 2:
+        p, q = mset
+        if p.a == q.b and p.b == q.a:
+            return EquipartitionOrbit("two-class-swap", 0, 2, 0, 0.0)
+    started = time.perf_counter()
+    # The swap commutes with every componentwise relabeling, so the orbit
+    # of the first pair under both is its closure under a generating set
+    # of the automorphisms together with the swap; the group itself, up
+    # to h! permutations, is never listed.
+    gens = automorphism_generators(g, w)
+    maps = [
+        lambda p, pi=pi: MaximalPair(
+            apply_perm_to_mask(pi, p.a), apply_perm_to_mask(pi, p.b)
+        )
+        for pi in gens.perms
+    ]
+    maps.append(lambda p: MaximalPair(p.b, p.a))
+    orbit = orbit_closure([pairs[0]], maps)
+    assert orbit <= mset  # symmetries cannot leave the maximal set
+    return EquipartitionOrbit(
+        "transitive" if orbit == mset else "unknown",
+        len(gens.perms),
+        len(orbit),
+        gens.nodes,
+        time.perf_counter() - started,
+    )
+
+
 def equipartition_class(g: ConstraintGraph, w: WeightSet) -> str:
     """Which sufficient condition for approximate equipartition holds.
 
@@ -55,30 +100,13 @@ def equipartition_class(g: ConstraintGraph, w: WeightSet) -> str:
     together with the (A,B) -> (B,A) swap), or "unknown". Relative class
     sizes are never guessed: anything else is "unknown".
     """
-    _, pairs = eta_and_maximal_pairs(g, w)
-    mset = set(pairs)
-    if len(mset) == 1:
-        return "singleton"
-    if len(mset) == 2:
-        p, q = mset
-        if p.a == q.b and p.b == q.a:
-            return "two-class-swap"
-    # The swap commutes with every componentwise relabeling and the full
-    # group is enumerated, so the closure of the first pair is its image
-    # set together with the image set of its swap; no search needed.
-    first = pairs[0]
-    seeds = (first, MaximalPair(first.b, first.a))
-    orbit = set(seeds)
-    for pi in automorphisms(g, w):
-        for seed in seeds:
-            orbit.add(
-                MaximalPair(
-                    apply_perm_to_mask(pi, seed.a),
-                    apply_perm_to_mask(pi, seed.b),
-                )
-            )
-    assert orbit <= mset  # symmetries cannot leave the maximal set
-    return "transitive" if orbit == mset else "unknown"
+    return _equipartition(g, w).label
+
+
+def equipartition_orbit(g: ConstraintGraph, w: WeightSet) -> EquipartitionOrbit:
+    """`equipartition_class` with the cost of its orbit step. Results are
+    cached per (g, w), so the cost is that of the first call."""
+    return _equipartition(g, w)
 
 
 def _equipartition_pairs(

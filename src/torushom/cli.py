@@ -30,6 +30,7 @@ from .analysis import (
     conjecture_partition_prediction,
     consistency_L_vs_f,
     equipartition_class,
+    equipartition_orbit,
     far_vertex,
     influence_ratio,
     occupation_comparison,
@@ -289,10 +290,15 @@ def result_bytes(result: dict) -> str:
     return json.dumps(result, indent=2, sort_keys=True)
 
 
-def emit(cfg: RunConfig, result: dict, started: float, summary: str) -> None:
+def emit(
+    cfg: RunConfig, result: dict, meta: dict, started: float, summary: str
+) -> None:
+    """Write the document; `meta` holds what the command reported besides
+    its result."""
     doc = {
         "result": result,
         "meta": {
+            **meta,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
                 timespec="seconds"
             ),
@@ -319,11 +325,11 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_analyze(cfg: RunConfig) -> dict:
+def cmd_analyze(cfg: RunConfig, meta: dict) -> dict:
     g, w = resolve_instance(cfg)
     eta, pairs = eta_and_maximal_pairs(g, w)
     bl = blowup(g, w)
-    return {
+    result = {
         "colors": g.h,
         "labels": list(g.labels),
         "weights": [str(q) for q in w.weights],
@@ -341,6 +347,14 @@ def cmd_analyze(cfg: RunConfig) -> dict:
             "pair_bijection_ok": check_blowup_pair_bijection(g, w),
         },
     }
+    orbit = equipartition_orbit(g, w)
+    meta["orbit"] = {
+        "generators": orbit.generators,
+        "orbit_size": orbit.orbit_size,
+        "nodes": orbit.nodes,
+        "seconds": round(orbit.seconds, 6),
+    }
+    return result
 
 
 def _analyze_summary(result: dict) -> str:
@@ -350,7 +364,7 @@ def _analyze_summary(result: dict) -> str:
     )
 
 
-def cmd_count(cfg: RunConfig) -> dict:
+def cmd_count(cfg: RunConfig, meta: dict) -> dict:
     g, w = resolve_instance(cfg)
     t = resolve_torus(cfg)
     if cfg.method not in ("brute", "transfer", "both", "auto"):
@@ -375,7 +389,7 @@ def cmd_count(cfg: RunConfig) -> dict:
     return out
 
 
-def cmd_sample(cfg: RunConfig) -> dict:
+def cmd_sample(cfg: RunConfig, meta: dict) -> dict:
     g, w = resolve_instance(cfg)
     t = resolve_torus(cfg)
     steps = cfg.steps if cfg.steps is not None else 10_000
@@ -433,7 +447,7 @@ def _sample_summary(result: dict) -> str:
     return f"samples={len(result['trace'])}{tail}"
 
 
-def cmd_influence(cfg: RunConfig) -> dict:
+def cmd_influence(cfg: RunConfig, meta: dict) -> dict:
     g, w = resolve_instance(cfg)
     t = resolve_torus(cfg)
     y = resolve_vertex(t, cfg.x)
@@ -529,7 +543,7 @@ def _is_complete_uniform(g: ConstraintGraph, w: WeightSet) -> bool:
     )
 
 
-def cmd_conjecture(cfg: RunConfig) -> dict:
+def cmd_conjecture(cfg: RunConfig, meta: dict) -> dict:
     g, w = resolve_instance(cfg)
     is_coloring = _is_complete_uniform(g, w)
     rows = []
@@ -588,7 +602,7 @@ def _conjecture_summary(result: dict) -> str:
 # ----------------------------------------------------------- golden corpus
 
 
-def run_command(cfg: RunConfig) -> dict:
+def run_command(cfg: RunConfig, meta: dict) -> dict:
     runner = {
         "analyze": cmd_analyze,
         "count": cmd_count,
@@ -598,7 +612,7 @@ def run_command(cfg: RunConfig) -> dict:
     }.get(cfg.command)
     if runner is None:
         raise ConfigError(f"command {cfg.command!r} cannot run inside a corpus")
-    return runner(cfg)
+    return runner(cfg, meta)
 
 
 def worker_count() -> int:
@@ -611,7 +625,7 @@ def worker_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def cmd_corpus(cfg: RunConfig) -> dict:
+def cmd_corpus(cfg: RunConfig, meta: dict) -> dict:
     golden_dir = Path(cfg.golden_dir)
     if not golden_dir.is_dir():
         raise ConfigError(f"golden directory {golden_dir} does not exist")
@@ -622,7 +636,7 @@ def cmd_corpus(cfg: RunConfig) -> dict:
     def run_one(path: Path) -> dict:
         doc = json.loads(path.read_text(encoding="utf-8"))
         inst = RunConfig.from_mapping(doc["config"])
-        got = run_command(inst)
+        got = run_command(inst, {})
         record = {"name": path.stem, "command": inst.command}
         if cfg.update:
             path.write_text(
@@ -799,12 +813,13 @@ def main(argv=None) -> int:
         return 2
     try:
         runner = {**{c: run_command for c in COMMANDS}, "corpus": cmd_corpus}
-        result = runner[cfg.command](cfg)
+        meta: dict = {}
+        result = runner[cfg.command](cfg, meta)
         _csv_export(cfg, result)
-        emit(cfg, result, started, _SUMMARIES[cfg.command](result))
+        emit(cfg, result, meta, started, _SUMMARIES[cfg.command](result))
         return 0
     except CorpusMismatch as e:
-        emit(cfg, e.result, started, _corpus_summary(e.result))
+        emit(cfg, e.result, {}, started, _corpus_summary(e.result))
         print(f"assertion error: {e}", file=sys.stderr)
         return 4
     except (BudgetExceeded, CapExceeded) as e:

@@ -298,50 +298,123 @@ def check_blowup_pair_bijection(g: ConstraintGraph, w: WeightSet) -> bool:
     return lifted == {(p.a, p.b) for p in bpairs}
 
 
+class _PermutationSearch:
+    """Backtracking over the color permutations that preserve adjacency (and
+    weights if given). Colors 0, 1, ... are assigned in order, each only to a
+    color with the same (weight, loop, degree-profile) signature. `nodes`
+    counts, over all searches, the partial permutations visited that extend
+    a whole prefix, the prefix itself included."""
+
+    def __init__(self, g: ConstraintGraph, w: Optional[WeightSet]):
+        if w is not None and len(w) != g.h:
+            raise ValueError("weight count != color count")
+
+        def signature(k):
+            wt = w[k] if w is not None else None
+            deg = mask_size(g.adj[k])
+            nbr_profile = tuple(sorted(
+                (mask_size(g.adj[j]), g.is_loop(j), w[j] if w is not None else None)
+                for j in mask_members(g.adj[k])
+            ))
+            return (wt, g.is_loop(k), deg, nbr_profile)
+
+        sigs = [signature(k) for k in range(g.h)]
+        self.g = g
+        self.candidates = [
+            [j for j in range(g.h) if sigs[j] == sigs[k]] for k in range(g.h)
+        ]
+        self.nodes = 0
+
+    def extensions(self, prefix: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
+        """Every automorphism sending color k to prefix[k] for k < len(prefix),
+        lazily and in lexicographic order."""
+        g = self.g
+        choices = [
+            cands if k >= len(prefix) else [j for j in cands if j == prefix[k]]
+            for k, cands in enumerate(self.candidates)
+        ]
+        counted_from = max(len(prefix) - 1, 0)
+        perm = [-1] * g.h
+        used = [False] * g.h
+
+        def extend(k: int) -> Iterator[tuple[int, ...]]:
+            if k == g.h:
+                yield tuple(perm)
+                return
+            for img in choices[k]:
+                if used[img]:
+                    continue
+                ok = True
+                for prev in range(k):
+                    if g.has_edge(k, prev) != bool(g.adj[img] >> perm[prev] & 1):
+                        ok = False
+                        break
+                if ok and g.is_loop(k) == bool(g.adj[img] >> img & 1):
+                    self.nodes += k >= counted_from
+                    perm[k] = img
+                    used[img] = True
+                    yield from extend(k + 1)
+                    used[img] = False
+                    perm[k] = -1
+
+        return extend(0)
+
+
 def automorphisms(
     g: ConstraintGraph, w: Optional[WeightSet] = None
 ) -> Iterator[tuple[int, ...]]:
-    """All color permutations preserving adjacency (and weights if given),
-    by backtracking with (weight, loop, degree-profile) pruning. Lazy."""
-    if w is not None and len(w) != g.h:
-        raise ValueError("weight count != color count")
+    """The whole group of color permutations preserving adjacency (and
+    weights if given), listed lazily. Its size can reach h!, so code that
+    only needs orbits should close them under `automorphism_generators`."""
+    yield from _PermutationSearch(g, w).extensions()
 
-    def signature(k):
-        wt = w[k] if w is not None else None
-        deg = mask_size(g.adj[k])
-        nbr_profile = tuple(sorted(
-            (mask_size(g.adj[j]), g.is_loop(j), w[j] if w is not None else None)
-            for j in mask_members(g.adj[k])
-        ))
-        return (wt, g.is_loop(k), deg, nbr_profile)
 
-    sigs = [signature(k) for k in range(g.h)]
-    candidates = [
-        [j for j in range(g.h) if sigs[j] == sigs[k]] for k in range(g.h)
-    ]
-    perm = [-1] * g.h
-    used = [False] * g.h
+class AutomorphismGenerators(NamedTuple):
+    perms: tuple[tuple[int, ...], ...]
+    nodes: int  # partial permutations the backtracking visited
 
-    def extend(k: int) -> Iterator[tuple[int, ...]]:
-        if k == g.h:
-            yield tuple(perm)
-            return
-        for img in candidates[k]:
-            if used[img]:
+
+def automorphism_generators(
+    g: ConstraintGraph, w: Optional[WeightSet] = None
+) -> AutomorphismGenerators:
+    """A generating set of the group `automorphisms` lists.
+
+    G_i, the automorphisms fixing colors 0..i-1, form a stabilizer chain.
+    Working from the deepest level up, for each color j with i's signature
+    that the generators found so far cannot send i to, the first extension
+    of the prefix (0, ..., i-1, j) is a representative of a coset of G_{i+1}
+    in G_i, if one exists. Every coset gets a representative or is reached
+    through earlier ones, so by Schreier-Sims these generate the group
+    (Seress, Permutation Group Algorithms, 2003). The subtrees below those
+    prefixes are disjoint parts of the tree `automorphisms` walks, so the
+    search never visits more nodes than listing the group does.
+    """
+    search = _PermutationSearch(g, w)
+    gens: list[tuple[int, ...]] = []
+    for i in reversed(range(g.h)):
+        reached = orbit_closure([i], [p.__getitem__ for p in gens])
+        for j in search.candidates[i]:
+            if j < i or j in reached:
                 continue
-            ok = True
-            for prev in range(k):
-                if g.has_edge(k, prev) != bool(g.adj[img] >> perm[prev] & 1):
-                    ok = False
-                    break
-            if ok and g.is_loop(k) == bool(g.adj[img] >> img & 1):
-                perm[k] = img
-                used[img] = True
-                yield from extend(k + 1)
-                used[img] = False
-                perm[k] = -1
+            rep = next(search.extensions(tuple(range(i)) + (j,)), None)
+            if rep is not None:
+                gens.append(rep)
+                reached = orbit_closure([i], [p.__getitem__ for p in gens])
+    return AutomorphismGenerators(tuple(gens), search.nodes)
 
-    yield from extend(0)
+
+def orbit_closure(seeds, maps) -> set:
+    """The smallest set holding `seeds` and closed under every map in `maps`."""
+    orbit = set(seeds)
+    todo = list(orbit)
+    while todo:
+        x = todo.pop()
+        for f in maps:
+            y = f(x)
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
 
 
 def apply_perm_to_mask(perm: Sequence[int], mask: int) -> int:

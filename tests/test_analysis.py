@@ -38,6 +38,10 @@ from torushom.constraint_graph import (
     ConstraintGraph,
     MaximalPair,
     WeightSet,
+    _PermutationSearch,
+    automorphism_generators,
+    automorphisms,
+    eta_and_maximal_pairs,
     mask_from,
     preset,
 )
@@ -500,3 +504,84 @@ def test_target_vectors_are_distributions(name, num):
                 continue
             assert sum(vec) == 1
             assert all(x >= 0 for x in vec)
+
+
+def _image(perm, mask):
+    return sum(1 << perm[k] for k in range(len(perm)) if mask >> k & 1)
+
+
+def _class_from_whole_group(g, w):
+    """The class as found by listing every automorphism: the first pair's
+    orbit is its image set together with the image set of its swap."""
+    _, pairs = eta_and_maximal_pairs(g, w)
+    mset = set(pairs)
+    if len(mset) == 1:
+        return "singleton"
+    if len(mset) == 2:
+        p, q = mset
+        if p.a == q.b and p.b == q.a:
+            return "two-class-swap"
+    first = pairs[0]
+    images = {
+        MaximalPair(_image(pi, a), _image(pi, b))
+        for pi in automorphisms(g, w)
+        for a, b in ((first.a, first.b), (first.b, first.a))
+    }
+    return "transitive" if images == mset else "unknown"
+
+
+@st.composite
+def _instances(draw):
+    h = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["edges", "circulant", "copies"]))
+    adj = [0] * h
+    if kind == "circulant":
+        # i ~ j iff j - i mod h lies in a symmetric offset set, so the
+        # rotations (and more) are automorphisms
+        offsets = draw(st.sets(st.integers(0, h - 1), min_size=1))
+        offsets |= {-o % h for o in offsets}
+        for i in range(h):
+            for o in offsets:
+                adj[i] |= 1 << (i + o) % h
+    else:
+        # "copies" repeats one random graph on b colors as disjoint blocks
+        # (plus isolated leftovers): a wreath product, whose stabilizer
+        # chain needs several generators at one level
+        b = draw(st.integers(1, min(3, h))) if kind == "copies" else h
+        edges = draw(st.lists(
+            st.tuples(st.integers(0, b - 1), st.integers(0, b - 1)),
+            min_size=1, max_size=b * (b + 1) // 2,
+        ))
+        for start in range(0, h - b + 1, b):
+            for i, j in edges:
+                adj[start + i] |= 1 << (start + j)
+                adj[start + j] |= 1 << (start + i)
+    weights = draw(st.one_of(
+        st.just((1,) * h),
+        st.lists(st.integers(1, 3), min_size=h, max_size=h),
+    ))
+    return ConstraintGraph(h, tuple(adj)), WeightSet(tuple(weights))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=_instances())
+def test_orbit_from_generators_matches_whole_group(inst):
+    g, w = inst
+    assert equipartition_class(g, w) == _class_from_whole_group(g, w)
+
+    group = set(automorphisms(g, w))
+    listing = _PermutationSearch(g, w)
+    assert len(list(listing.extensions())) == len(group)
+    found = automorphism_generators(g, w)
+    assert found.nodes <= listing.nodes  # disjoint subtrees of the listing
+    gens = found.perms
+    closed = {tuple(range(g.h))}
+    todo = list(closed)
+    while todo:
+        p = todo.pop()
+        for s in gens:
+            q = tuple(s[p[k]] for k in range(g.h))
+            if q not in closed:
+                closed.add(q)
+                todo.append(q)
+    assert closed == group

@@ -107,6 +107,25 @@ class TestAnalyzeCommand:
         assert res["pair_count"] == 20
         assert res["equipartition"] == "transitive"
 
+    def test_ten_colors_transitive(self, tmp_path):
+        # 10! automorphisms: the orbit step must not list the group
+        code, res = run_json(tmp_path, ["analyze", "--h", "kq:10"])
+        assert code == 0
+        assert res["eta"] == "25"
+        assert res["pair_count"] == 252
+        assert res["equipartition"] == "transitive"
+
+    def test_orbit_step_in_meta(self, tmp_path):
+        out = tmp_path / "doc.json"
+        assert main(["analyze", "--h", "kq:6", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        orbit = doc["meta"]["orbit"]
+        assert set(orbit) == {"generators", "orbit_size", "nodes", "seconds"}
+        assert orbit["orbit_size"] == doc["result"]["pair_count"] == 20
+        assert orbit["generators"] == 5  # one per stabilizer level of S_6
+        assert orbit["nodes"] > 0 and orbit["seconds"] >= 0
+        assert "orbit" not in doc["result"]
+
     def test_two_class_swap_report(self, tmp_path):
         code, res = run_json(tmp_path, ["analyze", "--h", "ind"])
         assert code == 0
@@ -426,4 +445,4 @@ class TestDriver:
         assert main(["analyze", "--h", "k3", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert set(doc) == {"result", "meta"}
-        assert set(doc["meta"]) == {"timestamp", "runtime_ms", "config"}
+        assert set(doc["meta"]) == {"timestamp", "runtime_ms", "config", "orbit"}

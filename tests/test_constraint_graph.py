@@ -11,6 +11,7 @@ from torushom.constraint_graph import (
     WeightSet,
     all_adjacent,
     apply_perm_to_mask,
+    automorphism_generators,
     automorphisms,
     blowup,
     check_blowup_pair_bijection,
@@ -257,6 +258,12 @@ class TestAutomorphisms:
 
     def test_ind_rigid(self):
         assert list(automorphisms(IND)) == [(0, 1)]
+
+    def test_generators_of_small_groups(self):
+        assert automorphism_generators(IND).perms == ()
+        assert automorphism_generators(WR).perms == ((2, 1, 0),)
+        # one generator per stabilizer level of S_6, not its 720 elements
+        assert len(automorphism_generators(preset("kq:6")).perms) == 5
 
 
 class TestPresetsAndParsing:
