@@ -18,7 +18,6 @@ import statistics
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
@@ -373,6 +372,7 @@ def cmd_count(cfg: RunConfig, meta: dict) -> dict:
     if cfg.method == "both":
         zb = brute_force_partition_function(t, g, w)
         zt = transfer_matrix_partition_function(t, g, w)
+        meta["count"] = {r.method: _count_path(r) for r in (zb, zt)}
         out["z_brute"] = frac_str(zb.z)
         out["z_transfer"] = frac_str(zt.z)
         out["instance"] = zb.instance
@@ -383,10 +383,19 @@ def cmd_count(cfg: RunConfig, meta: dict) -> dict:
         out["z"] = frac_str(zb.z)
     else:
         res = partition_function(t, g, w, method=cfg.method)
+        meta["count"] = {res.method: _count_path(res)}
         out["z"] = frac_str(res.z)
         out["instance"] = res.instance
         out["route"] = res.method
     return out
+
+
+def _count_path(res) -> dict:
+    return {
+        "route": res.route,
+        "arithmetic": res.arithmetic,
+        "layer_states": res.layer_states,
+    }
 
 
 def cmd_sample(cfg: RunConfig, meta: dict) -> dict:
@@ -416,6 +425,7 @@ def cmd_sample(cfg: RunConfig, meta: dict) -> dict:
             }
         )
         final = label
+    meta["start"] = stats.start
     return {
         "instance": f"m={t.m} d={t.d} h={g.h}",
         "steps": steps,
@@ -488,7 +498,7 @@ def cmd_influence(cfg: RunConfig, meta: dict) -> dict:
     except (NotEquipartition, ZeroConditioning, ZeroDenominator):
         out["ratio_target"] = None
     if cfg.steps is not None:
-        out["empirical"] = _empirical_conditional(t, g, w, cfg, y, ell, k)
+        out["empirical"] = _empirical_conditional(t, g, w, cfg, y, ell, k, meta)
     return out
 
 
@@ -500,14 +510,17 @@ def _empirical_conditional(
     y: int,
     ell: int,
     k: int,
+    meta: dict,
 ) -> dict:
     burn = cfg.burn_in if cfg.burn_in else cfg.steps // 10
     chain_cfg = ChainConfig(
         steps=cfg.steps, burn_in=burn, seed=cfg.seed, pinned=(y, ell)
     )
+    stats = ChainStats()
     hits = []
-    for state in run_chain(t, g, w, chain_cfg, cfg.initial):
+    for state in run_chain(t, g, w, chain_cfg, cfg.initial, stats=stats):
         hits.append(1.0 if state[0] == k else 0.0)
+    meta["start"] = stats.start
     stderr = None
     if len(hits) >= 4:
         batches = min(10, len(hits) // 2)
@@ -615,16 +628,6 @@ def run_command(cfg: RunConfig, meta: dict) -> dict:
     return runner(cfg, meta)
 
 
-def worker_count() -> int:
-    raw = os.environ.get("TORUSHOM_THREADS", "").strip()
-    if raw:
-        workers = parse_int(raw, "TORUSHOM_THREADS")
-        if workers < 1:
-            raise ConfigError("TORUSHOM_THREADS must be at least 1")
-        return workers
-    return min(8, os.cpu_count() or 1)
-
-
 def cmd_corpus(cfg: RunConfig, meta: dict) -> dict:
     golden_dir = Path(cfg.golden_dir)
     if not golden_dir.is_dir():
@@ -657,13 +660,10 @@ def cmd_corpus(cfg: RunConfig, meta: dict) -> dict:
             record["got"] = got
         return record
 
-    workers = worker_count()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        records = list(pool.map(run_one, paths))
+    records = [run_one(path) for path in paths]
     failed = [r["name"] for r in records if r["status"] == "mismatch"]
     result = {
         "golden_dir": str(golden_dir),
-        "workers": workers,
         "total": len(records),
         "failed": failed,
         "records": records,
@@ -682,10 +682,7 @@ class CorpusMismatch(TorushomError):
 
 
 def _corpus_summary(result: dict) -> str:
-    return (
-        f"golden={result['total']} failed={len(result['failed'])} "
-        f"workers={result['workers']}"
-    )
+    return f"golden={result['total']} failed={len(result['failed'])}"
 
 
 # ----------------------------------------------------------------- driver

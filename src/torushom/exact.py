@@ -3,8 +3,11 @@
 Two independent routes compute the same partition function: a pruned
 depth-first enumeration and a layered transfer matrix. They share no
 arithmetic beyond the instance types, which is what makes their exact
-agreement a meaningful cross-check. Everything here is rational; no
-floating point touches a partition function.
+agreement a meaningful cross-check. Everything here is exact. Floating
+point touches a partition function in one place only: the unpinned
+transfer contraction runs on float64 BLAS when an entry bound proves that
+every value it forms is an integer below 2^53, where float64 arithmetic
+is exact.
 """
 
 from __future__ import annotations
@@ -40,17 +43,29 @@ Pins = Mapping[int, int]
 DEFAULT_BRUTE_BUDGET = 10**8
 DEFAULT_TRANSFER_BUDGET = 10**7
 
+# Below this, float64 represents every integer and adds them exactly.
+_FLOAT64_EXACT = 2**53
 # Above this, int64 layer products could overflow; switch to exact bigints.
 _INT64_SAFE = 2**62
 
 
 @dataclass(frozen=True)
 class PartitionFunctionResult:
-    """Exact partition function value plus provenance of the computation."""
+    """Exact partition function value plus provenance of the computation.
+
+    `method` names the public route (brute or transfer). `route` names the
+    path inside it: "brute", "bitset" (transfer at m=2), "squaring"
+    (unpinned transfer at m >= 4) or "masked" (pinned transfer at m >= 4).
+    `arithmetic` is "float64", "int64" or "int" (Python integers), and
+    `layer_states` is the number of valid layer colorings, None for brute.
+    """
 
     z: Fraction
     method: str
     instance: str
+    route: str
+    arithmetic: str
+    layer_states: int | None
 
 
 def _descriptor(t: TorusGraph, g: ConstraintGraph, w: WeightSet) -> str:
@@ -145,6 +160,8 @@ def brute_force_partition_function(
     lower = [[u for u in t.neighbors(v) if u < v] for v in range(n)]
     adj = g.adj
     color = [0] * n
+    # Weight sum of each candidate set the last vertex has met so far.
+    leaf_sums: dict[int, int] = {}
 
     def rec(v: int, acc: int) -> int:
         cand = masks[v]
@@ -152,7 +169,11 @@ def brute_force_partition_function(
             cand &= adj[color[u]]
         if v == n - 1:
             # Last vertex contributes a plain weight sum; skip the descent.
-            return acc * sum(wint[k] for k in mask_members(cand))
+            leaf = leaf_sums.get(cand)
+            if leaf is None:
+                leaf = sum(wint[k] for k in mask_members(cand))
+                leaf_sums[cand] = leaf
+            return acc * leaf
         total = 0
         while cand:
             bit = cand & -cand
@@ -164,7 +185,12 @@ def brute_force_partition_function(
 
     z_int = rec(0, 1)
     return PartitionFunctionResult(
-        z=Fraction(z_int, scale**n), method="brute", instance=_descriptor(t, g, w)
+        z=Fraction(z_int, scale**n),
+        method="brute",
+        instance=_descriptor(t, g, w),
+        route="brute",
+        arithmetic="int",
+        layer_states=None,
     )
 
 
@@ -241,15 +267,11 @@ class _TransferEngine:
             out[layer] &= acc
         return out
 
-    def z_int(self, allowed: list[int] | None) -> int:
+    def z_int(self, allowed: list[int] | None) -> tuple[int, str, str]:
+        """Integer-scaled weighted count, with the route and arithmetic used."""
         s_count = len(self.states)
-        if s_count == 0:
-            return 0
-        full = (1 << s_count) - 1
-        if allowed is None:
-            allowed = [full] * self.t.m
         if self.t.m == 2:
-            a0, a1 = allowed
+            a0, a1 = allowed or ((1 << s_count) - 1,) * 2
             total = 0
             rest = a0
             while rest:
@@ -257,15 +279,58 @@ class _TransferEngine:
                 rest ^= bit
                 i = bit.bit_length() - 1
                 total += self.state_w[i] * self._wsum(self.compat[i] & a1)
-            return total
-        return self._trace_product(allowed)
+            return total, "bitset", "int"
+        route = "squaring" if allowed is None else "masked"
+        if s_count == 0:
+            return 0, route, "int"
+        # Entry and trace bound for the m-fold product of row-masked T: an
+        # entry of a j-fold product is at most s^(j-1) * w_max^j, and the
+        # trace at most s^m * w_max^m.
+        bound = (s_count * max(self.state_w)) ** self.t.m
+        if route == "squaring" and bound < _FLOAT64_EXACT:
+            return self._trace_power(np.float64), route, "float64"
+        if bound < _INT64_SAFE:
+            arithmetic, dtype = "int64", np.int64
+        else:
+            arithmetic, dtype = "int", object
+        if allowed is None:
+            return self._trace_power(dtype), route, arithmetic
+        return self._trace_product(allowed, dtype), route, arithmetic
 
-    def _trace_product(self, allowed: list[int]) -> int:
+    def _trace_power(self, dtype) -> int:
+        """trace(T^m) as sum(P * P^T) with P = T^(m/2) by binary powering.
+
+        With every entry of T a nonnegative integer and s^m * w_max^m below
+        2^53, every product, partial sum and Frobenius term formed here is
+        an integer no larger than that bound, so float64 (BLAS) is exact in
+        any summation order. Below 2^62 the same holds for int64.
+        """
         s_count = len(self.states)
-        w_max = max(self.state_w)
-        # Entry and trace bound for the m-fold product of row-masked T.
-        certified = s_count**self.t.m * w_max**self.t.m < _INT64_SAFE
-        dtype = np.int64 if certified else object
+        nbytes = (s_count + 7) // 8
+        rows = np.frombuffer(
+            b"".join(c.to_bytes(nbytes, "little") for c in self.compat),
+            dtype=np.uint8,
+        ).reshape(s_count, nbytes)
+        bits = np.unpackbits(rows, axis=1, count=s_count, bitorder="little")
+        weights = np.array(self.state_w, dtype=dtype)
+        base = bits.astype(dtype) * weights[:, None]
+        power = None
+        k = self.t.m // 2
+        while k:
+            if k & 1:
+                power = base if power is None else power @ base
+            k >>= 1
+            if k:
+                base = base @ base
+        return int((power * power.T).sum())
+
+    def _trace_product(self, allowed: list[int], dtype) -> int:
+        """trace of the product of the m row-masked copies of T (pins).
+
+        Integer dtypes only: int64 under the same 2^62 bound, else Python
+        ints. Float64 stays on the unpinned route in `_trace_power`.
+        """
+        s_count = len(self.states)
         base = np.zeros((s_count, s_count), dtype=dtype)
         for i in range(s_count):
             w_i = self.state_w[i]
@@ -312,11 +377,14 @@ def transfer_matrix_partition_function(
             f"transfer needs {g.h}^{layer_size} > {budget} raw layer states"
         )
     eng = _engine(t, g, w)
-    z_int = eng.z_int(eng.layer_allowed(pins))
+    z_int, route, arithmetic = eng.z_int(eng.layer_allowed(pins))
     return PartitionFunctionResult(
         z=Fraction(z_int, eng.scale**t.n),
         method="transfer",
         instance=_descriptor(t, g, w),
+        route=route,
+        arithmetic=arithmetic,
+        layer_states=len(eng.states),
     )
 
 

@@ -28,7 +28,7 @@ from .constraint_graph import (
     subset_weight,
     eta_and_maximal_pairs,
 )
-from .errors import InvalidColoring, NoValidInitial
+from .errors import EmptyConstraint, InvalidColoring, NoValidInitial
 from .exact import (
     Coloring,
     coloring_weight,
@@ -73,6 +73,8 @@ class ChainStats:
     steps: int = 0
     forced_moves: int = 0
     color_changes: int = 0
+    # "greedy", "pure", "explicit", or "pure-fallback" after greedy gave up.
+    start: str = ""
 
 
 def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
@@ -200,25 +202,59 @@ def _pure_initial(
     return state
 
 
-def _resolve_initial(t, g, w, initial, rng, pinned) -> list[int]:
+def _pure_fallback(
+    t: TorusGraph,
+    g: ConstraintGraph,
+    w: WeightSet,
+    rng: np.random.Generator,
+    pinned: tuple[int, int] | None,
+) -> list[int]:
+    """Pure start for when greedy gives up: the first maximal pair whose
+    class on the pinned vertex's side holds the pinned color.
+
+    Every pure coloring is valid, so this fails only when H has no
+    maximal pair or no pair admits the pin.
+    """
+    try:
+        _, pairs = eta_and_maximal_pairs(g, w)
+    except EmptyConstraint:
+        pairs = ()
+    for pair in pairs:
+        if pinned is not None:
+            y, lcol = pinned
+            side = pair.a if t.parity(y) == 0 else pair.b
+            if not (side >> lcol) & 1:
+                continue
+        return _pure_initial(t, g, w, pair, rng, pinned)
+    raise NoValidInitial(
+        f"greedy initialization failed {_GREEDY_RESTARTS} times and no "
+        "pure start admits the pin"
+    )
+
+
+def _resolve_initial(t, g, w, initial, rng, pinned) -> tuple[list[int], str]:
+    """The initial state and the kind of start that produced it."""
     if initial == "uniform-greedy":
-        return _greedy_initial(t, g, w, rng, pinned)
+        try:
+            return _greedy_initial(t, g, w, rng, pinned), "greedy"
+        except NoValidInitial:
+            return _pure_fallback(t, g, w, rng, pinned), "pure-fallback"
     if initial == "pure":
         _, pairs = eta_and_maximal_pairs(g, w)
-        return _pure_initial(t, g, w, pairs[0], rng, pinned)
+        return _pure_initial(t, g, w, pairs[0], rng, pinned), "pure"
     if isinstance(initial, tuple) and len(initial) == 2 and isinstance(
         initial[1], MaximalPair
     ):
         tag, pair = initial
         if tag != "pure":
             raise ValueError(f"unknown initializer {initial!r}")
-        return _pure_initial(t, g, w, pair, rng, pinned)
+        return _pure_initial(t, g, w, pair, rng, pinned), "pure"
     if not is_valid_coloring(t, g, initial):
         raise InvalidColoring("explicit initial coloring is not valid")
     state = list(initial)
     if pinned is not None and state[pinned[0]] != pinned[1]:
         raise InvalidColoring("explicit initial coloring contradicts the pin")
-    return state
+    return state, "explicit"
 
 
 def run_chain(
@@ -235,15 +271,19 @@ def run_chain(
 
     The pinned vertex (if any) keeps its color for the whole run, which
     targets the conditional Gibbs law exactly. Initializers: a coloring,
-    "uniform-greedy" (random order, weighted greedy fill, restarts), or
-    "pure" / ("pure", pair) for a two-palette start.
+    "uniform-greedy" (random order, weighted greedy fill, restarts, then a
+    pure start that admits the pin if every restart fails), or "pure" /
+    ("pure", pair) for a two-palette start. `stats.start` records which
+    start was used.
     """
     if cfg.pinned is not None:
         y, lcol = cfg.pinned
         if not (0 <= y < t.n) or not (0 <= lcol < g.h):
             raise ValueError("pinned pair outside instance")
     rng = chain_rng(cfg.seed, chain_index)
-    state = _resolve_initial(t, g, w, initial, rng, cfg.pinned)
+    state, start = _resolve_initial(t, g, w, initial, rng, cfg.pinned)
+    if stats is not None:
+        stats.start = start
     pinned_vertex = cfg.pinned[0] if cfg.pinned is not None else None
     lookup = _draw_tables(g, w)
     nbrs = t.neighbor_table()

@@ -191,6 +191,43 @@ class TestCountCommand:
         # 1 + 4*lam + 2*lam^2 at lam=1/3
         assert res["z"] == "23/9"
 
+    @pytest.mark.parametrize(
+        "name, transfer",
+        [
+            ("count-k3-m2-d2", {"route": "bitset", "arithmetic": "int",
+                                "layer_states": 6}),
+            ("count-k4loop-m2-d3", {"route": "bitset", "arithmetic": "int",
+                                    "layer_states": 256}),
+            ("count-wr-weighted-m4-d1", {"route": "squaring",
+                                         "arithmetic": "float64",
+                                         "layer_states": 3}),
+        ],
+    )
+    def test_path_in_meta_and_golden_bytes(self, tmp_path, name, transfer):
+        golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(golden["config"]))
+        out = tmp_path / "doc.json"
+        assert main(["count", "--config", str(config), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert result_bytes(doc["result"]) == result_bytes(golden["result"])
+        assert doc["meta"]["count"] == {
+            "brute": {"route": "brute", "arithmetic": "int", "layer_states": None},
+            "transfer": transfer,
+        }
+
+    def test_single_route_path_in_meta(self, tmp_path):
+        out = tmp_path / "doc.json"
+        argv = ["count", "--h", "ind", "--m", "4", "--d", "2",
+                "--method", "auto", "--out", str(out)]
+        assert main(argv) == 0
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["count"] == {
+            "transfer": {"route": "squaring", "arithmetic": "float64",
+                         "layer_states": 7},
+        }
+        assert "count" not in doc["result"]
+
     def test_budget_exit_code(self, capsys):
         assert main(["count", "--h", "k8", "--m", "6", "--d", "3"]) == 3
         assert "budget error" in capsys.readouterr().err
@@ -235,6 +272,16 @@ class TestSampleCommand:
         _, first = run_json(tmp_path, argv)
         _, second = run_json(tmp_path, argv)
         assert result_bytes(first) == result_bytes(second)
+
+    def test_greedy_failure_falls_back_to_pure_start(self, tmp_path):
+        out = tmp_path / "doc.json"
+        argv = ["sample", "--h", "k3", "--m", "8", "--d", "3", "--steps",
+                "2000", "--thin", "1000", "--seed", "0", "--out", str(out)]
+        assert main(argv) == 0
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["start"] == "pure-fallback"
+        assert len(doc["result"]["trace"]) == 2
+        assert doc["result"]["initial"] == "uniform-greedy"
 
     def test_different_seed_changes_trace(self, tmp_path):
         base = ["sample", "--h", "k3", "--m", "2", "--d", "2",
@@ -397,24 +444,6 @@ class TestCorpusCommand:
         assert code == 4
         captured = capsys.readouterr()
         assert "failed=1" in captured.err or "failed=1" in captured.out
-
-    def test_thread_env_cap(self, tmp_path, monkeypatch):
-        gdir = tmp_path / "golden"
-        gdir.mkdir()
-        for i in range(3):
-            self.make_golden(
-                gdir / f"a{i}.json", {"command": "analyze", "h": f"kq:{i + 3}"}
-            )
-        monkeypatch.setenv("TORUSHOM_THREADS", "2")
-        code, res = run_json(
-            tmp_path, ["corpus", "--golden-dir", str(gdir), "--update"]
-        )
-        assert code == 0
-        assert res["workers"] == 2
-
-    def test_bad_thread_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("TORUSHOM_THREADS", "0")
-        assert main(["corpus", "--golden-dir", str(tmp_path)]) == 2
 
     def test_empty_dir_is_config_error(self, tmp_path, capsys):
         assert main(["corpus", "--golden-dir", str(tmp_path)]) == 2

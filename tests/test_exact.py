@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torushom.constraint_graph import (
@@ -158,14 +158,41 @@ class TestTransferMatrix:
         w = WeightSet.parse("1000000,1000000,1000000,1000000")
         t = TorusGraph(4, 1)
         # 4^4 colorings each of weight 10^24; int64 would overflow
-        zt = transfer_matrix_partition_function(t, g, w).z
-        assert zt == 256 * 10**24
-        assert zt == brute_force_partition_function(t, g, w).z
+        res = transfer_matrix_partition_function(t, g, w)
+        assert res.z == 256 * 10**24
+        assert res.arithmetic == "int"
+        assert res.z == brute_force_partition_function(t, g, w).z
 
     def test_method_label(self):
         g = preset("ind")
         res = transfer_matrix_partition_function(Q3, g, ones(g))
         assert res.method == "transfer"
+
+    @pytest.mark.parametrize("lam, arithmetic", [(2435, "float64"), (2436, "int64")])
+    def test_float64_boundary_on_looped_k4(self, lam, arithmetic):
+        # On Z_4 the entry bound (s * w_max)^m = (4 * lam)^4 equals Z, so
+        # 2435 is the largest uniform weight whose bound stays below 2^53.
+        g = preset("k4loop")
+        w = WeightSet.parse(",".join([str(lam)] * 4))
+        res = transfer_matrix_partition_function(TorusGraph(4, 1), g, w)
+        assert res.z == (4 * lam) ** 4
+        assert (res.route, res.arithmetic) == ("squaring", arithmetic)
+
+    def test_ind_on_z4_cubed_runs_on_float64(self):
+        # Z_4^3 is Q_6, whose independent sets number 19,768,832,143.
+        g = preset("ind")
+        res = transfer_matrix_partition_function(TorusGraph(4, 3), g, ones(g))
+        assert res.z == 19768832143
+        assert (res.route, res.arithmetic, res.layer_states) == (
+            "squaring", "float64", 743
+        )
+
+    def test_pinned_route_keeps_integer_arithmetic(self):
+        g = preset("wr")
+        t = TorusGraph(4, 2)
+        res = transfer_matrix_partition_function(t, g, ones(g), pins={5: 1})
+        assert (res.route, res.arithmetic) == ("masked", "int64")
+        assert res.z == brute_force_partition_function(t, g, ones(g), pins={5: 1}).z
 
 
 class TestDualRoute:
@@ -405,3 +432,41 @@ def test_routes_agree_on_random_graphs(gw, shape):
     zb = brute_force_partition_function(t, g, w).z
     zt = transfer_matrix_partition_function(t, g, w).z
     assert zb == zt
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_instances(), st.sampled_from([(4, 1), (6, 1), (8, 1), (4, 2)]))
+def test_squaring_matches_brute_on_random_graphs(gw, shape):
+    g, w = gw
+    assume(shape[1] == 1 or g.h <= 2)  # keeps brute force on Z_4^2 small
+    t = TorusGraph(*shape)
+    zt = transfer_matrix_partition_function(t, g, w)
+    assert zt.route == "squaring"
+    assert zt.arithmetic == ("float64" if zt.layer_states else "int")
+    assert zt.z == brute_force_partition_function(t, g, w).z
+
+
+non_unit_weights = st.builds(
+    Fraction, st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=3)
+).filter(lambda q: q != 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    random_instances(),
+    st.sampled_from([(2, 2), (2, 3), (4, 1), (6, 1)]),
+    st.data(),
+)
+def test_brute_matches_enumeration_with_pins_on_last_vertices(gw, shape, data):
+    g, _ = gw
+    w = WeightSet(tuple(data.draw(non_unit_weights) for _ in range(g.h)))
+    t = TorusGraph(*shape)
+    pins = {
+        v: data.draw(st.integers(min_value=0, max_value=g.full_mask))
+        for v in (t.n - 2, t.n - 1)
+    }
+    expected = sum(
+        (coloring_weight(t, g, w, f) for f in enumerate_colorings(t, g, pins)),
+        Fraction(0),
+    )
+    assert brute_force_partition_function(t, g, w, pins=pins).z == expected

@@ -14,6 +14,7 @@ from torushom.constraint_graph import (
     MaximalPair,
     WeightSet,
     apply_perm_to_mask,
+    eta_and_maximal_pairs,
     mask_from,
     mask_members,
     preset,
@@ -39,6 +40,7 @@ from torushom.sampler import (
     ideal_fraction,
     is_ideal_edge,
     run_chain,
+    _pure_fallback,
 )
 from torushom.torus import TorusGraph
 
@@ -268,6 +270,47 @@ class TestInitializers:
         free = ConstraintGraph(1, (0,), ("x",))
         with pytest.raises(NoValidInitial):
             list(run_chain(Q2, free, WeightSet.ones(1), ChainConfig(steps=5)))
+
+    def test_greedy_start_is_recorded(self):
+        stats = ChainStats()
+        list(run_chain(Q2, K3, WeightSet.ones(3), ChainConfig(steps=5), stats=stats))
+        assert stats.start == "greedy"
+
+    def test_greedy_gives_up_then_pure_start(self):
+        # Greedy 3-coloring of Z_8^3 in random order dead-ends every time.
+        t = TorusGraph(8, 3)
+        stats = ChainStats()
+        (f,) = run_chain(t, K3, WeightSet.ones(3), ChainConfig(steps=1), stats=stats)
+        assert stats.start == "pure-fallback"
+        assert is_valid_coloring(t, K3, f)
+
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_pure_fallback_admits_the_pin(self, y):
+        t = TorusGraph(8, 3)
+        stats = ChainStats()
+        cfg = ChainConfig(steps=1, pinned=(y, 2))
+        (f,) = run_chain(t, K3, WeightSet.ones(3), cfg, stats=stats)
+        assert stats.start == "pure-fallback"
+        assert f[y] == 2 and is_valid_coloring(t, K3, f)
+        # The start itself is pure for a pair whose side holds the pin.
+        start = _pure_fallback(t, K3, WeightSet.ones(3), chain_rng(0), (y, 2))
+        even, odd = t.side_sets()
+        assert start[y] == 2
+        assert any(
+            all((p.a >> start[v]) & 1 for v in even)
+            and all((p.b >> start[v]) & 1 for v in odd)
+            for p in eta_and_maximal_pairs(K3, WeightSet.ones(3))[1]
+        )
+
+    def test_fallback_needs_a_pair_admitting_the_pin(self):
+        # K2 plus a looped color of weight 1/2 that lies in no maximal pair:
+        # pinning it forces the all-2 coloring, which greedy cannot find and
+        # no pure start contains.
+        g = ConstraintGraph(3, (0b010, 0b001, 0b100))
+        w = WeightSet.parse("1,1,1/2")
+        cfg = ChainConfig(steps=1, pinned=(0, 2))
+        with pytest.raises(NoValidInitial):
+            list(run_chain(TorusGraph(8, 2), g, w, cfg))
 
     def test_pure_initial_runs(self):
         w = WeightSet.parse("1,2,1")
