@@ -33,6 +33,7 @@ from .constraint_graph import (
     common_neighborhood,
     complete_graph,
     eta_and_maximal_pairs,
+    instance_structure,
     orbit_closure,
     subset_weight,
 )
@@ -60,7 +61,7 @@ class EquipartitionOrbit(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _equipartition(g: ConstraintGraph, w: WeightSet) -> EquipartitionOrbit:
-    _, pairs = eta_and_maximal_pairs(g, w)
+    pairs = instance_structure(g, w).pairs
     mset = set(pairs)
     if len(mset) == 1:
         return EquipartitionOrbit("singleton", 0, 1, 0, 0.0)
@@ -117,7 +118,7 @@ def _equipartition_pairs(
             "no equipartition condition detected (singleton, two-class "
             "swap, or transitive maximal pairs); targets are undefined"
         )
-    return eta_and_maximal_pairs(g, w)[1]
+    return instance_structure(g, w).pairs
 
 
 def _check_side(side: str) -> None:
@@ -141,11 +142,12 @@ def theorem_occupation_target(
     average of lambda_k/lambda over classes containing k."""
     _check_side(side)
     pairs = _equipartition_pairs(g, w)
+    lam = instance_structure(g, w).class_weight
     total = Fraction(0)
     for pair in pairs:
         cls = pair.a if side == EVEN else pair.b
         if (cls >> k) & 1:
-            total += w[k] / subset_weight(w, cls)
+            total += w[k] / lam[cls]
     return total / len(pairs)
 
 
@@ -187,10 +189,11 @@ def theorem_conditional_target(
     each surviving (A,B) contributes lambda_k/lambda_A when k is in A.
     """
     kept = _conditioning_pairs(g, w, relation, ell)
+    lam = instance_structure(g, w).class_weight
     total = Fraction(0)
     for pair in kept:
         if (pair.a >> k) & 1:
-            total += w[k] / subset_weight(w, pair.a)
+            total += w[k] / lam[pair.a]
     return total / len(kept)
 
 
@@ -210,11 +213,12 @@ def theorem_raw_conditional_sum(
     classes compatible with ell: the joint-style display itself."""
     _check_relation(relation)
     pairs = _equipartition_pairs(g, w)
+    lam = instance_structure(g, w).class_weight
     total = Fraction(0)
     for pair in pairs:
         cond_cls = pair.a if relation == SAME_SIDE else pair.b
         if ((cond_cls >> ell) & 1) and ((pair.a >> k) & 1):
-            total += w[k] / subset_weight(w, pair.a)
+            total += w[k] / lam[pair.a]
     return total / len(pairs)
 
 
@@ -227,14 +231,15 @@ def class_posterior_conditional(
     class weight lambda_A varies across the surviving pairs.
     """
     kept = _conditioning_pairs(g, w, relation, ell)
+    lam = instance_structure(g, w).class_weight
     num = Fraction(0)
     den = Fraction(0)
     for pair in kept:
         cond_cls = pair.a if relation == SAME_SIDE else pair.b
-        u = w[ell] / subset_weight(w, cond_cls)
+        u = w[ell] / lam[cond_cls]
         den += u
         if (pair.a >> k) & 1:
-            num += u * w[k] / subset_weight(w, pair.a)
+            num += u * w[k] / lam[pair.a]
     return num / den
 
 

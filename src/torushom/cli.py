@@ -44,6 +44,7 @@ from .constraint_graph import (
     load,
     mask_members,
     preset,
+    structure_cache_counts,
 )
 from .errors import (
     BudgetExceeded,
@@ -615,6 +616,10 @@ def _conjecture_summary(result: dict) -> str:
 # ----------------------------------------------------------- golden corpus
 
 
+# Commands whose meta reports how the structure records did over the run.
+_STRUCTURE_CACHE_COMMANDS = frozenset({"analyze", "sample", "influence"})
+
+
 def run_command(cfg: RunConfig, meta: dict) -> dict:
     runner = {
         "analyze": cmd_analyze,
@@ -625,7 +630,12 @@ def run_command(cfg: RunConfig, meta: dict) -> dict:
     }.get(cfg.command)
     if runner is None:
         raise ConfigError(f"command {cfg.command!r} cannot run inside a corpus")
-    return runner(cfg, meta)
+    hits0, misses0 = structure_cache_counts()
+    result = runner(cfg, meta)
+    if cfg.command in _STRUCTURE_CACHE_COMMANDS:
+        hits, misses = structure_cache_counts()
+        meta["structure_cache"] = {"hits": hits - hits0, "misses": misses - misses0}
+    return result
 
 
 def cmd_corpus(cfg: RunConfig, meta: dict) -> dict:

@@ -12,9 +12,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, EmptyConstraint, ParseError
@@ -102,6 +104,26 @@ class ConstraintGraph:
         return ConstraintGraph(self.h, tuple(adj), tuple(labels))
 
 
+class _DrawTables(dict):
+    """mask -> (colors of the mask, cumulative float weights), each entry
+    built on first lookup."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: tuple[float, ...]):
+        super().__init__()
+        self.weights = weights
+
+    def __missing__(self, mask: int):
+        colors = mask_members(mask)
+        cum, acc = [], 0.0
+        for k in colors:
+            acc += self.weights[k]
+            cum.append(acc)
+        entry = self[mask] = (colors, cum)
+        return entry
+
+
 @dataclass(frozen=True)
 class WeightSet:
     """Strictly positive rational weight per color."""
@@ -147,6 +169,13 @@ class WeightSet:
         """(C, (C*lambda_k as ints)) for exact integer-weight counting."""
         c = self.scale_denominator()
         return c, tuple(int(w * c) for w in self.weights)
+
+    @cached_property
+    def draw_tables(self) -> _DrawTables:
+        """Candidate mask -> (its colors, their cumulative float weights),
+        for weighted draws; each entry is built on first lookup. They
+        depend on the weights alone, so they need no extremal scan."""
+        return _DrawTables(tuple(float(x) for x in self.weights))
 
 
 class MaximalPair(NamedTuple):
@@ -212,15 +241,53 @@ def subset_weight(w: WeightSet, t: ColorSet) -> Fraction:
     return total
 
 
-def eta_and_maximal_pairs(
-    g: ConstraintGraph, w: WeightSet
-) -> tuple[Fraction, tuple[MaximalPair, ...]]:
-    """Extremal constant eta = max lambda_A*lambda_B over fully adjacent
-    (A,B), with all ordered maximizing pairs.
+@dataclass(frozen=True, eq=False)
+class InstanceStructure:
+    """What the sampler, the ideal-edge tests and the limit targets read
+    from an instance (H, lambda), built once by `instance_structure`."""
 
-    Scanning A over nonempty subsets and pairing with B = n(A) is exhaustive:
-    weight positivity forces B = n(A) in any maximizer, and A = n(n(A))
-    follows (a strictly larger first component would beat the maximum).
+    scale_c: int  # smallest C with every C*lambda_k integral
+    int_weights: tuple[int, ...]  # C*lambda_k
+    eta: Fraction
+    pairs: tuple[MaximalPair, ...]  # ascending in the first class
+    pair_of: dict[tuple[ColorSet, ColorSet], MaximalPair]  # (A, B) -> pair
+    class_weight: dict[ColorSet, Fraction]  # lambda of each class of a pair
+
+
+_BLOCK = 8
+_BLOCK_MASK = (1 << _BLOCK) - 1
+
+
+def _block_tables(items, op, unit) -> list[list]:
+    """For each block of 8 colors, `op` folded over every subset of the
+    block by the low-bit recurrence t[s] = op(t[s minus its low bit],
+    item of the low bit): 256 entries per block, never 2^h."""
+    tables = []
+    for base in range(0, len(items), _BLOCK):
+        block = items[base : base + _BLOCK]
+        table = [unit] * (1 << len(block))
+        for s in range(1, len(table)):
+            table[s] = op(table[s & (s - 1)], block[(s & -s).bit_length() - 1])
+        tables.append(table)
+    return tables
+
+
+def _fold(tables: list[list], op, acc, mask: int):
+    for table in tables:
+        acc = op(acc, table[mask & _BLOCK_MASK])
+        mask >>= _BLOCK
+    return acc
+
+
+@lru_cache(maxsize=256)
+def _structure(g: ConstraintGraph, w: WeightSet) -> InstanceStructure:
+    """The extremal scan, on integer-scaled weights.
+
+    Scanning A over nonempty subsets and pairing with B = n(A) is
+    exhaustive: weight positivity forces B = n(A) in any maximizer, and
+    A = n(n(A)) follows (a strictly larger first component would beat the
+    maximum). Scaling every weight by C scales every product by C^2, so
+    the maximizers are those of the rational scan.
     """
     if len(w) != g.h:
         raise ValueError("weight count != color count")
@@ -229,13 +296,16 @@ def eta_and_maximal_pairs(
     if not any(g.adj):
         raise EmptyConstraint("constraint graph has no edge or loop")
 
-    best = Fraction(0)
+    c, ints = w.integer_scaled()
+    sums = _block_tables(ints, operator.add, 0)
+    nbhd = _block_tables(g.adj, operator.and_, g.full_mask)
+    best = 0
     arg_masks: list[int] = []
     for a in range(1, 1 << g.h):
-        b = common_neighborhood(g, a)
+        b = _fold(nbhd, operator.and_, g.full_mask, a)
         if not b:
             continue
-        prod = subset_weight(w, a) * subset_weight(w, b)
+        prod = _fold(sums, operator.add, 0, a) * _fold(sums, operator.add, 0, b)
         if prod > best:
             best = prod
             arg_masks = [a]
@@ -250,7 +320,39 @@ def eta_and_maximal_pairs(
         b = common_neighborhood(g, a)
         assert common_neighborhood(g, b) == a, "maximizer must satisfy a = n(b)"
         pairs.append(MaximalPair(a, b))
-    return best, tuple(pairs)
+    return InstanceStructure(
+        scale_c=c,
+        int_weights=ints,
+        eta=Fraction(best, c * c),
+        pairs=tuple(pairs),
+        pair_of={(p.a, p.b): p for p in pairs},
+        class_weight={
+            cls: Fraction(_fold(sums, operator.add, 0, cls), c)
+            for p in pairs
+            for cls in p
+        },
+    )
+
+
+def instance_structure(g: ConstraintGraph, w: WeightSet) -> InstanceStructure:
+    """The structure record of (g, w): built on the first call, then shared
+    by every caller until the least recently used of 256 records goes."""
+    return _structure(g, w)
+
+
+def structure_cache_counts() -> tuple[int, int]:
+    """(hits, misses) of the structure records since the process started."""
+    info = _structure.cache_info()
+    return info.hits, info.misses
+
+
+def eta_and_maximal_pairs(
+    g: ConstraintGraph, w: WeightSet
+) -> tuple[Fraction, tuple[MaximalPair, ...]]:
+    """Extremal constant eta = max lambda_A*lambda_B over fully adjacent
+    (A,B), with all ordered maximizing pairs, ascending in A."""
+    s = instance_structure(g, w)
+    return s.eta, s.pairs
 
 
 def support_family(g: ConstraintGraph, w: WeightSet) -> frozenset[int]:

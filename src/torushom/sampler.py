@@ -15,6 +15,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -23,10 +25,9 @@ from .constraint_graph import (
     ConstraintGraph,
     MaximalPair,
     WeightSet,
+    instance_structure,
     mask_from,
     mask_members,
-    subset_weight,
-    eta_and_maximal_pairs,
 )
 from .errors import EmptyConstraint, InvalidColoring, NoValidInitial
 from .exact import (
@@ -84,53 +85,11 @@ def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
     )
 
 
-def _draw_tables(g: ConstraintGraph, w: WeightSet):
-    """mask -> (colors, cumulative float weights); built lazily per mask."""
-    cache: dict[int, tuple[tuple[int, ...], list[float]]] = {}
-
-    def lookup(mask: int):
-        entry = cache.get(mask)
-        if entry is None:
-            colors = mask_members(mask)
-            cum, acc = [], 0.0
-            for k in colors:
-                acc += float(w[k])
-                cum.append(acc)
-            entry = (colors, cum)
-            cache[mask] = entry
-        return entry
-
-    return lookup
-
-
-def glauber_step(
-    t: TorusGraph,
-    g: ConstraintGraph,
-    w: WeightSet,
-    state: Sequence[int],
-    rng: np.random.Generator,
-    pinned_vertex: int | None = None,
-) -> Coloring:
-    """One resampling move; the pinned vertex is never selected.
-
-    The compatible set always contains the current color, so the output
-    stays valid.
-    """
-    free = t.n - (1 if pinned_vertex is not None else 0)
-    idx = int(rng.integers(0, free))
-    if pinned_vertex is not None and idx >= pinned_vertex:
-        idx += 1
-    cand = g.full_mask
-    for u in t.neighbors(idx):
-        cand &= g.adj[state[u]]
-    colors, cum = _draw_tables(g, w)(cand)
-    out = list(state)
-    if len(colors) == 1:
-        out[idx] = colors[0]
-    else:
-        r = rng.random() * cum[-1]
-        out[idx] = colors[min(bisect_right(cum, r), len(colors) - 1)]
-    return tuple(out)
+def _draw(table: tuple[tuple[int, ...], list[float]], u: float) -> int:
+    """The color a uniform u in [0, 1) picks from a (colors, cumulative
+    weights) draw table. Callers draw u, so each keeps its own RNG use."""
+    colors, cum = table
+    return colors[min(bisect_right(cum, u * cum[-1]), len(colors) - 1)]
 
 
 def _greedy_initial(
@@ -140,7 +99,8 @@ def _greedy_initial(
     rng: np.random.Generator,
     pinned: tuple[int, int] | None,
 ) -> list[int]:
-    lookup = _draw_tables(g, w)
+    tables = w.draw_tables
+    nbrs = t.neighbor_table
     for _ in range(_GREEDY_RESTARTS):
         order = list(rng.permutation(t.n))
         state: list[int | None] = [None] * t.n
@@ -150,18 +110,17 @@ def _greedy_initial(
         ok = True
         for v in order:
             cand = g.full_mask
-            for u in t.neighbors(v):
+            for u in nbrs[v]:
                 if state[u] is not None:
                     cand &= g.adj[state[u]]
             if cand == 0:
                 ok = False
                 break
-            colors, cum = lookup(cand)
-            if len(colors) == 1:
-                state[v] = colors[0]
+            table = tables[cand]
+            if len(table[0]) == 1:
+                state[v] = table[0][0]
             else:
-                r = rng.random() * cum[-1]
-                state[v] = colors[min(bisect_right(cum, r), len(colors) - 1)]
+                state[v] = _draw(table, rng.random())
         if ok:
             return state  # type: ignore[return-value]
     raise NoValidInitial(
@@ -177,29 +136,39 @@ def _pure_initial(
     rng: np.random.Generator,
     pinned: tuple[int, int] | None,
 ) -> list[int]:
-    lookup = _draw_tables(g, w)
-    even, _ = t.side_sets()
-    even_set = set(even)
-    state = []
-    for v in range(t.n):
-        colors, cum = lookup(pair.a if v in even_set else pair.b)
-        r = rng.random() * cum[-1]
-        state.append(colors[min(bisect_right(cum, r), len(colors) - 1)])
+    tables = w.draw_tables
+    sides = (tables[pair.a], tables[pair.b])
+    state = [_draw(sides[p], rng.random()) for p in t.parity_table]
     if pinned is not None:
         y, lcol = pinned
         state[y] = lcol
         # repair the neighborhood greedily if the pin broke it
-        for u in t.neighbors(y):
+        nbrs = t.neighbor_table
+        for u in nbrs[y]:
             cand = g.full_mask
-            for z in t.neighbors(u):
+            for z in nbrs[u]:
                 cand &= g.adj[state[z]]
             if cand == 0:
                 raise NoValidInitial("pin is incompatible with the pure state")
             if not (cand >> state[u]) & 1:
-                colors, cum = lookup(cand)
-                r = rng.random() * cum[-1]
-                state[u] = colors[min(bisect_right(cum, r), len(colors) - 1)]
+                state[u] = _draw(tables[cand], rng.random())
     return state
+
+
+def _admitting_pair(
+    t: TorusGraph,
+    pairs: Sequence[MaximalPair],
+    pinned: tuple[int, int] | None,
+) -> MaximalPair | None:
+    """The first maximal pair whose class on the pinned vertex's side holds
+    the pinned color (the first pair when nothing is pinned), or None."""
+    for pair in pairs:
+        if pinned is None:
+            return pair
+        y, lcol = pinned
+        if ((pair.b if t.parity_table[y] else pair.a) >> lcol) & 1:
+            return pair
+    return None
 
 
 def _pure_fallback(
@@ -216,20 +185,16 @@ def _pure_fallback(
     maximal pair or no pair admits the pin.
     """
     try:
-        _, pairs = eta_and_maximal_pairs(g, w)
+        pairs = instance_structure(g, w).pairs
     except EmptyConstraint:
         pairs = ()
-    for pair in pairs:
-        if pinned is not None:
-            y, lcol = pinned
-            side = pair.a if t.parity(y) == 0 else pair.b
-            if not (side >> lcol) & 1:
-                continue
-        return _pure_initial(t, g, w, pair, rng, pinned)
-    raise NoValidInitial(
-        f"greedy initialization failed {_GREEDY_RESTARTS} times and no "
-        "pure start admits the pin"
-    )
+    pair = _admitting_pair(t, pairs, pinned)
+    if pair is None:
+        raise NoValidInitial(
+            f"greedy initialization failed {_GREEDY_RESTARTS} times and no "
+            "pure start admits the pin"
+        )
+    return _pure_initial(t, g, w, pair, rng, pinned)
 
 
 def _resolve_initial(t, g, w, initial, rng, pinned) -> tuple[list[int], str]:
@@ -240,8 +205,10 @@ def _resolve_initial(t, g, w, initial, rng, pinned) -> tuple[list[int], str]:
         except NoValidInitial:
             return _pure_fallback(t, g, w, rng, pinned), "pure-fallback"
     if initial == "pure":
-        _, pairs = eta_and_maximal_pairs(g, w)
-        return _pure_initial(t, g, w, pairs[0], rng, pinned), "pure"
+        pair = _admitting_pair(t, instance_structure(g, w).pairs, pinned)
+        if pair is None:
+            raise NoValidInitial("no maximal pair admits the pin")
+        return _pure_initial(t, g, w, pair, rng, pinned), "pure"
     if isinstance(initial, tuple) and len(initial) == 2 and isinstance(
         initial[1], MaximalPair
     ):
@@ -273,8 +240,9 @@ def run_chain(
     targets the conditional Gibbs law exactly. Initializers: a coloring,
     "uniform-greedy" (random order, weighted greedy fill, restarts, then a
     pure start that admits the pin if every restart fails), or "pure" /
-    ("pure", pair) for a two-palette start. `stats.start` records which
-    start was used.
+    ("pure", pair) for a two-palette start. "pure" starts from the first
+    maximal pair whose class on the pinned vertex's side holds the pinned
+    color. `stats.start` records which start was used.
     """
     if cfg.pinned is not None:
         y, lcol = cfg.pinned
@@ -285,8 +253,8 @@ def run_chain(
     if stats is not None:
         stats.start = start
     pinned_vertex = cfg.pinned[0] if cfg.pinned is not None else None
-    lookup = _draw_tables(g, w)
-    nbrs = t.neighbor_table()
+    tables = w.draw_tables
+    nbrs = t.neighbor_table
     adj = g.adj
     full = g.full_mask
     free_count = t.n - (1 if pinned_vertex is not None else 0)
@@ -296,23 +264,24 @@ def run_chain(
         pos = _RNG_BUFFER
         for step in range(1, cfg.steps + 1):
             if pos == _RNG_BUFFER:
-                vbuf = rng.integers(0, free_count, size=_RNG_BUFFER)
-                ubuf = rng.random(_RNG_BUFFER)
+                # memoryviews index to plain Python numbers, without a list
+                # of 2 * _RNG_BUFFER boxed values
+                vbuf = memoryview(rng.integers(0, free_count, size=_RNG_BUFFER))
+                ubuf = memoryview(rng.random(_RNG_BUFFER))
                 pos = 0
-            v = int(vbuf[pos])
+            v = vbuf[pos]
             if pinned_vertex is not None and v >= pinned_vertex:
                 v += 1
             cand = full
             for u in nbrs[v]:
                 cand &= adj[state[u]]
-            colors, cum = lookup(cand)
-            if len(colors) == 1:
-                new = colors[0]
+            table = tables[cand]
+            if len(table[0]) == 1:
+                new = table[0][0]
                 if stats is not None:
                     stats.forced_moves += 1
             else:
-                r = ubuf[pos] * cum[-1]
-                new = colors[min(bisect_right(cum, r), len(colors) - 1)]
+                new = _draw(table, ubuf[pos])
             pos += 1
             if stats is not None:
                 stats.steps += 1
@@ -325,13 +294,11 @@ def run_chain(
     return stream()
 
 
-def _pair_map(g: ConstraintGraph, w: WeightSet) -> dict[tuple[int, int], MaximalPair]:
-    _, pairs = eta_and_maximal_pairs(g, w)
-    return {(p.a, p.b): p for p in pairs}
-
-
 def _palettes(t: TorusGraph, f: Sequence[int]) -> list[int]:
-    return [mask_from(f[u] for u in t.neighbors(v)) for v in range(t.n)]
+    """The set of colors each vertex's neighborhood shows, as a mask."""
+    bit = [1 << c for c in f]
+    get = bit.__getitem__
+    return [reduce(or_, map(get, row)) for row in t.neighbor_table]
 
 
 def is_ideal_edge(
@@ -352,24 +319,23 @@ def is_ideal_edge(
         u, v = v, u
     if t.parity(u) != 0 or v not in t.neighbors(u):
         raise ValueError(f"({e[0]},{e[1]}) is not a torus edge")
-    pal_u = mask_from(f[z] for z in t.neighbors(u))
-    pal_v = mask_from(f[z] for z in t.neighbors(v))
-    return _pair_map(g, w).get((pal_v, pal_u))
+    nbrs = t.neighbor_table
+    pal_u = mask_from(f[z] for z in nbrs[u])
+    pal_v = mask_from(f[z] for z in nbrs[v])
+    return instance_structure(g, w).pair_of.get((pal_v, pal_u))
 
 
 def ideal_edge_map(
     t: TorusGraph, g: ConstraintGraph, w: WeightSet, f: Sequence[int]
 ) -> dict[tuple[int, int], MaximalPair]:
     """All ideal edges of f at once, keyed by (even endpoint, odd endpoint)."""
-    pairs = _pair_map(g, w)
+    pair_of = instance_structure(g, w).pair_of
     pal = _palettes(t, f)
     out = {}
-    for u, v in t.edges():
-        if t.parity(u) == 1:
-            u, v = v, u
-        hit = pairs.get((pal[v], pal[u]))
+    for e in t.edge_table:
+        hit = pair_of.get((pal[e[1]], pal[e[0]]))
         if hit is not None:
-            out[(u, v)] = hit
+            out[e] = hit
     return out
 
 
@@ -425,24 +391,20 @@ def epsilon_estimate(
     (same mean, lower variance). all_edges=False watches the single
     edge from the origin along the last coordinate instead.
     """
-    pairs = _pair_map(g, w)
+    pair_of = instance_structure(g, w).pair_of
     edge0 = (0, t.shift(0, t.d, 1))
-    # orient every edge (even endpoint, odd endpoint)
-    edges = [
-        ((u, v) if t.parity(u) == 0 else (v, u))
-        for u, v in t.edges()
-    ]
+    edges = t.edge_table
     xs: list[float] = []
     for f in run_chain(t, g, w, cfg, initial):
         pal = _palettes(t, f)
         if all_edges:
             bad = sum(
-                1 for u, v in edges if (pal[v], pal[u]) not in pairs
+                1 for u, v in edges if (pal[v], pal[u]) not in pair_of
             )
             xs.append(bad / len(edges))
         else:
             u, v = edge0
-            xs.append(float((pal[v], pal[u]) not in pairs))
+            xs.append(float((pal[v], pal[u]) not in pair_of))
     mean = sum(xs) / len(xs)
     return {
         "p_not_ideal": mean,
@@ -514,15 +476,16 @@ def classify(
     }
     assert len(component_pairs) == 1  # connectivity forces agreement
     pair = component_pairs.pop()
-    even, odd = t.side_sets()
+    even, odd = t.side_table
     defect_e = frozenset(v for v in even if not (pair.a >> f[v]) & 1)
     defect_o = frozenset(v for v in odd if not (pair.b >> f[v]) & 1)
 
     half = t.n // 2
+    class_weight = instance_structure(g, w).class_weight
     devs = []
     balanced = True
     for side, mask, side_vertices in (("e", pair.a, even), ("o", pair.b, odd)):
-        lam = subset_weight(w, mask)
+        lam = class_weight[mask]
         counts: dict[int, int] = {}
         for v in side_vertices:
             counts[f[v]] = counts.get(f[v], 0) + 1

@@ -10,6 +10,7 @@ bipartition E/O (even/odd coordinate sum) is used everywhere downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -72,9 +73,6 @@ class TorusGraph:
                 out.append(base + ((x + 1) % self.m) * radix)
         return tuple(out)
 
-    def neighbor_table(self) -> list[tuple[int, ...]]:
-        return [self.neighbors(v) for v in range(self.n)]
-
     def parity(self, v: int) -> int:
         self._check(v)
         s = 0
@@ -96,6 +94,35 @@ class TorusGraph:
             for v in self.neighbors(u):
                 if u < v:
                     yield (u, v)
+
+    # Tables built on first use and kept for the life of the torus. The
+    # methods above check their arguments on every call; these are for
+    # code that walks the whole torus per sample.
+
+    @cached_property
+    def neighbor_table(self) -> tuple[tuple[int, ...], ...]:
+        """neighbors(v) for every vertex v."""
+        return tuple(self.neighbors(v) for v in range(self.n))
+
+    @cached_property
+    def parity_table(self) -> tuple[int, ...]:
+        """parity(v) for every vertex v."""
+        return tuple(self.parity(v) for v in range(self.n))
+
+    @cached_property
+    def side_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """side_sets(): (even side, odd side)."""
+        par = self.parity_table
+        return tuple(
+            tuple(v for v in range(self.n) if par[v] == side) for side in (0, 1)
+        )
+
+    @cached_property
+    def edge_table(self) -> tuple[tuple[int, int], ...]:
+        """Each edge once as (even endpoint, odd endpoint), in the order
+        edges() lists them."""
+        par = self.parity_table
+        return tuple((u, v) if par[u] == 0 else (v, u) for u, v in self.edges())
 
     @property
     def num_edges(self) -> int:

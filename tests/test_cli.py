@@ -408,6 +408,36 @@ class TestConjectureCommand:
         assert main(["count", "--h", "k3", "--csv", "/tmp/x.csv"]) == 2
 
 
+class TestStructureCacheMeta:
+    @pytest.mark.parametrize(
+        "argv,lookups,instances",
+        [
+            # the instance and its blow-up
+            (["analyze", "--h", "wr", "--weights", "1,3/2,1"], 2, 2),
+            # one record lookup per classified sample, and one for the start
+            (["sample", "--h", "wr", "--weights", "1,3/2,1", "--m", "2",
+              "--d", "2", "--steps", "400", "--thin", "20", "--initial", "pure"], 21, 1),
+            (["influence", "--h", "wr", "--weights", "1,3/2,1", "--m", "2",
+              "--d", "2", "--x", "antipodal", "--l", "1"], 1, 1),
+        ],
+    )
+    def test_record_hits_and_misses_in_meta(self, tmp_path, argv, lookups, instances):
+        out = tmp_path / "doc.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        cache = doc["meta"]["structure_cache"]
+        assert set(cache) == {"hits", "misses"}
+        # each record is built at most once a run
+        assert cache["misses"] <= instances
+        assert cache["hits"] + cache["misses"] >= lookups
+        assert "structure_cache" not in json.dumps(doc["result"])
+
+    def test_count_does_not_report_it(self, tmp_path):
+        out = tmp_path / "doc.json"
+        assert main(["count", "--h", "k3", "--m", "2", "--d", "2", "--out", str(out)]) == 0
+        assert "structure_cache" not in json.loads(out.read_text())["meta"]
+
+
 class TestCorpusCommand:
     def make_golden(self, path, config, result=None):
         path.write_text(
@@ -474,4 +504,6 @@ class TestDriver:
         assert main(["analyze", "--h", "k3", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert set(doc) == {"result", "meta"}
-        assert set(doc["meta"]) == {"timestamp", "runtime_ms", "config", "orbit"}
+        assert set(doc["meta"]) == {
+            "timestamp", "runtime_ms", "config", "orbit", "structure_cache"
+        }

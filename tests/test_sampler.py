@@ -5,6 +5,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from torushom.exact import (
     is_valid_coloring,
     partition_function,
 )
+from torushom import sampler
 from torushom.sampler import (
     ChainConfig,
     ChainStats,
@@ -35,12 +37,12 @@ from torushom.sampler import (
     classify,
     epsilon_estimate,
     exact_not_ideal_probability,
-    glauber_step,
     ideal_edge_map,
     ideal_fraction,
     is_ideal_edge,
     run_chain,
     _pure_fallback,
+    _resolve_initial,
 )
 from torushom.torus import TorusGraph
 
@@ -128,42 +130,52 @@ class TestDeterminism:
 
 
 class _FixedRng:
-    """Scripted vertex pick and uniform draw for single-step tests."""
+    """Scripted vertex picks and uniform draws for single-step tests."""
 
     def __init__(self, vertex, u=0.0):
         self.vertex = vertex
         self.u = u
 
-    def integers(self, lo, hi):
+    def integers(self, lo, hi, size):
         assert lo <= self.vertex < hi
-        return self.vertex
+        return np.full(size, self.vertex)
 
-    def random(self):
-        return self.u
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+@pytest.fixture
+def one_step(monkeypatch):
+    """One run_chain move from an explicit state, with the vertex pick and
+    the uniform draw scripted."""
+
+    def step(t, g, w, state, vertex, u=0.0):
+        monkeypatch.setattr(sampler, "chain_rng", lambda *_: _FixedRng(vertex, u))
+        (out,) = run_chain(t, g, w, ChainConfig(steps=1), initial=state)
+        return out
+
+    return step
 
 
 class TestGlauberStep:
-    def test_forced_move_keeps_state_valid(self):
+    def test_forced_move_keeps_state_valid(self, one_step):
         # vertex 1 sees an occupied neighbor, so it is forced unoccupied
         w = WeightSet.ones(2)
         state = (0, 1, 1, 1)
-        out = glauber_step(Q2, IND, w, state, _FixedRng(1))
-        assert out == state
+        assert one_step(Q2, IND, w, state, 1) == state
 
-    def test_free_vertex_follows_the_uniform_draw(self):
+    def test_free_vertex_follows_the_uniform_draw(self, one_step):
         w = WeightSet.ones(2)
         state = (1, 1, 1, 1)
-        low = glauber_step(Q2, IND, w, state, _FixedRng(0, u=0.1))
-        high = glauber_step(Q2, IND, w, state, _FixedRng(0, u=0.9))
-        assert low == (0, 1, 1, 1)
-        assert high == (1, 1, 1, 1)
+        assert one_step(Q2, IND, w, state, 0, u=0.1) == (0, 1, 1, 1)
+        assert one_step(Q2, IND, w, state, 0, u=0.9) == (1, 1, 1, 1)
 
-    def test_weighted_draw_respects_thresholds(self):
+    def test_weighted_draw_respects_thresholds(self, one_step):
         # weights (3, 1): the occupied color owns the first 3/4 of the draw
         w = WeightSet.parse("3,1")
         state = (1, 1, 1, 1)
-        assert glauber_step(Q2, IND, w, state, _FixedRng(0, u=0.74)) == (0, 1, 1, 1)
-        assert glauber_step(Q2, IND, w, state, _FixedRng(0, u=0.76)) == state
+        assert one_step(Q2, IND, w, state, 0, u=0.74) == (0, 1, 1, 1)
+        assert one_step(Q2, IND, w, state, 0, u=0.76) == state
 
     def test_pinned_vertex_never_selected(self):
         w = WeightSet.ones(3)
@@ -175,10 +187,9 @@ class TestGlauberStep:
     @settings(max_examples=20, deadline=None)
     def test_steps_preserve_validity(self, seed):
         w = WeightSet.ones(3)
-        rng = chain_rng(seed)
-        state = tuple(v % 2 for v in range(Q3.n))
-        for _ in range(40):
-            state = glauber_step(Q3, WR, w, state, rng)
+        start = tuple(v % 2 for v in range(Q3.n))
+        cfg = ChainConfig(steps=40, seed=seed)
+        for state in run_chain(Q3, WR, w, cfg, initial=start):
             assert is_valid_coloring(Q3, WR, state)
 
 
@@ -210,14 +221,14 @@ class TestDetailedBalance:
             for nxt, p_move in kernels[f].items():
                 assert prob[f] * p_move == prob[nxt] * kernels[nxt][f]
 
-    def test_kernel_support_matches_implementation(self):
+    def test_kernel_support_matches_implementation(self, one_step):
         # every kernel transition is reachable by some scripted draw
         w = WeightSet.parse("3/2,1")
         f = (1, 1, 1, 1)
         reachable = set()
         for v in range(Q2.n):
             for u in (0.01, 0.35, 0.65, 0.99):
-                reachable.add(glauber_step(Q2, IND, w, f, _FixedRng(v, u)))
+                reachable.add(one_step(Q2, IND, w, f, v, u))
         assert reachable == set(self.kernel(Q2, IND, w, f))
 
 
@@ -350,7 +361,34 @@ class TestInitializers:
     def test_pin_incompatible_with_pure_state(self):
         g = preset("ind+k3")
         w = WeightSet.ones(5)
-        # pinning an odd vertex to a clique color contradicts both classes
+        # The first pair, ({out}, {in, out}), cannot hold the clique color 2
+        # on the odd side; the first pair that can is ({3}, {2, 4}), so the
+        # pure start comes from it.
+        pin = (1, 2)
+        state, start = _resolve_initial(Q2, g, w, "pure", chain_rng(0), pin)
+        assert start == "pure" and state[1] == 2
+        even, odd = Q2.side_sets()
+        assert all(state[v] == 3 for v in even)
+        assert all(state[v] in (2, 4) for v in odd)
+        cfg = ChainConfig(steps=2, seed=0, pinned=pin)
+        for f in run_chain(Q2, g, w, cfg, initial="pure"):
+            assert f[1] == 2 and is_valid_coloring(Q2, g, f)
+
+    def test_pure_start_keeps_the_first_pair_when_it_admits_the_pin(self):
+        # ({out}, {in, out}) holds color 0 on the odd side, so the pin does
+        # not change which pair the start uses.
+        w = WeightSet.ones(2)
+        first = eta_and_maximal_pairs(IND, w)[1][0]
+        pinned, _ = _resolve_initial(Q2, IND, w, "pure", chain_rng(3), (1, 0))
+        free, _ = _resolve_initial(Q2, IND, w, ("pure", first), chain_rng(3), (1, 0))
+        assert pinned == free and pinned[1] == 0
+
+    def test_pure_start_with_no_admitting_pair_raises(self):
+        # With out weighted 2, only the two hard-core pairs are maximal, and
+        # neither class holds a clique color.
+        g = preset("ind+k3")
+        w = WeightSet.parse("1,2,1,1,1")
+        assert all(p.a | p.b == 0b11 for p in eta_and_maximal_pairs(g, w)[1])
         cfg = ChainConfig(steps=2, seed=0, pinned=(1, 2))
         with pytest.raises(NoValidInitial):
             list(run_chain(Q2, g, w, cfg, initial="pure"))
