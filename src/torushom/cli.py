@@ -59,6 +59,7 @@ from .errors import (
 )
 from .exact import (
     brute_force_partition_function,
+    engine_cache_counts,
     partition_function,
     transfer_matrix_partition_function,
 )
@@ -616,8 +617,12 @@ def _conjecture_summary(result: dict) -> str:
 # ----------------------------------------------------------- golden corpus
 
 
-# Commands whose meta reports how the structure records did over the run.
-_STRUCTURE_CACHE_COMMANDS = frozenset({"analyze", "sample", "influence"})
+# Caches whose hits and misses over the run go into meta: the meta key, the
+# (hits, misses) counter and the commands that report them.
+_CACHE_METERS = (
+    ("structure_cache", structure_cache_counts, {"analyze", "sample", "influence"}),
+    ("engine_cache", engine_cache_counts, {"count", "influence"}),
+)
 
 
 def run_command(cfg: RunConfig, meta: dict) -> dict:
@@ -630,11 +635,12 @@ def run_command(cfg: RunConfig, meta: dict) -> dict:
     }.get(cfg.command)
     if runner is None:
         raise ConfigError(f"command {cfg.command!r} cannot run inside a corpus")
-    hits0, misses0 = structure_cache_counts()
+    before = [counts() for _, counts, _ in _CACHE_METERS]
     result = runner(cfg, meta)
-    if cfg.command in _STRUCTURE_CACHE_COMMANDS:
-        hits, misses = structure_cache_counts()
-        meta["structure_cache"] = {"hits": hits - hits0, "misses": misses - misses0}
+    for (key, counts, commands), (hits0, misses0) in zip(_CACHE_METERS, before):
+        if cfg.command in commands:
+            hits, misses = counts()
+            meta[key] = {"hits": hits - hits0, "misses": misses - misses0}
     return result
 
 

@@ -7,15 +7,16 @@ agreement a meaningful cross-check. Everything here is exact. Floating
 point touches a partition function in one place only: the unpinned
 transfer contraction runs on float64 BLAS when an entry bound proves that
 every value it forms is an integer below 2^53, where float64 arithmetic
-is exact.
+is exact (`_arithmetic`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -47,6 +48,36 @@ DEFAULT_TRANSFER_BUDGET = 10**7
 _FLOAT64_EXACT = 2**53
 # Above this, int64 layer products could overflow; switch to exact bigints.
 _INT64_SAFE = 2**62
+
+
+def _arithmetic(bound: int, *, blas: bool = False) -> tuple[str, object]:
+    """(label, dtype) of the narrowest exact arithmetic for nonnegative integer
+    matrix products whose entries, partial sums and trace stay at most
+    `bound`: float64 below 2^53 if `blas`, int64 below 2^62, else Python ints."""
+    if blas and bound < _FLOAT64_EXACT:
+        return "float64", np.float64
+    if bound < _INT64_SAFE:
+        return "int64", np.int64
+    return "int", object
+
+
+def _bit_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """0/1 uint8 matrix whose row i holds bits 0..n-1 of masks[i]."""
+    nbytes = (n + 7) // 8
+    data = b"".join(x.to_bytes(nbytes, "little") for x in masks)
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little")
+
+
+def _cycle_trace(factors: Iterable[np.ndarray]) -> int:
+    """Exact trace of the ordered product of two or more square factors, in
+    a dtype `_arithmetic` chose. Factors are drawn one at a time, so a
+    generator never holds them all; the last product closes as a Frobenius sum."""
+    it = iter(factors)
+    prod, last = next(it), next(it)
+    for f in it:
+        prod, last = prod @ last, f
+    return int((prod * last.T).sum())
 
 
 @dataclass(frozen=True)
@@ -287,15 +318,17 @@ class _TransferEngine:
         # entry of a j-fold product is at most s^(j-1) * w_max^j, and the
         # trace at most s^m * w_max^m.
         bound = (s_count * max(self.state_w)) ** self.t.m
-        if route == "squaring" and bound < _FLOAT64_EXACT:
-            return self._trace_power(np.float64), route, "float64"
-        if bound < _INT64_SAFE:
-            arithmetic, dtype = "int64", np.int64
-        else:
-            arithmetic, dtype = "int", object
+        arithmetic, dtype = _arithmetic(bound, blas=allowed is None)
         if allowed is None:
             return self._trace_power(dtype), route, arithmetic
-        return self._trace_product(allowed, dtype), route, arithmetic
+        t_mat = self._matrix(dtype)
+        keep = _bit_rows(allowed, s_count).astype(dtype)
+        return _cycle_trace(t_mat * row[:, None] for row in keep), route, arithmetic
+
+    def _matrix(self, dtype) -> np.ndarray:
+        """T in `dtype`: T[i, j] is state i's weight when j may follow i."""
+        weights = np.array(self.state_w, dtype=dtype)
+        return _bit_rows(self.compat, len(self.states)).astype(dtype) * weights[:, None]
 
     def _trace_power(self, dtype) -> int:
         """trace(T^m) as sum(P * P^T) with P = T^(m/2) by binary powering.
@@ -305,16 +338,7 @@ class _TransferEngine:
         an integer no larger than that bound, so float64 (BLAS) is exact in
         any summation order. Below 2^62 the same holds for int64.
         """
-        s_count = len(self.states)
-        nbytes = (s_count + 7) // 8
-        rows = np.frombuffer(
-            b"".join(c.to_bytes(nbytes, "little") for c in self.compat),
-            dtype=np.uint8,
-        ).reshape(s_count, nbytes)
-        bits = np.unpackbits(rows, axis=1, count=s_count, bitorder="little")
-        weights = np.array(self.state_w, dtype=dtype)
-        base = bits.astype(dtype) * weights[:, None]
-        power = None
+        base, power = self._matrix(dtype), None
         k = self.t.m // 2
         while k:
             if k & 1:
@@ -322,44 +346,18 @@ class _TransferEngine:
             k >>= 1
             if k:
                 base = base @ base
-        return int((power * power.T).sum())
-
-    def _trace_product(self, allowed: list[int], dtype) -> int:
-        """trace of the product of the m row-masked copies of T (pins).
-
-        Integer dtypes only: int64 under the same 2^62 bound, else Python
-        ints. Float64 stays on the unpinned route in `_trace_power`.
-        """
-        s_count = len(self.states)
-        base = np.zeros((s_count, s_count), dtype=dtype)
-        for i in range(s_count):
-            w_i = self.state_w[i]
-            for j in mask_members(self.compat[i]):
-                base[i, j] = w_i
-        prod = None
-        for layer_mask in allowed:
-            sel = np.array(
-                [(layer_mask >> i) & 1 for i in range(s_count)], dtype=dtype
-            )
-            masked = base * sel[:, None]
-            prod = masked if prod is None else prod.dot(masked)
-        return int(np.trace(prod))
+        return _cycle_trace((power, power))
 
 
-_ENGINE_CACHE: dict[tuple, _TransferEngine] = {}
-
-
+@lru_cache(maxsize=None)
 def _engine(t: TorusGraph, g: ConstraintGraph, w: WeightSet) -> _TransferEngine:
-    key = (t.m, t.d, g.adj, g.labels, w.weights)
-    eng = _ENGINE_CACHE.get(key)
-    if eng is None:
-        eng = _TransferEngine(t, g, w)
-        _ENGINE_CACHE[key] = eng
-    return eng
+    return _TransferEngine(t, g, w)
 
 
-def clear_engine_cache() -> None:
-    _ENGINE_CACHE.clear()
+def engine_cache_counts() -> tuple[int, int]:
+    """(hits, misses) of the transfer-engine cache since the process started."""
+    info = _engine.cache_info()
+    return info.hits, info.misses
 
 
 def transfer_matrix_partition_function(

@@ -7,13 +7,17 @@ pairs achieve g(tuple) * g(neighborhood tuple) = eta^m exactly; every
 other tuple falls short by an integer gap, and the minimum gap delta is
 what a counting argument needs to be at least 1. Everything here is
 exact integer arithmetic at all-1 weights; weighted instances route
-through the blow-up construction instead.
+through the blow-up construction instead. g is the trace of the product
+of the factors diag(1_{A_i}) Adj(H), taken by `exact._cycle_trace`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
+
+import numpy as np
 
 from .constraint_graph import (
     ConstraintGraph,
@@ -24,6 +28,7 @@ from .constraint_graph import (
     mask_size,
 )
 from .errors import CapExceeded, TorushomError
+from .exact import _arithmetic, _bit_rows, _cycle_trace
 
 # A tuple of color sets, one bitmask per cyclic position.
 ColorSetTuple = tuple[int, ...]
@@ -38,32 +43,24 @@ def _validate_tuple_length(m: int) -> None:
         raise ValueError(f"tuple length must be even and >= 2, got {m}")
 
 
-def _block(g: ConstraintGraph, rows: tuple[int, ...], cols: tuple[int, ...]):
-    return [[1 if g.has_edge(a, b) else 0 for b in cols] for a in rows]
-
-
-def _matmul(x, y):
-    cols = list(zip(*y))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
+def _factor(g: ConstraintGraph, s: int, m: int) -> np.ndarray:
+    """diag(1_A) Adj(H) for the color set A = s, for an m-fold product. The
+    products count walks, so their entries are at most h^(j-1) after j
+    factors and g is at most h^m: the dtype is chosen for h^m."""
+    rows = [g.adj[x] if s >> x & 1 else 0 for x in range(g.h)]
+    return _bit_rows(rows, g.h).astype(_arithmetic(g.h**m)[1])
 
 
 def cycle_count_g(g: ConstraintGraph, sets: ColorSetTuple) -> int:
     """Closed chains (x_0, ..., x_{m-1}), x_i in A_i, consecutive pairs adjacent.
 
-    Computed as a chain of rectangular adjacency blocks closed by a trace.
-    For m=2 this counts each adjacent pair once: the 0/1 blocks are
-    idempotent under the closure, so a 2-column is an edge, not a doubled
-    cycle.
+    Computed as trace(prod_i diag(1_{A_i}) Adj(H)). For m=2 this counts
+    each adjacent pair once: the 0/1 entries are idempotent under the
+    closure, so a 2-column is an edge, not a doubled cycle.
     """
     m = len(sets)
     _validate_tuple_length(m)
-    members = [mask_members(s & g.full_mask) for s in sets]
-    if any(not xs for xs in members):
-        return 0
-    prod_mat = _block(g, members[0], members[1 % m])
-    for i in range(1, m):
-        prod_mat = _matmul(prod_mat, _block(g, members[i], members[(i + 1) % m]))
-    return sum(prod_mat[i][i] for i in range(len(members[0])))
+    return _cycle_trace([_factor(g, s, m) for s in sets])
 
 
 def tuple_neighborhood(g: ConstraintGraph, sets: ColorSetTuple) -> ColorSetTuple:
@@ -140,6 +137,8 @@ def verify_extremal_identities(
     bound cannot separate, a branch-and-bound over all tuples settles the
     minimum, and if the work cap stops it, delta_is_exact is False and
     delta is a verified lower bound (still >= 1).
+    `work_cap` bounds the matrix products formed (m - 1 per g) plus the
+    branch-and-bound nodes; a support enumeration past it is refused.
     """
     if not (w.is_uniform() and w[0] == 1):
         raise ValueError("extremal identities are stated at all-1 weights")
@@ -166,32 +165,28 @@ def verify_extremal_identities(
     )
     outside_gap = eta_m - b_out * eta ** (m - 1)
 
-    member_tab = [mask_members(s) for s in range(1 << g.h)]
-    block_cache: dict[tuple[int, int], list[list[int]]] = {}
-
-    def block_of(si: int, sj: int) -> list[list[int]]:
-        blk = block_cache.get((si, sj))
-        if blk is None:
-            blk = _block(g, member_tab[si], member_tab[sj])
-            block_cache[(si, sj)] = blk
-        return blk
-
-    def g_of(tup: ColorSetTuple) -> int:
-        if any(s == 0 for s in tup):
-            return 0
-        prod_mat = block_of(tup[0], tup[1 % m])
-        for i in range(1, m):
-            prod_mat = _matmul(prod_mat, block_of(tup[i], tup[(i + 1) % m]))
-        return sum(prod_mat[i][i] for i in range(len(prod_mat)))
+    factor_of = cache(lambda s: _factor(g, s, m))
+    # Matrix products formed so far, starting with the identity check's.
+    work = 2 * (m - 1) * checked
 
     def prod_of(tup: ColorSetTuple) -> int:
-        return g_of(tup) * g_of(tuple(n_table[s] for s in tup))
+        nonlocal work
+        work += 2 * (m - 1)
+        g_t = _cycle_trace([factor_of(s) for s in tup])
+        return g_t * _cycle_trace([factor_of(n_table[s]) for s in tup])
+
+    def spend_node() -> bool:
+        """Charge one search node; False once a leaf could pass the cap."""
+        nonlocal work
+        work += 1
+        return work + 2 * (m - 1) <= work_cap
 
     best_support: int | None = None
     support_wits: list[ColorSetTuple] = []
-    if len(support) ** m > work_cap:
+    if len(support) ** m * 2 * (m - 1) > work_cap:
         raise CapExceeded(
-            f"support enumeration needs {len(support)}^{m} > {work_cap} tuples"
+            f"support enumeration needs {len(support)}^{m} tuples, "
+            f"{2 * (m - 1)} products each, > {work_cap}"
         )
     for tup in product(support, repeat=m):
         if tup in alt_forms:
@@ -205,7 +200,7 @@ def verify_extremal_identities(
     if best_support is not None and best_support <= outside_gap:
         delta, exact, wits = best_support, True, support_wits
     else:
-        full = _full_branch_and_bound(g, b_table, prod_of, eta, m, alt_forms, work_cap)
+        full = _full_branch_and_bound(b_table, prod_of, eta, m, alt_forms, spend_node)
         if full is not None:
             best_prod, wit_list = full
             delta, exact = eta_m - best_prod, True
@@ -231,30 +226,28 @@ def verify_extremal_identities(
 
 
 def _full_branch_and_bound(
-    g: ConstraintGraph,
     b_table: list[int],
     prod_of,
     eta: int,
     m: int,
     alt_forms: set[ColorSetTuple],
-    work_cap: int,
+    spend_node,
 ) -> tuple[int, list[ColorSetTuple]] | None:
     """Maximize g(T) g(nT) over non-alternating tuples, or None on cap.
 
     Candidates are tried in decreasing b order so a strong incumbent
     arrives early; a prefix is cut when even eta-filling its remaining
-    positions cannot beat the incumbent.
+    positions cannot beat the incumbent. `spend_node()` charges each node
+    to the work cap and returns False when the search must stop.
     """
-    order = sorted(range(1 << g.h), key=lambda s: -b_table[s])
-    nodes = 0
+    order = sorted(range(len(b_table)), key=lambda s: -b_table[s])
     best_prod = -1
     wits: list[ColorSetTuple] = []
     prefix: list[int] = []
 
     def rec(depth: int, b_prod: int) -> bool:
-        nonlocal nodes, best_prod, wits
-        nodes += 1
-        if nodes > work_cap:
+        nonlocal best_prod, wits
+        if not spend_node():
             return False
         if depth == m:
             tup = tuple(prefix)

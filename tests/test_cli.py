@@ -438,6 +438,33 @@ class TestStructureCacheMeta:
         assert "structure_cache" not in json.loads(out.read_text())["meta"]
 
 
+class TestEngineCacheMeta:
+    @pytest.mark.parametrize(
+        "argv,lookups",
+        [
+            (["count", "--h", "wr", "--m", "4", "--d", "2", "--method", "transfer"], 1),
+            # every pinned count after the first reuses the one engine
+            (["influence", "--h", "ind", "--weights", "3/2,1", "--m", "4",
+              "--d", "1", "--x", "antipodal", "--l", "0"], 3),
+        ],
+    )
+    def test_engine_hits_and_misses_in_meta(self, tmp_path, argv, lookups):
+        out = tmp_path / "doc.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        cache = doc["meta"]["engine_cache"]
+        assert set(cache) == {"hits", "misses"}
+        # one torus and one instance: at most one engine is built
+        assert cache["misses"] <= 1
+        assert cache["hits"] + cache["misses"] >= lookups
+        assert "engine_cache" not in json.dumps(doc["result"])
+
+    def test_analyze_does_not_report_it(self, tmp_path):
+        out = tmp_path / "doc.json"
+        assert main(["analyze", "--h", "k3", "--out", str(out)]) == 0
+        assert "engine_cache" not in json.loads(out.read_text())["meta"]
+
+
 class TestCorpusCommand:
     def make_golden(self, path, config, result=None):
         path.write_text(

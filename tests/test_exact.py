@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -444,6 +445,33 @@ def test_squaring_matches_brute_on_random_graphs(gw, shape):
     assert zt.route == "squaring"
     assert zt.arithmetic == ("float64" if zt.layer_states else "int")
     assert zt.z == brute_force_partition_function(t, g, w).z
+
+
+def _layer_states(g, t):
+    # Hom(Z_m^(d-1), H): h for d = 1, closed walks trace(A^m) for d = 2
+    if t.d == 1:
+        return g.h
+    a = np.array([[g.adj[i] >> j & 1 for j in range(g.h)] for i in range(g.h)])
+    return int(np.trace(np.linalg.matrix_power(a, t.m)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    random_instances(),
+    st.sampled_from([4, 6]),
+    st.sampled_from([1, 2]),
+    st.data(),
+)
+def test_pin_allowing_every_color_matches_squaring(gw, m, d, data):
+    g, w = gw
+    t = TorusGraph(m, d)
+    assume(_layer_states(g, t) <= 128)  # keeps the int64 products small
+    v = data.draw(st.integers(min_value=0, max_value=t.n - 1))
+    unpinned = transfer_matrix_partition_function(t, g, w)
+    pinned = transfer_matrix_partition_function(t, g, w, pins={v: g.full_mask})
+    assert unpinned.route == "squaring"
+    assert pinned.route == "masked"
+    assert pinned.z == unpinned.z
 
 
 non_unit_weights = st.builds(

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from itertools import product
 
@@ -13,6 +15,7 @@ from torushom.constraint_graph import (
     mask_size,
     preset,
 )
+from torushom import proof_quantities
 from torushom.errors import CapExceeded
 from torushom.proof_quantities import (
     alternating_tuple,
@@ -56,6 +59,11 @@ class TestCycleCount:
     def test_fully_looped_full_tuple(self):
         g = preset("k4loop")
         assert cycle_count_g(g, (g.full_mask,) * 4) == 256
+
+    def test_exact_past_int64(self):
+        # 4^40 = 2^80: the product runs on Python ints, not int64
+        g = preset("k4loop")
+        assert cycle_count_g(g, (g.full_mask,) * 40) == 4**40
 
     @pytest.mark.parametrize("bad", [(), (1,), (1, 2, 3)])
     def test_odd_or_short_tuples_rejected(self, bad):
@@ -115,6 +123,20 @@ class TestAlternatingIdentity:
             check_alternating_identity(g, WeightSet.ones(2), 3)
 
 
+@pytest.fixture
+def cycle_trace_calls(monkeypatch):
+    """Factor count of every product trace the module forms, in call order."""
+    calls = []
+    real = proof_quantities._cycle_trace
+
+    def counted(factors):
+        calls.append(len(factors))
+        return real(factors)
+
+    monkeypatch.setattr(proof_quantities, "_cycle_trace", counted)
+    return calls
+
+
 class TestGap:
     def test_k3_gap_is_one_with_singleton_witness(self):
         g = preset("k3")
@@ -166,7 +188,7 @@ class TestGap:
             verify_extremal_identities(g, WeightSet.ones(2), 10)
 
     def test_support_enumeration_cap(self):
-        # |S(K_6)| = 20 balanced splits, so m=6 needs 20^6 > 2e6 tuples
+        # |S(K_6)| = 20 balanced splits: 20^6 tuples at 10 products each > 2e6
         g = preset("k6")
         with pytest.raises(CapExceeded):
             verify_extremal_identities(g, WeightSet.ones(6), 6)
@@ -182,6 +204,36 @@ class TestGap:
         assert not rep.delta_is_exact
         assert 1 <= rep.delta <= 4**7
 
+    def test_capped_search_forms_at_most_cap_products(self, cycle_trace_calls):
+        # the support enumeration needs 6^6 * 10 = 466,560 products; the
+        # branch-and-bound after it is stopped by the cap
+        m, cap = 6, 600_000
+        g = preset("k4")
+        rep = verify_extremal_identities(g, WeightSet.ones(4), m, work_cap=cap)
+        assert set(cycle_trace_calls) == {m}
+        assert len(cycle_trace_calls) * (m - 1) <= cap
+        assert not rep.delta_is_exact
+        assert 1 <= rep.delta <= 1792
+
+    @pytest.mark.parametrize("name,m,cap", [("k4", 4, 10_000), ("wr", 6, 3_000)])
+    def test_work_cap_bounds_products_in_branch_and_bound(
+        self, cycle_trace_calls, name, m, cap
+    ):
+        g = preset(name)
+        rep = verify_extremal_identities(g, WeightSet.ones(g.h), m, work_cap=cap)
+        assert len(cycle_trace_calls) * (m - 1) <= cap
+        assert not rep.delta_is_exact and rep.delta >= 1
+
+    def test_default_cap_refuses_cycle5_at_m6_before_searching(
+        self, cycle_trace_calls
+    ):
+        # 10 support sets: 10^6 tuples at 10 products each is past 2e6
+        g = preset("cycle:5")
+        with pytest.raises(CapExceeded):
+            verify_extremal_identities(g, WeightSet.ones(5), 6)
+        # only the identity check ran: two g per maximal pair
+        assert len(cycle_trace_calls) == 2 * 10
+
     def test_json_shape(self):
         g = preset("ind")
         d = verify_extremal_identities(g, WeightSet.ones(2), 2).to_json_dict()
@@ -189,6 +241,45 @@ class TestGap:
             "eta", "m", "identity_checked", "delta", "delta_is_exact", "witnesses",
         }
         assert d["witnesses"][0] == [[1], [1]]
+
+
+# SHA-256 of json.dumps(report.to_json_dict(), sort_keys=True), recorded
+# before g moved onto the shared product path; they pin delta, exactness
+# and the witnesses in order.
+GAP_REPORT_DIGESTS = {
+    ("ind", 2): "af19ba1f0c98e280caf9c1c582255b6116f791b0a8048363e6f4f2cf37b25c62",
+    ("ind", 4): "fd78c20e89b52e0de3b36bb2e163f1a28fc32b66f821547acd05a98f2b43a322",
+    ("ind", 6): "e438d49c15563e6d43b6d1c237d52448015acd264fe7c04a56b8dff97e030eaf",
+    ("k3", 2): "88a0683c6bf4ac71ae9265284ef897d4e9be69614728e644765007d67a20c4f1",
+    ("k3", 4): "1372e49d9beaefac274ca848a709ee94e3fb1ca1b75ff4ca6d07a4facc4f5ebe",
+    ("k3", 6): "897d930f310164a65b2f22bc8a6ff2a6461ce8dae140f96659df69aa55d05f3f",
+    ("wr", 2): "3189b079ad9f08262c08c79c367eef6e4e1b5a00368901976bbc14a660fd5512",
+    ("wr", 4): "8191c98a6da3c3e18db009a06ac7b04af8dd66b5ef8a1f126b781ed41a51c48d",
+    ("wr", 6): "877f513e70fb10e2b661136f147bbb0e503a73f137a6f91431de69ff934caf36",
+    ("k4loop", 2): "75d64fa739b86e98ae6e11bed567c7a342a9cdc607b5b43710f2cea1bfefbaa4",
+    ("k4loop", 4): "6172ffb1fd6c19616fbaf85f2ddaae814bacb83d32b093c0e7b2d97dc34b819b",
+    ("k4loop", 6): "8b0568327d324cb15fa2fcc52e5ce82cb1bef4f154cce87ff004e28543ce2b2b",
+    ("k4", 2): "3ccf300af170bf876a409a73f1fce24905cf27b5159d6a5fbaa1da0a58337e0c",
+    ("k4", 4): "2e44ba57242aba81359d68842938786a5f7829cb59ed6f457c6a2189b89368b7",
+    ("k5", 2): "9bac0509ac3389880f7f6b2c3550e491bae03e3169ffb8dbfa3a9447e9012940",
+    ("k6", 2): "9b445a23e6d76dc61bbfce6522f90c36ae63a591cc70686fee89162582891b7d",
+    ("cycle:5", 2): "513c7d89474ddebf4db386490aaf2ec8338f62d107f24c8e43d33ec8662322b4",
+    ("path:3", 2): "b9a29b426229b2a2d7e8877b2d95059bcc1d82bb958865526ac9676644d495b5",
+    ("ind+k3", 2): "b068e2e6458d4bb091ee21c483f8ef59f604d07d3d985edb6d1073fd09cf6740",
+    ("cycle:5", 4): "074c001fcadca9e1e0943f338f4217b062d5aebafadd872facec4d012c2ebd01",
+    ("path:3", 4): "3aa2af56e4d83f9b7f40122409ddcd1017cfc470a7ada817a5fcd404db141f6d",
+    ("ind+k3", 4): "6adcb55e2d757ca89bc7b76a9127503c8debbc5f9374c100e7ab22414c162e79",
+}
+
+
+@pytest.mark.parametrize(
+    "name,m", sorted(GAP_REPORT_DIGESTS), ids=lambda v: str(v)
+)
+def test_gap_report_lock(name, m):
+    g = preset(name)
+    rep = verify_extremal_identities(g, WeightSet.ones(g.h), m)
+    doc = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == GAP_REPORT_DIGESTS[(name, m)]
 
 
 @st.composite
