@@ -397,6 +397,7 @@ def _count_path(res) -> dict:
         "route": res.route,
         "arithmetic": res.arithmetic,
         "layer_states": res.layer_states,
+        "search_states": res.search_states,
     }
 
 

@@ -1,7 +1,8 @@
 """Exact weighted counting on even discrete tori.
 
-Two independent routes compute the same partition function: a pruned
-depth-first enumeration and a layered transfer matrix. They share no
+Two independent routes compute the same partition function: a depth-first
+search memoized on its frontier (the colored vertices that still have an
+uncolored neighbor) and a layered transfer matrix. They share no
 arithmetic beyond the instance types, which is what makes their exact
 agreement a meaningful cross-check. Everything here is exact. Floating
 point touches a partition function in one place only: the unpinned
@@ -88,7 +89,9 @@ class PartitionFunctionResult:
     path inside it: "brute", "bitset" (transfer at m=2), "squaring"
     (unpinned transfer at m >= 4) or "masked" (pinned transfer at m >= 4).
     `arithmetic` is "float64", "int64" or "int" (Python integers), and
-    `layer_states` is the number of valid layer colorings, None for brute.
+    `layer_states` is the number of valid layer colorings, None for brute;
+    `search_states` is the number of (vertex, frontier coloring) entries the
+    brute-force search stored, None for transfer.
     """
 
     z: Fraction
@@ -97,6 +100,7 @@ class PartitionFunctionResult:
     route: str
     arithmetic: str
     layer_states: int | None
+    search_states: int | None
 
 
 def _descriptor(t: TorusGraph, g: ConstraintGraph, w: WeightSet) -> str:
@@ -176,10 +180,20 @@ def brute_force_partition_function(
     budget: int = DEFAULT_BRUTE_BUDGET,
     pins: Pins | None = None,
 ) -> PartitionFunctionResult:
-    """Depth-first enumeration with pruning on the first violated edge.
+    """Depth-first search in vertex order, memoized on the search frontier.
+
+    The weighted count of the colorings of vertices v..n-1 depends on the
+    colors already placed only through the frontier
+    F_v = {u < v : u has a neighbor >= v}, which holds every lower
+    neighbor of v and of every later vertex. Each call stores that suffix
+    sum, keyed by v and the colors on F_v packed into bytes (every color is
+    below MAX_COLORS), and reuses it; the last vertex's sum is cached by its
+    candidate set instead. The arithmetic is Python ints on the
+    integer-scaled weights and shares nothing with the transfer route.
 
     The budget is a precondition on the raw state space h^(m^d), not on
-    the pruned search tree, so refusal is deterministic.
+    the search, so refusal is deterministic. The real work is bounded by
+    sum_v h^(|F_v| + 1), and `search_states` reports the entries stored.
     """
     if g.h**t.n > budget:
         raise BudgetExceeded(
@@ -188,13 +202,23 @@ def brute_force_partition_function(
     scale, wint = w.integer_scaled()
     masks = _pin_masks(t, g, pins)
     n = t.n
-    lower = [[u for u in t.neighbors(v) if u < v] for v in range(n)]
+    nbrs = t.neighbor_table
+    last = [max(nb) for nb in nbrs]
+    lower = [[u for u in nbrs[v] if u < v] for v in range(n)]
+    frontier = [[u for u in range(v) if last[u] >= v] for v in range(n - 1)]
     adj = g.adj
     color = [0] * n
+    # suffix[v]: colors on F_v (as bytes) -> weighted count of v..n-1.
+    suffix: list[dict[bytes, int]] = [{} for _ in range(n - 1)]
     # Weight sum of each candidate set the last vertex has met so far.
     leaf_sums: dict[int, int] = {}
 
-    def rec(v: int, acc: int) -> int:
+    def rec(v: int) -> int:
+        if v < n - 1:
+            key = bytes([color[u] for u in frontier[v]])
+            total = suffix[v].get(key)
+            if total is not None:
+                return total
         cand = masks[v]
         for u in lower[v]:
             cand &= adj[color[u]]
@@ -204,17 +228,18 @@ def brute_force_partition_function(
             if leaf is None:
                 leaf = sum(wint[k] for k in mask_members(cand))
                 leaf_sums[cand] = leaf
-            return acc * leaf
+            return leaf
         total = 0
         while cand:
             bit = cand & -cand
             cand ^= bit
             k = bit.bit_length() - 1
             color[v] = k
-            total += rec(v + 1, acc * wint[k])
+            total += wint[k] * rec(v + 1)
+        suffix[v][key] = total
         return total
 
-    z_int = rec(0, 1)
+    z_int = rec(0)
     return PartitionFunctionResult(
         z=Fraction(z_int, scale**n),
         method="brute",
@@ -222,6 +247,7 @@ def brute_force_partition_function(
         route="brute",
         arithmetic="int",
         layer_states=None,
+        search_states=sum(map(len, suffix)),
     )
 
 
@@ -383,6 +409,7 @@ def transfer_matrix_partition_function(
         route=route,
         arithmetic=arithmetic,
         layer_states=len(eng.states),
+        search_states=None,
     )
 
 

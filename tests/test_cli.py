@@ -204,6 +204,9 @@ class TestCountCommand:
         ],
     )
     def test_path_in_meta_and_golden_bytes(self, tmp_path, name, transfer):
+        # (vertex, frontier coloring) entries the brute-force search stores
+        search_states = {"count-k3-m2-d2": 10, "count-k4loop-m2-d3": 853,
+                         "count-wr-weighted-m4-d1": 11}[name]
         golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
         config = tmp_path / "config.json"
         config.write_text(json.dumps(golden["config"]))
@@ -212,8 +215,9 @@ class TestCountCommand:
         doc = json.loads(out.read_text())
         assert result_bytes(doc["result"]) == result_bytes(golden["result"])
         assert doc["meta"]["count"] == {
-            "brute": {"route": "brute", "arithmetic": "int", "layer_states": None},
-            "transfer": transfer,
+            "brute": {"route": "brute", "arithmetic": "int",
+                      "layer_states": None, "search_states": search_states},
+            "transfer": {**transfer, "search_states": None},
         }
 
     def test_single_route_path_in_meta(self, tmp_path):
@@ -224,7 +228,7 @@ class TestCountCommand:
         doc = json.loads(out.read_text())
         assert doc["meta"]["count"] == {
             "transfer": {"route": "squaring", "arithmetic": "float64",
-                         "layer_states": 7},
+                         "layer_states": 7, "search_states": None},
         }
         assert "count" not in doc["result"]
 

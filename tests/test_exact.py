@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -409,8 +411,8 @@ class TestAutoDispatch:
 
 
 @st.composite
-def random_instances(draw):
-    h = draw(st.integers(min_value=1, max_value=4))
+def random_instances(draw, max_h=4):
+    h = draw(st.integers(min_value=1, max_value=max_h))
     bits = [[draw(st.booleans()) for _ in range(h)] for _ in range(h)]
     adj = [0] * h
     for i in range(h):
@@ -498,3 +500,36 @@ def test_brute_matches_enumeration_with_pins_on_last_vertices(gw, shape, data):
         Fraction(0),
     )
     assert brute_force_partition_function(t, g, w, pins=pins).z == expected
+
+
+# More colorings than this and the enumeration reference is too slow to run.
+_ENUMERATION_CAP = 70_000
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (4, 1), (4, 2), (6, 1)]), st.data())
+def test_brute_matches_enumeration_with_pins_anywhere(shape, data):
+    # The search reuses suffix sums keyed by the colors on its frontier, so
+    # pins on frontier vertices (vertex 0 and its wrap-around neighbor m-1)
+    # are drawn as often as pins anywhere else.
+    t = TorusGraph(*shape)
+    g, w = data.draw(random_instances(max_h=3 if shape == (4, 2) else 4))
+    vertex = st.one_of(
+        st.sampled_from([0, t.m - 1]), st.integers(min_value=0, max_value=t.n - 1)
+    )
+    pins = data.draw(
+        st.dictionaries(
+            vertex, st.integers(min_value=0, max_value=g.full_mask), max_size=3
+        )
+    )
+    colorings = list(islice(enumerate_colorings(t, g, pins), _ENUMERATION_CAP + 1))
+    assume(len(colorings) <= _ENUMERATION_CAP)
+    scale, wint = w.integer_scaled()
+    total = sum(math.prod(wint[k] for k in f) for f in colorings)
+    res = brute_force_partition_function(t, g, w, pins=pins)
+    assert res.z == Fraction(total, scale**t.n)
+    # one stored entry per (vertex, frontier coloring) at most
+    frontier = [
+        [u for u in range(v) if max(t.neighbors(u)) >= v] for v in range(t.n - 1)
+    ]
+    assert res.search_states <= sum(g.h ** len(f) for f in frontier)
