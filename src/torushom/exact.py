@@ -14,6 +14,7 @@ is exact (`_arithmetic`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -172,6 +173,18 @@ def enumerate_colorings(
     yield from rec(0)
 
 
+# Frames the brute-force search may need beyond one per vertex.
+_SEARCH_FRAME_MARGIN = 20
+
+
+def _stack_depth() -> int:
+    """Python frames on the stack, the caller's included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
 def brute_force_partition_function(
     t: TorusGraph,
     g: ConstraintGraph,
@@ -194,10 +207,19 @@ def brute_force_partition_function(
     The budget is a precondition on the raw state space h^(m^d), not on
     the search, so refusal is deterministic. The real work is bounded by
     sum_v h^(|F_v| + 1), and `search_states` reports the entries stored.
+    The search recurses once per vertex, so a torus with more vertices
+    than the frames left below the interpreter's recursion limit is
+    refused as well; only h = 1 passes the raw budget there.
     """
     if g.h**t.n > budget:
         raise BudgetExceeded(
             f"brute force needs {g.h}^{t.n} > {budget} raw states"
+        )
+    reach = sys.getrecursionlimit() - _stack_depth() - _SEARCH_FRAME_MARGIN
+    if t.n > reach:
+        raise BudgetExceeded(
+            f"brute force recurses once per vertex: {t.n} vertices > {reach} "
+            "frames left"
         )
     scale, wint = w.integer_scaled()
     masks = _pin_masks(t, g, pins)

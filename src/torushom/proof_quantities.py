@@ -8,14 +8,17 @@ other tuple falls short by an integer gap, and the minimum gap delta is
 what a counting argument needs to be at least 1. Everything here is
 exact integer arithmetic at all-1 weights; weighted instances route
 through the blow-up construction instead. g is the trace of the product
-of the factors diag(1_{A_i}) Adj(H), taken by `exact._cycle_trace`.
+of the factors diag(1_{A_i}) Adj(H), taken by `exact._cycle_trace`; the
+gap search over tuples of support sets takes every g at once from a table
+of half-products, a block at a time, and charges the work cap as if each
+g were formed alone.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 
 import numpy as np
 
@@ -36,6 +39,8 @@ ColorSetTuple = tuple[int, ...]
 DEFAULT_M_CAP = 8
 DEFAULT_WORK_CAP = 2_000_000
 _WITNESS_CAP = 32
+# Entries of g(T) g(nT) the support sweep forms per block.
+_BLOCK_ENTRIES = 4096
 
 
 def _validate_tuple_length(m: int) -> None:
@@ -117,6 +122,83 @@ def check_alternating_identity(g: ConstraintGraph, w: WeightSet, m: int) -> int:
     return len(pairs)
 
 
+def _half_products(factors: np.ndarray, k: int) -> np.ndarray:
+    """Every ordered product of k matrices from the stack `factors`, as a
+    stack in `itertools.product` order: the first factor varies slowest."""
+    prods = factors
+    for _ in range(k - 1):
+        prods = (prods[:, None] @ factors[None]).reshape(-1, *factors.shape[1:])
+    return prods
+
+
+def _support_sweep(
+    g: ConstraintGraph,
+    support: list[int],
+    alt_forms: set[ColorSetTuple],
+    m: int,
+) -> tuple[int | None, list[ColorSetTuple], int]:
+    """Largest g(T) g(nT) over the non-alternating tuples T of support sets.
+
+    Returns that product (None if every tuple alternates), the first
+    _WITNESS_CAP tuples reaching it in `itertools.product` order, and the
+    number of tuples swept. A tuple's index in that order is the base-|S|
+    number of its sets' positions in `support`. Its first m/2 digits pick
+    a left half-product L and its last m/2 a right one R, and
+    g(T) = trace(LR) = vec(L) . vec(R^T); so one matrix product of a block
+    of left halves with all right halves gives g on whole rows of the
+    |S|^(m/2) x |S|^(m/2) table, once for A and once for n(A). Blocks are
+    scanned in order and hold at most max(_BLOCK_ENTRIES, |S|^(m/2))
+    entries each; the alternating forms are masked by index. The dtype is
+    chosen for g(T) g(nT) <= h^(2m).
+    """
+    s, k = len(support), m // 2
+    half = s**k
+    dtype = _arithmetic(g.h ** (2 * m))[1]
+
+    def halves(sets: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        f = np.stack([_factor(g, x, m) for x in sets]).astype(dtype)
+        prods = _half_products(f, k)
+        # Row r of the first is vec(L_r); column c of the second is vec(R_c^T).
+        return prods.reshape(half, -1), prods.transpose(2, 1, 0).reshape(-1, half)
+
+    left, right = halves(support)
+    n_left, n_right = halves([common_neighborhood(g, x) for x in support])
+    pos = {x: i for i, x in enumerate(support)}
+    # Both sets of a maximal pair are in the support, so every alternating
+    # form is a support tuple.
+    place = [s ** (m - 1 - i) for i in range(m)]
+    skip = sorted(sum(pos[x] * p for x, p in zip(t, place)) for t in alt_forms)
+
+    best, found = -1, []
+    rows = max(1, _BLOCK_ENTRIES // half)
+    for r0 in range(0, half, rows):
+        blk = slice(r0, r0 + rows)
+        vals = ((left[blk] @ right) * (n_left[blk] @ n_right)).ravel().tolist()
+        base = r0 * half
+        end = base + len(vals)
+        for i in skip[bisect_left(skip, base) : bisect_left(skip, end)]:
+            vals[i - base] = -1
+        top = max(vals)
+        if top < max(best, 0):
+            continue
+        if top > best:
+            best, found = top, []
+        room = _WITNESS_CAP - len(found)
+        found += [base + i for i, v in enumerate(vals) if v == top][:room]
+
+    def decode(i: int) -> ColorSetTuple:
+        digits = []
+        for _ in range(m):
+            i, r = divmod(i, s)
+            digits.append(support[r])
+        return tuple(reversed(digits))
+
+    swept = s**m - len(skip)
+    if best < 0:
+        return None, [], swept
+    return best, [decode(i) for i in found], swept
+
+
 def verify_extremal_identities(
     g: ConstraintGraph,
     w: WeightSet,
@@ -131,14 +213,17 @@ def verify_extremal_identities(
     g(alt) * g(n alt) = eta^m exactly; a violation raises TorushomError
     since it would falsify the structure theory, not the caller. delta is
     the minimum of eta^m - g(T) * g(nT) over tuples T not of alternating
-    maximal form. Tuples staying inside the support family are enumerated
-    outright; tuples leaving it are covered by the product bound
+    maximal form. Tuples staying inside the support family are all
+    evaluated, from a table of half-products a block at a time
+    (`_support_sweep`); tuples leaving it are covered by the product bound
     g(T) <= prod |A_i|, which certifies their gap wholesale. When that
     bound cannot separate, a branch-and-bound over all tuples settles the
     minimum, and if the work cap stops it, delta_is_exact is False and
     delta is a verified lower bound (still >= 1).
-    `work_cap` bounds the matrix products formed (m - 1 per g) plus the
-    branch-and-bound nodes; a support enumeration past it is refused.
+    `work_cap` bounds the matrix products (m - 1 per g) plus the
+    branch-and-bound nodes. Each non-alternating support tuple is still
+    charged the 2(m - 1) products a g(T) g(nT) pair takes one at a time,
+    and a support enumeration past the cap is refused before it starts.
     """
     if not (w.is_uniform() and w[0] == 1):
         raise ValueError("extremal identities are stated at all-1 weights")
@@ -181,21 +266,14 @@ def verify_extremal_identities(
         work += 1
         return work + 2 * (m - 1) <= work_cap
 
-    best_support: int | None = None
-    support_wits: list[ColorSetTuple] = []
     if len(support) ** m * 2 * (m - 1) > work_cap:
         raise CapExceeded(
             f"support enumeration needs {len(support)}^{m} tuples, "
             f"{2 * (m - 1)} products each, > {work_cap}"
         )
-    for tup in product(support, repeat=m):
-        if tup in alt_forms:
-            continue
-        gap = eta_m - prod_of(tup)
-        if best_support is None or gap < best_support:
-            best_support, support_wits = gap, [tup]
-        elif gap == best_support and len(support_wits) < _WITNESS_CAP:
-            support_wits.append(tup)
+    top, support_wits, swept = _support_sweep(g, support, alt_forms, m)
+    work += 2 * (m - 1) * swept
+    best_support = None if top is None else eta_m - top
 
     if best_support is not None and best_support <= outside_gap:
         delta, exact, wits = best_support, True, support_wits

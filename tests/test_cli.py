@@ -236,6 +236,14 @@ class TestCountCommand:
         assert main(["count", "--h", "k8", "--m", "6", "--d", "3"]) == 3
         assert "budget error" in capsys.readouterr().err
 
+    def test_one_color_brute_on_large_torus_is_a_budget_error(self, tmp_path, capsys):
+        # n = 2048 vertices: past the recursion limit, so refused, not a traceback
+        hfile = tmp_path / "one.txt"
+        hfile.write_text("colors 1\ne 0 0\n")
+        argv = ["count", "--h", str(hfile), "--m", "2", "--d", "11"]
+        assert main(argv + ["--method", "brute"]) == 3
+        assert "budget error" in capsys.readouterr().err
+
     def test_bad_method(self, capsys):
         assert main(["count", "--h", "k3", "--method", "magic"]) == 2
 

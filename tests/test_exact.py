@@ -117,6 +117,15 @@ class TestBruteForce:
         with pytest.raises(BudgetExceeded):
             brute_force_partition_function(C4, g, ones(g), budget=80)
 
+    def test_one_color_search_deeper_than_the_stack_is_refused(self):
+        # 1^n always passes the raw budget; the search recurses once per vertex
+        looped = ConstraintGraph(1, (1,))
+        assert brute_force_partition_function(
+            TorusGraph(2, 9), looped, WeightSet.ones(1)
+        ).z == 1
+        with pytest.raises(BudgetExceeded, match="recurses once per vertex"):
+            brute_force_partition_function(TorusGraph(2, 11), looped, WeightSet.ones(1))
+
     def test_zero_when_hom_empty(self):
         lonely = ConstraintGraph(1, (0,))
         res = brute_force_partition_function(C4, lonely, WeightSet.ones(1))

@@ -4,12 +4,13 @@ import math
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torushom.constraint_graph import (
     ConstraintGraph,
     WeightSet,
+    eta_and_maximal_pairs,
     mask_from,
     mask_members,
     mask_size,
@@ -205,8 +206,8 @@ class TestGap:
         assert 1 <= rep.delta <= 4**7
 
     def test_capped_search_forms_at_most_cap_products(self, cycle_trace_calls):
-        # the support enumeration needs 6^6 * 10 = 466,560 products; the
-        # branch-and-bound after it is stopped by the cap
+        # the support enumeration is charged 6^6 * 10 = 466,560 products;
+        # the branch-and-bound after it is stopped by the cap
         m, cap = 6, 600_000
         g = preset("k4")
         rep = verify_extremal_identities(g, WeightSet.ones(4), m, work_cap=cap)
@@ -244,8 +245,9 @@ class TestGap:
 
 
 # SHA-256 of json.dumps(report.to_json_dict(), sort_keys=True), recorded
-# before g moved onto the shared product path; they pin delta, exactness
-# and the witnesses in order.
+# before g moved onto the shared product path (k5 at m=4 before the support
+# sweep moved onto the half-product table); they pin delta, exactness and
+# the witnesses in order.
 GAP_REPORT_DIGESTS = {
     ("ind", 2): "af19ba1f0c98e280caf9c1c582255b6116f791b0a8048363e6f4f2cf37b25c62",
     ("ind", 4): "fd78c20e89b52e0de3b36bb2e163f1a28fc32b66f821547acd05a98f2b43a322",
@@ -269,6 +271,7 @@ GAP_REPORT_DIGESTS = {
     ("cycle:5", 4): "074c001fcadca9e1e0943f338f4217b062d5aebafadd872facec4d012c2ebd01",
     ("path:3", 4): "3aa2af56e4d83f9b7f40122409ddcd1017cfc470a7ada817a5fcd404db141f6d",
     ("ind+k3", 4): "6adcb55e2d757ca89bc7b76a9127503c8debbc5f9374c100e7ab22414c162e79",
+    ("k5", 4): "acaca95ce835267caafe87d0618d7b6ba4d652b3a5ea6e94e920a01086277e5f",
 }
 
 
@@ -308,3 +311,70 @@ def test_cycle_count_matches_naive(gt):
 def test_product_bound_dominates(gt):
     g, tup = gt
     assert cycle_count_g(g, tup) <= math.prod(mask_size(s) for s in tup)
+
+
+def per_tuple_sweep(g, support, alt_forms, m):
+    """The support sweep as one g(T) g(nT) per tuple, in `product` order."""
+    best, wits, swept = None, [], 0
+    for tup in product(support, repeat=m):
+        if tup in alt_forms:
+            continue
+        swept += 1
+        val = cycle_count_g(g, tup) * cycle_count_g(g, tuple_neighborhood(g, tup))
+        if best is None or val > best:
+            best, wits = val, [tup]
+        elif val == best and len(wits) < proof_quantities._WITNESS_CAP:
+            wits.append(tup)
+    return best, wits, swept
+
+
+SWEEP_WORK_CAP = 20_000
+
+
+@st.composite
+def sweep_case(draw):
+    """A graph on h <= 5 colors, an m whose support sweep fits
+    SWEEP_WORK_CAP, and a block of whole table rows that splits the
+    |S|^(m/2) rows into at least 3 blocks."""
+    h = draw(st.integers(min_value=1, max_value=5))
+    adj = [0] * h
+    for i in range(h):
+        for j in range(i, h):
+            if draw(st.booleans()):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    assume(any(adj))
+    g = ConstraintGraph(h, tuple(adj))
+    _, pairs = eta_and_maximal_pairs(g, WeightSet.ones(h))
+    s = len({p.a for p in pairs})
+    ms = [
+        m
+        for m in (2, 4, 6)
+        if s**m * 2 * (m - 1) <= SWEEP_WORK_CAP and s ** (m // 2) >= 3
+    ]
+    assume(ms)
+    m = draw(st.sampled_from(ms))
+    half = s ** (m // 2)
+    rows = draw(st.integers(min_value=1, max_value=max(1, (half - 1) // 2)))
+    assert -(-half // rows) >= 3
+    return g, m, rows * half
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_case())
+def test_table_sweep_matches_per_tuple_loop(case):
+    g, m, block = case
+    w = WeightSet.ones(g.h)
+    _, pairs = eta_and_maximal_pairs(g, w)
+    support = sorted({p.a for p in pairs})
+    alt_forms = {alternating_tuple(p.a, p.b, m) for p in pairs}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(proof_quantities, "_BLOCK_ENTRIES", block)
+        got = proof_quantities._support_sweep(g, support, alt_forms, m)
+        rep = verify_extremal_identities(g, w, m, work_cap=SWEEP_WORK_CAP)
+    assert got == per_tuple_sweep(g, support, alt_forms, m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(proof_quantities, "_support_sweep", per_tuple_sweep)
+        ref = verify_extremal_identities(g, w, m, work_cap=SWEEP_WORK_CAP)
+    # delta, exactness and the witnesses in order, among the other fields
+    assert rep == ref
