@@ -1,20 +1,22 @@
 """Exact weighted counting on even discrete tori.
 
-Two independent routes compute the same partition function: a depth-first
-search memoized on its frontier (the colored vertices that still have an
-uncolored neighbor) and a layered transfer matrix. They share no
-arithmetic beyond the instance types, which is what makes their exact
-agreement a meaningful cross-check. Everything here is exact. Floating
-point touches a partition function in one place only: the unpinned
-transfer contraction runs on float64 BLAS when an entry bound proves that
-every value it forms is an integer below 2^53, where float64 arithmetic
-is exact (`_arithmetic`).
+Two independent routes compute the same partition function: a sweep over
+the vertices in index order that keeps one array over the colorings of its
+frontier (the swept vertices that still have an unswept neighbor) and
+eliminates each vertex once its last neighbor is swept, and a layered
+transfer matrix. They share numpy and the `_arithmetic` rule but not the
+decomposition (vertex elimination against layer transfer), which is what
+makes their exact agreement a meaningful cross-check. Everything here is
+exact. Floating point touches a partition function in one place only: the
+unpinned transfer contraction runs on float64 BLAS when an entry bound
+proves that every value it forms is an integer below 2^53, where float64
+arithmetic is exact (`_arithmetic`).
 """
 
 from __future__ import annotations
 
 import math
-import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -89,10 +91,11 @@ class PartitionFunctionResult:
     `method` names the public route (brute or transfer). `route` names the
     path inside it: "brute", "bitset" (transfer at m=2), "squaring"
     (unpinned transfer at m >= 4) or "masked" (pinned transfer at m >= 4).
-    `arithmetic` is "float64", "int64" or "int" (Python integers), and
-    `layer_states` is the number of valid layer colorings, None for brute;
-    `search_states` is the number of (vertex, frontier coloring) entries the
-    brute-force search stored, None for transfer.
+    `arithmetic` is "float64", "int64" or "int" (Python integers); brute
+    force takes "int64" or "int". `layer_states` is the number of valid
+    layer colorings, None for brute; `search_states` is the number of
+    nonzero (vertex, frontier coloring) entries the brute-force sweep met,
+    None for transfer.
     """
 
     z: Fraction
@@ -173,18 +176,6 @@ def enumerate_colorings(
     yield from rec(0)
 
 
-# Frames the brute-force search may need beyond one per vertex.
-_SEARCH_FRAME_MARGIN = 20
-
-
-def _stack_depth() -> int:
-    """Python frames on the stack, the caller's included."""
-    frame, depth = sys._getframe(1), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def brute_force_partition_function(
     t: TorusGraph,
     g: ConstraintGraph,
@@ -193,83 +184,63 @@ def brute_force_partition_function(
     budget: int = DEFAULT_BRUTE_BUDGET,
     pins: Pins | None = None,
 ) -> PartitionFunctionResult:
-    """Depth-first search in vertex order, memoized on the search frontier.
+    """Forward sweep over the vertices in index order, eliminating each one
+    once its last neighbor is colored.
 
-    The weighted count of the colorings of vertices v..n-1 depends on the
-    colors already placed only through the frontier
-    F_v = {u < v : u has a neighbor >= v}, which holds every lower
-    neighbor of v and of every later vertex. Each call stores that suffix
-    sum, keyed by v and the colors on F_v packed into bytes (every color is
-    below MAX_COLORS), and reuses it; the last vertex's sum is cached by its
-    candidate set instead. The arithmetic is Python ints on the
-    integer-scaled weights and shares nothing with the transfer route.
+    Before vertex v the state holds, for each coloring of the frontier
+    F_v = {u < v : u has a neighbor >= v}, the weighted count of the valid
+    colorings of vertices 0..v-1 that agree with it: one flat array with an
+    axis of length h per frontier vertex, in vertex order. Vertex v appends
+    an axis holding its pinned integer-scaled weights, multiplies in the
+    adjacency of H against the axis of each lower neighbor, and sums out
+    every vertex whose last neighbor is v. Every partial sum is at most
+    (sum of weights)^n, so `_arithmetic` of that bound picks "int64" or
+    "int" (Python ints in object arrays).
 
     The budget is a precondition on the raw state space h^(m^d), not on
-    the search, so refusal is deterministic. The real work is bounded by
-    sum_v h^(|F_v| + 1), and `search_states` reports the entries stored.
-    The search recurses once per vertex, so a torus with more vertices
-    than the frames left below the interpreter's recursion limit is
-    refused as well; only h = 1 passes the raw budget there.
+    the sweep, so refusal is deterministic; the largest array holds
+    max_v h^(|F_v| + 1) <= h^n entries. `search_states` reports the
+    nonzero frontier entries met before vertices 0..n-2, which with
+    positive weights are the frontier colorings some valid prefix reaches.
     """
     if g.h**t.n > budget:
         raise BudgetExceeded(
             f"brute force needs {g.h}^{t.n} > {budget} raw states"
         )
-    reach = sys.getrecursionlimit() - _stack_depth() - _SEARCH_FRAME_MARGIN
-    if t.n > reach:
-        raise BudgetExceeded(
-            f"brute force recurses once per vertex: {t.n} vertices > {reach} "
-            "frames left"
-        )
     scale, wint = w.integer_scaled()
-    masks = _pin_masks(t, g, pins)
-    n = t.n
+    n, h = t.n, g.h
+    arithmetic, dtype = _arithmetic(sum(wint) ** n)
+    vertex_w = _bit_rows(_pin_masks(t, g, pins), h) * np.array(wint, dtype=dtype)
+    adj = _bit_rows(g.adj, h).astype(dtype)[None, :, None, :]
     nbrs = t.neighbor_table
-    last = [max(nb) for nb in nbrs]
-    lower = [[u for u in nbrs[v] if u < v] for v in range(n)]
-    frontier = [[u for u in range(v) if last[u] >= v] for v in range(n - 1)]
-    adj = g.adj
-    color = [0] * n
-    # suffix[v]: colors on F_v (as bytes) -> weighted count of v..n-1.
-    suffix: list[dict[bytes, int]] = [{} for _ in range(n - 1)]
-    # Weight sum of each candidate set the last vertex has met so far.
-    leaf_sums: dict[int, int] = {}
-
-    def rec(v: int) -> int:
+    # done[v]: the vertices whose axis is summed out once v is colored.
+    done: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        done[max(u, *nbrs[u])].append(u)
+    axes: list[int] = []  # frontier vertices, ascending: the state's axes
+    state = np.ones(1, dtype=dtype)
+    states = 0
+    for v in range(n):
         if v < n - 1:
-            key = bytes([color[u] for u in frontier[v]])
-            total = suffix[v].get(key)
-            if total is not None:
-                return total
-        cand = masks[v]
-        for u in lower[v]:
-            cand &= adj[color[u]]
-        if v == n - 1:
-            # Last vertex contributes a plain weight sum; skip the descent.
-            leaf = leaf_sums.get(cand)
-            if leaf is None:
-                leaf = sum(wint[k] for k in mask_members(cand))
-                leaf_sums[cand] = leaf
-            return leaf
-        total = 0
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            k = bit.bit_length() - 1
-            color[v] = k
-            total += wint[k] * rec(v + 1)
-        suffix[v][key] = total
-        return total
-
-    z_int = rec(0)
+            states += int(np.count_nonzero(state))
+        state = (state[:, None] * vertex_w[v]).ravel()
+        axes.append(v)
+        for u in {u for u in nbrs[v] if u < v}:
+            i = bisect_left(axes, u)
+            view = state.reshape(h**i, h, -1, h)
+            np.multiply(view, adj, out=view)
+        for u in done[v]:
+            i = bisect_left(axes, u)
+            state = state.reshape(h**i, h, -1).sum(axis=1).ravel()
+            del axes[i]
     return PartitionFunctionResult(
-        z=Fraction(z_int, scale**n),
+        z=Fraction(int(state[0]), scale**n),
         method="brute",
         instance=_descriptor(t, g, w),
         route="brute",
-        arithmetic="int",
+        arithmetic=arithmetic,
         layer_states=None,
-        search_states=sum(map(len, suffix)),
+        search_states=states,
     )
 
 

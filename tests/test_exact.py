@@ -4,7 +4,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torushom.constraint_graph import (
@@ -117,14 +117,14 @@ class TestBruteForce:
         with pytest.raises(BudgetExceeded):
             brute_force_partition_function(C4, g, ones(g), budget=80)
 
-    def test_one_color_search_deeper_than_the_stack_is_refused(self):
-        # 1^n always passes the raw budget; the search recurses once per vertex
+    def test_one_color_search_on_2048_vertices_is_counted(self):
+        # 1^n always passes the raw budget; the sweep has no recursion to
+        # outgrow, and each of vertices 0..n-2 meets one frontier entry
         looped = ConstraintGraph(1, (1,))
-        assert brute_force_partition_function(
-            TorusGraph(2, 9), looped, WeightSet.ones(1)
-        ).z == 1
-        with pytest.raises(BudgetExceeded, match="recurses once per vertex"):
-            brute_force_partition_function(TorusGraph(2, 11), looped, WeightSet.ones(1))
+        res = brute_force_partition_function(
+            TorusGraph(2, 11), looped, WeightSet.ones(1)
+        )
+        assert (res.z, res.search_states) == (1, 2047)
 
     def test_zero_when_hom_empty(self):
         lonely = ConstraintGraph(1, (0,))
@@ -136,6 +136,57 @@ class TestBruteForce:
         res = brute_force_partition_function(C4, g, ones(g))
         assert res.method == "brute"
         assert "m=2" in res.instance and "h=3" in res.instance
+
+
+# Nonzero frontier entries the brute-force sweep meets on each corpus instance.
+CORPUS_SEARCH_STATES = {
+    "ind-m2d1": 1, "k3-m2d1": 1, "wr-m2d1": 1, "k4loop-m2d1": 1,
+    "k8-m2d1": 1, "cycle5-m2d1": 1, "ind-m2d2": 6, "k3-m2d2": 10,
+    "k4-m2d2": 17, "wr-m2d2": 11, "k4loop-m2d2": 21, "k8-m2d2": 65,
+    "path3-m2d2": 8, "ind-m2d3": 37, "k3-m2d3": 100, "k4-m2d3": 425,
+    "wr-m2d3": 163, "k4loop-m2d3": 853, "k8-m2d3": 9137, "ind-m4d1": 6,
+    "k3-m4d1": 10, "wr-m4d1": 11, "k4loop-m4d1": 21, "k8-m4d1": 65,
+    "ind-m4d2": 397, "k3-m4d2": 1546, "ind-weighted-m2d2": 6,
+    "k3-weighted-m2d2": 10, "wr-weighted-m2d2": 11, "ind-weighted-m4d1": 6,
+    "k4loop-weighted-m2d3": 853,
+}
+
+
+class TestBruteArithmetic:
+    @pytest.mark.parametrize("inst", standard_corpus(), ids=lambda i: i.name)
+    def test_search_states_on_corpus(self, inst):
+        res = brute_force_partition_function(inst.torus, inst.graph, inst.weights)
+        assert res.search_states == CORPUS_SEARCH_STATES[inst.name]
+        assert res.arithmetic == "int64"
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 2)])
+    @pytest.mark.parametrize("pins", [None, {0: 0b01}, {3: 0b10, 5: 0b11}])
+    def test_heavy_weights_take_python_ints(self, shape, pins):
+        # (10^9 + 1)^n is far past 2^62, so the sweep runs on object arrays
+        g = preset("ind")
+        w = WeightSet.parse("1000000000,1")
+        t = TorusGraph(*shape)
+        res = brute_force_partition_function(t, g, w, pins=pins)
+        expected = sum(
+            (coloring_weight(t, g, w, f) for f in enumerate_colorings(t, g, pins)),
+            Fraction(0),
+        )
+        assert res.arithmetic == "int"
+        assert res.z == expected
+
+    @pytest.mark.parametrize(
+        "weights, arithmetic", [("1,2,3,209", "int64"), ("1,2,3,210", "int")]
+    )
+    def test_int64_boundary_on_looped_k4(self, weights, arithmetic):
+        # Every coloring of Q_3 is valid, so Z = (sum of weights)^8, the
+        # bound itself: 215^8 < 2^62 <= 216^8.
+        g = preset("k4loop")
+        w = WeightSet.parse(weights)
+        res = brute_force_partition_function(Q3, g, w)
+        total = sum(int(x) for x in w.weights)
+        assert res.z == total**8
+        assert res.arithmetic == arithmetic
+        assert (res.z < 2**62) == (arithmetic == "int64")
 
 
 class TestTransferMatrix:
@@ -448,13 +499,29 @@ def test_routes_agree_on_random_graphs(gw, shape):
 
 @settings(max_examples=40, deadline=None)
 @given(random_instances(), st.sampled_from([(4, 1), (6, 1), (8, 1), (4, 2)]))
+# 16 layer states of weight up to 6^4: the entry bound 20736^4 passes 2^53
+@example((ConstraintGraph(2, (3, 3)), WeightSet.parse("3,1/2")), (4, 2))
 def test_squaring_matches_brute_on_random_graphs(gw, shape):
     g, w = gw
     assume(shape[1] == 1 or g.h <= 2)  # keeps brute force on Z_4^2 small
     t = TorusGraph(*shape)
     zt = transfer_matrix_partition_function(t, g, w)
     assert zt.route == "squaring"
-    assert zt.arithmetic == ("float64" if zt.layer_states else "int")
+    # float64 exactly when the entry bound (s * w_max)^m is below 2^53
+    _, wint = w.integer_scaled()
+    layer = (
+        [(k,) for k in range(g.h)]
+        if t.d == 1
+        else enumerate_colorings(TorusGraph(t.m, t.d - 1), g)
+    )
+    w_max = max((math.prod(wint[k] for k in f) for f in layer), default=0)
+    if not zt.layer_states:
+        expected = "int"
+    elif (zt.layer_states * w_max) ** t.m < 2**53:
+        expected = "float64"
+    else:
+        expected = "int64"
+    assert zt.arithmetic == expected
     assert zt.z == brute_force_partition_function(t, g, w).z
 
 
@@ -518,7 +585,7 @@ _ENUMERATION_CAP = 70_000
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([(2, 2), (2, 3), (4, 1), (4, 2), (6, 1)]), st.data())
 def test_brute_matches_enumeration_with_pins_anywhere(shape, data):
-    # The search reuses suffix sums keyed by the colors on its frontier, so
+    # The sweep keeps one array over the colorings of its frontier, so
     # pins on frontier vertices (vertex 0 and its wrap-around neighbor m-1)
     # are drawn as often as pins anywhere else.
     t = TorusGraph(*shape)
@@ -537,7 +604,7 @@ def test_brute_matches_enumeration_with_pins_anywhere(shape, data):
     total = sum(math.prod(wint[k] for k in f) for f in colorings)
     res = brute_force_partition_function(t, g, w, pins=pins)
     assert res.z == Fraction(total, scale**t.n)
-    # one stored entry per (vertex, frontier coloring) at most
+    # one nonzero entry per (vertex, frontier coloring) at most
     frontier = [
         [u for u in range(v) if max(t.neighbors(u)) >= v] for v in range(t.n - 1)
     ]

@@ -2,7 +2,7 @@
 
 Each property counts two instances that must have the same partition
 function (up to a known factor) but that the search meets in different
-vertex orders, so its frontiers and stored suffix sums differ. The maps
+vertex orders, so its frontiers and the frontier arrays it sums differ. The maps
 between the instances (a Gray-code isomorphism, the Widom-Rowlinson /
 hard-core bijection, the blow-up, color relabellings and torus
 translations) move pins and weights; the transfer route is not used.
