@@ -416,6 +416,16 @@ def _exp_string(c: Fraction) -> str:
     return f"exp({c})"
 
 
+def _prefactor_string(count: int, c: Fraction) -> str:
+    """count * exp(c) as text: "n", "ne" or "n*exp(c)"."""
+    e = _exp_string(c)
+    if e == "1":
+        return str(count)
+    if e == "e":
+        return f"{count}e"
+    return f"{count}*{e}"
+
+
 @dataclass(frozen=True)
 class ConjecturePrediction:
     """Corrected first-order weight of one phase class:
@@ -512,15 +522,7 @@ def conjecture_partition_prediction(
     shapes = {(p.base, p.correction_exponent) for p in preds}
     model = None
     if len(shapes) == 1:
-        c = preds[0].correction_exponent
-        n = len(preds)
-        model = (
-            str(n)
-            if c == 0
-            else f"{n}e"
-            if c == 1
-            else f"{n}*{_exp_string(c)}"
-        )
+        model = _prefactor_string(len(preds), preds[0].correction_exponent)
     return PartitionPrediction(predictions=preds, prefactor_model=model)
 
 
@@ -547,12 +549,7 @@ class ColoringCountPrediction:
 
     @property
     def prefactor_model(self) -> str:
-        e = _exp_string(self.correction_exponent)
-        if e == "1":
-            return str(self.pair_count)
-        if e == "e":
-            return f"{self.pair_count}e"
-        return f"{self.pair_count}*{e}"
+        return _prefactor_string(self.pair_count, self.correction_exponent)
 
     def value(self) -> float:
         return (

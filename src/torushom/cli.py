@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import os
-import statistics
 import sys
 import time
 from collections import Counter
@@ -63,7 +63,7 @@ from .exact import (
     partition_function,
     transfer_matrix_partition_function,
 )
-from .sampler import ChainConfig, ChainStats, classify, run_chain
+from .sampler import ChainConfig, ChainStats, _batch_stderr, classify, run_chain
 from .torus import TorusGraph
 
 COMMANDS = ("analyze", "count", "sample", "influence", "conjecture", "corpus")
@@ -527,14 +527,7 @@ def _empirical_conditional(
     for state in run_chain(t, g, w, chain_cfg, cfg.initial, stats=stats):
         hits.append(1.0 if state[0] == k else 0.0)
     meta["start"] = stats.start
-    stderr = None
-    if len(hits) >= 4:
-        batches = min(10, len(hits) // 2)
-        size = len(hits) // batches
-        means = [
-            sum(hits[i * size : (i + 1) * size]) / size for i in range(batches)
-        ]
-        stderr = statistics.stdev(means) / (batches**0.5)
+    stderr = _batch_stderr(hits) if len(hits) >= 4 else None
     return {
         "p_conditional": sum(hits) / len(hits),
         "stderr": stderr,
@@ -754,7 +747,10 @@ _SUMMARIES = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. Int flags arrive as
+    text; `RunConfig.from_mapping` coerces them with `parse_int`."""
     parser = argparse.ArgumentParser(
         prog="torushom",
         description="Weighted homomorphism structure on even discrete tori.",
@@ -765,9 +761,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--h", help="target graph preset name or file path")
         p.add_argument("--weights", help="comma-separated color weights")
-        p.add_argument("--m", type=lambda s: parse_int(s, "m"))
-        p.add_argument("--d", type=lambda s: parse_int(s, "d"))
-        p.add_argument("--seed", type=lambda s: parse_int(s, "seed"))
+        p.add_argument("--m")
+        p.add_argument("--d")
+        p.add_argument("--seed")
         p.add_argument("--config", help="key=value or JSON config file")
         p.add_argument("--out", help="write the JSON document to this path")
         p.add_argument("--csv", help="export table/vector rows to this path")
@@ -781,9 +777,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="single-site chain with phase trace")
     common(p)
-    p.add_argument("--steps", type=lambda s: parse_int(s, "steps"))
-    p.add_argument("--burn-in", type=lambda s: parse_int(s, "burn_in"))
-    p.add_argument("--thin", type=lambda s: parse_int(s, "thin"))
+    p.add_argument("--steps")
+    p.add_argument("--burn-in")
+    p.add_argument("--thin")
     p.add_argument("--initial")
 
     p = sub.add_parser("influence", help="pinned-vertex conditional marginals")
@@ -791,12 +787,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="pin vertex: index, antipodal, far-even, far-odd")
     p.add_argument("--k", help="observed color (label or index)")
     p.add_argument("--l", help="pinned color (label or index)")
-    p.add_argument("--steps", type=lambda s: parse_int(s, "steps"))
-    p.add_argument("--burn-in", type=lambda s: parse_int(s, "burn_in"))
+    p.add_argument("--steps")
+    p.add_argument("--burn-in")
 
     p = sub.add_parser("conjecture", help="growth predictions vs exact counts")
     common(p)
-    p.add_argument("--max-d", type=lambda s: parse_int(s, "max_d"))
+    p.add_argument("--max-d")
 
     p = sub.add_parser("corpus", help="run golden instances and diff outputs")
     common(p)

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, EmptyConstraint, ParseError
 
-MAX_COLORS = 24
+MAX_COLORS = 16
 
 ColorSet = int  # bitmask over colors
 
@@ -86,9 +86,6 @@ class ConstraintGraph:
         """All edges as (i, j) with i <= j; a loop appears as (k, k)."""
         return [(i, j) for i in range(self.h) for j in range(i, self.h)
                 if self.has_edge(i, j)]
-
-    def label_set(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.labels[k] for k in mask_members(mask))
 
     def relabeled(self, perm: Sequence[int]) -> "ConstraintGraph":
         """Apply a color permutation: new color perm[k] plays old k's role."""

@@ -197,26 +197,35 @@ def brute_force_partition_function(
     (sum of weights)^n, so `_arithmetic` of that bound picks "int64" or
     "int" (Python ints in object arrays).
 
-    The budget is a precondition on the raw state space h^(m^d), not on
-    the sweep, so refusal is deterministic; the largest array holds
-    max_v h^(|F_v| + 1) <= h^n entries. `search_states` reports the
-    nonzero frontier entries met before vertices 0..n-2, which with
-    positive weights are the frontier colorings some valid prefix reaches.
+    The budget bounds the sweep's real work, sum_v h^(|F_v| + 1): the
+    array at vertex v holds h^(|F_v| + 1) entries. The sum is taken from
+    the frontier sizes, vertex by vertex, before any array is built, and
+    the run is refused at the first vertex where it passes the budget, so
+    refusal is deterministic, costs at most that many vertices, and no
+    array is larger than the budget. `search_states` reports the nonzero
+    frontier entries met before vertices 0..n-2, which with positive
+    weights are the frontier colorings some valid prefix reaches.
     """
-    if g.h**t.n > budget:
-        raise BudgetExceeded(
-            f"brute force needs {g.h}^{t.n} > {budget} raw states"
-        )
-    scale, wint = w.integer_scaled()
     n, h = t.n, g.h
+    nbrs: list[tuple[int, ...]] = []
+    # done[v]: the vertices whose axis is summed out once v is colored;
+    # every u <= v is filed by the time v is reached.
+    done: dict[int, list[int]] = {}
+    steps = frontier = 0  # frontier = |F_v|
+    for v in range(n):
+        nbrs.append(t.neighbors(v))
+        done.setdefault(max(v, *nbrs[v]), []).append(v)
+        steps += h ** (frontier + 1)
+        if steps > budget:
+            raise BudgetExceeded(
+                f"brute force needs more than {budget} frontier steps: "
+                f"sum_v h^(|F_v|+1) passes it at vertex {v} of {n}"
+            )
+        frontier += 1 - len(done.get(v, ()))
+    scale, wint = w.integer_scaled()
     arithmetic, dtype = _arithmetic(sum(wint) ** n)
     vertex_w = _bit_rows(_pin_masks(t, g, pins), h) * np.array(wint, dtype=dtype)
     adj = _bit_rows(g.adj, h).astype(dtype)[None, :, None, :]
-    nbrs = t.neighbor_table
-    # done[v]: the vertices whose axis is summed out once v is colored.
-    done: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        done[max(u, *nbrs[u])].append(u)
     axes: list[int] = []  # frontier vertices, ascending: the state's axes
     state = np.ones(1, dtype=dtype)
     states = 0
@@ -229,7 +238,7 @@ def brute_force_partition_function(
             i = bisect_left(axes, u)
             view = state.reshape(h**i, h, -1, h)
             np.multiply(view, adj, out=view)
-        for u in done[v]:
+        for u in done.get(v, ()):
             i = bisect_left(axes, u)
             state = state.reshape(h**i, h, -1).sum(axis=1).ravel()
             del axes[i]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -37,7 +38,7 @@ from .exact import (
     is_valid_coloring,
     partition_function,
 )
-from .torus import TorusGraph
+from .torus import TorusGraph, giant_component_after_deletion
 
 _GREEDY_RESTARTS = 100
 _RNG_BUFFER = 1 << 14
@@ -391,20 +392,15 @@ def epsilon_estimate(
     (same mean, lower variance). all_edges=False watches the single
     edge from the origin along the last coordinate instead.
     """
-    pair_of = instance_structure(g, w).pair_of
     edge0 = (0, t.shift(0, t.d, 1))
-    edges = t.edge_table
+    n_edges = t.num_edges
     xs: list[float] = []
     for f in run_chain(t, g, w, cfg, initial):
-        pal = _palettes(t, f)
+        ideal = ideal_edge_map(t, g, w, f)
         if all_edges:
-            bad = sum(
-                1 for u, v in edges if (pal[v], pal[u]) not in pair_of
-            )
-            xs.append(bad / len(edges))
+            xs.append((n_edges - len(ideal)) / n_edges)
         else:
-            u, v = edge0
-            xs.append(float((pal[v], pal[u]) not in pair_of))
+            xs.append(float(edge0 not in ideal))
     mean = sum(xs) / len(xs)
     return {
         "p_not_ideal": mean,
@@ -439,7 +435,9 @@ def classify(
     """Label a coloring Pure(A,B) or Exceptional from its ideal subgraph.
 
     Pure requires the largest ideal-edge component to cover at least
-    (1 - defect_cap) of all vertices; its edges agree on one maximal pair
+    (1 - defect_cap) of all vertices; among equal largest components the
+    one holding the lowest vertex is taken (two can tie above the cap only
+    when defect_cap >= 1/2). Its edges agree on one maximal pair
     by connectivity, and every component vertex is automatically colored
     inside its side's class, so the defect sets are small by
     construction. Balance compares per-color side frequencies against
@@ -450,30 +448,15 @@ def classify(
     if not edge_pairs:
         return PhaseLabel("exceptional", None, frozenset(), frozenset(), frac, None)
 
-    comp = list(range(t.n))
-
-    def find(a: int) -> int:
-        while comp[a] != a:
-            comp[a] = comp[comp[a]]
-            a = comp[a]
-        return a
-
-    for u, v in edge_pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            comp[ru] = rv
-    sizes: dict[int, int] = {}
-    touched = {z for e in edge_pairs for z in e}
-    for z in touched:
-        r = find(z)
-        sizes[r] = sizes.get(r, 0) + 1
-    root = max(sizes, key=lambda r: (sizes[r], -r))
-    if sizes[root] < (1 - defect_cap) * t.n:
+    size, comp = giant_component_after_deletion(
+        t, [e for e in t.edge_table if e not in edge_pairs]
+    )
+    if size < (1 - defect_cap) * t.n:
         return PhaseLabel("exceptional", None, frozenset(), frozenset(), frac, None)
 
-    component_pairs = {
-        p for e, p in edge_pairs.items() if find(e[0]) == root
-    }
+    # the lowest id of the largest size holds the lowest vertex among them
+    root = min(c for c, k in Counter(comp).items() if k == size)
+    component_pairs = {p for e, p in edge_pairs.items() if comp[e[0]] == root}
     assert len(component_pairs) == 1  # connectivity forces agreement
     pair = component_pairs.pop()
     even, odd = t.side_table

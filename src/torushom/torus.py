@@ -55,9 +55,6 @@ class TorusGraph:
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range 0..{self.n - 1}")
 
-    def vertex_str(self, v: int) -> str:
-        return ",".join(str(x) for x in self.decode(v))
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Coordinate-major order, minus step before plus step; for m=2 the
         two steps coincide and are listed once."""
@@ -83,10 +80,7 @@ class TorusGraph:
 
     def side_sets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(even side, odd side); every edge crosses between them."""
-        even, odd = [], []
-        for v in range(self.n):
-            (odd if self.parity(v) else even).append(v)
-        return tuple(even), tuple(odd)
+        return self.side_table
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once, as (u, v) with u < v."""
@@ -111,7 +105,7 @@ class TorusGraph:
 
     @cached_property
     def side_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """side_sets(): (even side, odd side)."""
+        """(even side, odd side), from the parity table."""
         par = self.parity_table
         return tuple(
             tuple(v for v in range(self.n) if par[v] == side) for side in (0, 1)
@@ -232,7 +226,8 @@ def giant_component_after_deletion(
     t: TorusGraph, deleted: Iterable[tuple[int, int]]
 ) -> tuple[int, list[int]]:
     """Largest connected component size after deleting the given edges,
-    plus a component id per vertex."""
+    plus a component id per vertex. Ids count up from 0 in the order of
+    each component's lowest vertex."""
     gone = set()
     for u, v in deleted:
         gone.add((u, v) if u < v else (v, u))
@@ -248,7 +243,7 @@ def giant_component_after_deletion(
         while stack:
             u = stack.pop()
             size += 1
-            for v in t.neighbors(u):
+            for v in t.neighbor_table[u]:
                 key = (u, v) if u < v else (v, u)
                 if key in gone or comp[v] >= 0:
                     continue

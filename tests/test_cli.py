@@ -15,7 +15,10 @@ from torushom.cli import (
     parse_int,
     result_bytes,
 )
+from torushom.constraint_graph import WeightSet, preset
 from torushom.errors import ConfigError
+from torushom.sampler import ChainConfig, _batch_stderr, run_chain
+from torushom.torus import TorusGraph
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -114,6 +117,11 @@ class TestAnalyzeCommand:
         assert res["eta"] == "25"
         assert res["pair_count"] == 252
         assert res["equipartition"] == "transitive"
+
+    def test_seventeen_colors_refused(self, capsys):
+        # past MAX_COLORS the subset scan refuses before it starts
+        assert main(["analyze", "--h", "k17"]) == 3
+        assert "budget error" in capsys.readouterr().err
 
     def test_orbit_step_in_meta(self, tmp_path):
         out = tmp_path / "doc.json"
@@ -357,6 +365,27 @@ class TestInfluenceCommand:
         exact = res["conditional"]["exact"][0]
         p_cond = int(exact[0]) / int(exact[1])
         assert abs(emp["p_conditional"] - p_cond) < 5 * emp["stderr"] + 0.02
+
+    def test_empirical_stderr_is_batch_means_of_the_chain(self, tmp_path):
+        argv = ["influence", "--h", "ind", "--m", "2", "--d", "2", "--x", "3",
+                "--k", "in", "--l", "in", "--seed", "2"]
+        code, res = run_json(tmp_path, argv + ["--steps", "4000"])
+        assert code == 0
+        # the same chain: burn-in steps // 10, pinned (3, "in"), greedy start
+        g = preset("ind")
+        cfg = ChainConfig(steps=4000, burn_in=400, seed=2, pinned=(3, 0))
+        hits = [
+            1.0 if f[0] == 0 else 0.0
+            for f in run_chain(TorusGraph(2, 2), g, WeightSet.ones(2), cfg)
+        ]
+        emp = res["empirical"]
+        assert emp["n_samples"] == len(hits)
+        assert emp["p_conditional"] == sum(hits) / len(hits)
+        assert emp["stderr"] == _batch_stderr(hits)
+        code, res = run_json(tmp_path, argv + ["--steps", "3"])
+        assert code == 0
+        assert res["empirical"]["n_samples"] == 3
+        assert res["empirical"]["stderr"] is None
 
     def test_missing_pin_color(self, capsys):
         assert main(["influence", "--h", "wr", "--m", "2", "--d", "2"]) == 2

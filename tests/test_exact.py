@@ -113,9 +113,19 @@ class TestBruteForce:
             brute_force_partition_function(TorusGraph(4, 2), g, ones(g))
 
     def test_custom_budget(self):
+        # the sweep over C4 in index order holds 3 + 9 + 27 + 27 = 66 entries
         g = preset("k3")
-        with pytest.raises(BudgetExceeded):
-            brute_force_partition_function(C4, g, ones(g), budget=80)
+        with pytest.raises(BudgetExceeded, match="frontier steps"):
+            brute_force_partition_function(C4, g, ones(g), budget=65)
+        assert brute_force_partition_function(C4, g, ones(g), budget=66).z == 18
+
+    def test_budget_counts_the_sweep_not_the_raw_states(self):
+        # ind on Q_5 has 2^32 raw states but a sweep of about 1.4e6 entries
+        g = preset("ind")
+        t = TorusGraph(2, 5)
+        res = brute_force_partition_function(t, g, ones(g))
+        assert res.z == transfer_matrix_partition_function(t, g, ones(g)).z
+        assert res.z == 254475
 
     def test_one_color_search_on_2048_vertices_is_counted(self):
         # 1^n always passes the raw budget; the sweep has no recursion to

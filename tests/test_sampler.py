@@ -595,3 +595,53 @@ class TestClassify:
             if label.kind == "pure":
                 assert len(label.defect_e) + len(label.defect_o) <= cap * Q3.n
         assert seen <= {"pure", "exceptional"} and seen
+
+
+def union_find_pair(t, g, w, f, defect_cap):
+    """The pair `classify` labels f with, or None for exceptional, from a
+    union-find over the ideal edges: the component search `classify` used
+    before it called `giant_component_after_deletion`, kept as an oracle.
+    Among equal largest components it takes the lowest root, so it may
+    disagree with `classify` only when defect_cap >= 1/2."""
+    edge_pairs = ideal_edge_map(t, g, w, f)
+    if not edge_pairs:
+        return None
+    comp = list(range(t.n))
+
+    def find(a):
+        while comp[a] != a:
+            comp[a] = comp[comp[a]]
+            a = comp[a]
+        return a
+
+    for u, v in edge_pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            comp[ru] = rv
+    sizes = Counter(find(z) for z in {z for e in edge_pairs for z in e})
+    root = max(sizes, key=lambda r: (sizes[r], -r))
+    if sizes[root] < (1 - defect_cap) * t.n:
+        return None
+    (pair,) = {p for e, p in edge_pairs.items() if find(e[0]) == root}
+    return pair
+
+
+class TestClassifyAgainstUnionFind:
+    @pytest.mark.parametrize("spec", ["wr", "ind", "k3"])
+    @pytest.mark.parametrize(
+        "t", [TorusGraph(4, 2), Q3, TorusGraph(8, 3)], ids=["Z4^2", "Q3", "Z8^3"]
+    )
+    def test_labels_agree_on_chain_states(self, spec, t):
+        g = preset(spec)
+        w = WeightSet.ones(g.h)
+        kinds = Counter()
+        for initial in ("uniform-greedy", "pure"):
+            cfg = ChainConfig(steps=3_000, burn_in=200, seed=5, thin=200)
+            for f in run_chain(t, g, w, cfg, initial):
+                for cap in (0.1, 0.4):
+                    label = classify(t, g, w, f, defect_cap=cap)
+                    want = union_find_pair(t, g, w, f, cap)
+                    assert label.pair == want
+                    assert label.kind == ("exceptional" if want is None else "pure")
+                    kinds[label.kind] += 1
+        assert kinds["pure"] > 0
