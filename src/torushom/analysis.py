@@ -38,7 +38,7 @@ from .constraint_graph import (
     subset_weight,
 )
 from .errors import NotEquipartition, ZeroConditioning, ZeroDenominator
-from .exact import exact_marginal
+from .exact import exact_marginal, exact_occupation_vector
 from .torus import TorusGraph
 
 SAME_SIDE = "same-side"
@@ -263,14 +263,13 @@ def influence_ratio(
     k: int,
     y: int,
     ell: int,
-    *,
-    method: str = "auto",
 ) -> Fraction:
-    """Exact finite-torus ratio p(f(x)=k | f(y)=ell) / p(f(x)=k)."""
-    base = exact_marginal(t, g, w, x, k, method=method)
+    """Exact finite-torus ratio p(f(x)=k | f(y)=ell) / p(f(x)=k): entry k
+    of the conditional law of f(x) over entry k of its unconditional law."""
+    base = exact_marginal(t, g, w, x, k)
     if base == 0:
         raise ZeroDenominator(f"p(f({x})={k}) is zero on this torus")
-    return exact_marginal(t, g, w, x, k, (y, ell), method=method) / base
+    return exact_marginal(t, g, w, x, k, (y, ell)) / base
 
 
 def antipode(t: TorusGraph) -> int:
@@ -299,21 +298,6 @@ def far_vertex(t: TorusGraph, side: str) -> int:
         if t.parity(v) == want and (best is None or dist[v] > dist[best]):
             best = v
     return best
-
-
-def exact_occupation_vector(
-    t: TorusGraph,
-    g: ConstraintGraph,
-    w: WeightSet,
-    x: int = 0,
-    condition: tuple[int, int] | None = None,
-    *,
-    method: str = "auto",
-) -> tuple[Fraction, ...]:
-    return tuple(
-        exact_marginal(t, g, w, x, k, condition, method=method)
-        for k in range(g.h)
-    )
 
 
 def sup_distance(u: Sequence, v: Sequence):
@@ -363,7 +347,6 @@ def conditional_comparison(
     *,
     y: int | None = None,
     target: Sequence | None = None,
-    method: str = "auto",
 ) -> ComparisonRecord:
     """Exact conditional occupation at the origin vs the limit target.
 
@@ -375,7 +358,7 @@ def conditional_comparison(
         y = far_vertex(t, EVEN if relation == SAME_SIDE else ODD)
     if target is None:
         target = theorem_conditional_vector(g, w, relation, ell)
-    vec = exact_occupation_vector(t, g, w, 0, (y, ell), method=method)
+    vec = exact_occupation_vector(t, g, w, 0, (y, ell))
     return ComparisonRecord(
         label=f"{relation} ell={ell} y={y} m={t.m} d={t.d}",
         target=tuple(target),
@@ -391,11 +374,10 @@ def occupation_comparison(
     *,
     x: int = 0,
     target: Sequence | None = None,
-    method: str = "auto",
 ) -> ComparisonRecord:
     if target is None:
         target = theorem_occupation_vector(g, w, EVEN)
-    vec = exact_occupation_vector(t, g, w, x, method=method)
+    vec = exact_occupation_vector(t, g, w, x)
     return ComparisonRecord(
         label=f"occupation x={x} m={t.m} d={t.d}",
         target=tuple(target),

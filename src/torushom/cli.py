@@ -10,6 +10,7 @@ of the same configuration and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import functools
@@ -31,7 +32,6 @@ from .analysis import (
     equipartition_class,
     equipartition_orbit,
     far_vertex,
-    influence_ratio,
     occupation_comparison,
     theorem_influence_ratio,
 )
@@ -60,6 +60,7 @@ from .errors import (
 from .exact import (
     brute_force_partition_function,
     engine_cache_counts,
+    exact_occupation_vector,
     partition_function,
     transfer_matrix_partition_function,
 )
@@ -479,24 +480,27 @@ def cmd_influence(cfg: RunConfig, meta: dict) -> dict:
         "relation": relation,
         "labels": list(g.labels),
     }
+    # Both laws of f(0), h pinned counts each; ratio_exact is read from them.
+    cond = occ = None
     try:
-        out["conditional"] = conditional_comparison(
-            t, g, w, relation, ell, y=y
-        ).to_json_dict()
-        out["occupation"] = occupation_comparison(t, g, w).to_json_dict()
+        rec = conditional_comparison(t, g, w, relation, ell, y=y)
+        out["conditional"], cond = rec.to_json_dict(), rec.exact
+        rec = occupation_comparison(t, g, w)
+        out["occupation"], occ = rec.to_json_dict(), rec.exact
     except BudgetExceeded:
         if cfg.steps is None:
             raise
-        out["conditional"] = None
-        out["occupation"] = None
+        out["conditional"] = out["occupation"] = None
     except (NotEquipartition, ZeroConditioning) as e:
-        out["conditional"] = None
-        out["occupation"] = None
+        out["conditional"] = out["occupation"] = None
         out["target_note"] = str(e)
-    try:
-        out["ratio_exact"] = frac_str(influence_ratio(t, g, w, 0, k, y, ell))
-    except (BudgetExceeded, ZeroDenominator):
-        out["ratio_exact"] = None
+        # No target, but the exact laws stand; the conditional one is
+        # needed only where p(f(0)=k) > 0.
+        with contextlib.suppress(BudgetExceeded):
+            occ = exact_occupation_vector(t, g, w)
+            if occ[k]:
+                cond = exact_occupation_vector(t, g, w, 0, (y, ell))
+    out["ratio_exact"] = frac_str(cond[k] / occ[k]) if cond and occ[k] else None
     try:
         out["ratio_target"] = frac_str(
             theorem_influence_ratio(g, w, relation, k, ell)
@@ -849,9 +853,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -441,6 +441,43 @@ def partition_function(
     return brute_force_partition_function(t, g, w, budget=brute_budget, pins=pins)
 
 
+def exact_occupation_vector(
+    t: TorusGraph,
+    g: ConstraintGraph,
+    w: WeightSet,
+    x: int = 0,
+    condition: tuple[int, int] | None = None,
+    *,
+    method: str = "auto",
+) -> tuple[Fraction, ...]:
+    """Exact law of f(x), optionally given f(y)=l: the h pinned counts
+    Z(f(x)=k and condition), each divided by their sum.
+
+    The sum is the weight of the condition, so the law is exact and costs
+    h partition functions. Conditioning on a zero-weight event raises
+    ZeroConditioningEvent.
+    """
+    if not (0 <= x < t.n):
+        raise ValueError(f"vertex {x} outside torus")
+    given: dict[int, int] = {}
+    if condition is not None:
+        y, lcol = condition
+        if not (0 <= y < t.n) or not (0 <= lcol < g.h):
+            raise ValueError("conditioning pair outside instance")
+        given[y] = mask_from((lcol,))
+    counts = [
+        partition_function(
+            t, g, w, method=method,
+            pins={**given, x: given.get(x, g.full_mask) & mask_from((k,))},
+        ).z
+        for k in range(g.h)
+    ]
+    total = sum(counts)
+    if total == 0:
+        raise ZeroConditioningEvent("conditioning event has weight zero")
+    return tuple(c / total for c in counts)
+
+
 def exact_marginal(
     t: TorusGraph,
     g: ConstraintGraph,
@@ -451,29 +488,11 @@ def exact_marginal(
     *,
     method: str = "auto",
 ) -> Fraction:
-    """Exact occupation probability p(f(x)=k), optionally given f(y)=l.
-
-    Both numerator and denominator are pinned partition functions, so the
-    ratio is exact. Conditioning on a zero-probability event raises
-    ZeroConditioningEvent.
-    """
-    if not (0 <= x < t.n):
-        raise ValueError(f"vertex {x} outside torus")
+    """Exact occupation probability p(f(x)=k), optionally given f(y)=l:
+    entry k of `exact_occupation_vector`."""
     if not (0 <= k < g.h):
         raise ValueError(f"color {k} outside palette")
-    num_pins: dict[int, int] = {x: mask_from((k,))}
-    den_pins: dict[int, int] = {}
-    if condition is not None:
-        y, lcol = condition
-        if not (0 <= y < t.n) or not (0 <= lcol < g.h):
-            raise ValueError("conditioning pair outside instance")
-        den_pins[y] = mask_from((lcol,))
-        num_pins[y] = num_pins.get(y, g.full_mask) & mask_from((lcol,))
-    den = partition_function(t, g, w, method=method, pins=den_pins or None).z
-    if den == 0:
-        raise ZeroConditioningEvent("conditioning event has weight zero")
-    num = partition_function(t, g, w, method=method, pins=num_pins).z
-    return num / den
+    return exact_occupation_vector(t, g, w, x, condition, method=method)[k]
 
 
 def pure_coloring_weight(

@@ -204,7 +204,6 @@ def verify_extremal_identities(
     w: WeightSet,
     m: int,
     *,
-    m_cap: int = DEFAULT_M_CAP,
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> ExtremalIdentityReport:
     """Check the exact product identity on maximal pairs and compute the gap.
@@ -228,8 +227,8 @@ def verify_extremal_identities(
     if not (w.is_uniform() and w[0] == 1):
         raise ValueError("extremal identities are stated at all-1 weights")
     _validate_tuple_length(m)
-    if m > m_cap:
-        raise CapExceeded(f"tuple length {m} exceeds cap {m_cap}")
+    if m > DEFAULT_M_CAP:
+        raise CapExceeded(f"tuple length {m} exceeds cap {DEFAULT_M_CAP}")
     if g.h > 12:
         raise CapExceeded(f"{g.h} colors exceeds the subset-table cap")
 

@@ -228,9 +228,7 @@ def giant_component_after_deletion(
     """Largest connected component size after deleting the given edges,
     plus a component id per vertex. Ids count up from 0 in the order of
     each component's lowest vertex."""
-    gone = set()
-    for u, v in deleted:
-        gone.add((u, v) if u < v else (v, u))
+    gone = {e for u, v in deleted for e in ((u, v), (v, u))}
     comp = [-1] * t.n
     best = 0
     cid = 0
@@ -244,8 +242,7 @@ def giant_component_after_deletion(
             u = stack.pop()
             size += 1
             for v in t.neighbor_table[u]:
-                key = (u, v) if u < v else (v, u)
-                if key in gone or comp[v] >= 0:
+                if comp[v] >= 0 or (u, v) in gone:
                     continue
                 comp[v] = cid
                 stack.append(v)

@@ -3,10 +3,13 @@ determinism, CSV export, and the golden corpus runner."""
 
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from torushom import exact
+from torushom.analysis import influence_ratio
 from torushom.cli import (
     RunConfig,
     build_config,
@@ -409,6 +412,54 @@ class TestInfluenceCommand:
         assert lines[0].startswith("color,occupation_target")
         assert len(lines) == 4
         assert lines[1].split(",")[3] == "1/2"  # conditional target for color 1
+
+
+class TestInfluenceCounts:
+    """`influence` forms each law of f(0) from h pinned counts and reads
+    the exact ratio from those two laws."""
+
+    def test_forms_2h_pinned_counts(self, tmp_path, monkeypatch):
+        pins = []
+        real = exact.partition_function
+
+        def spy(*args, **kwargs):
+            pins.append(kwargs.get("pins"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "partition_function", spy)
+        code, res = run_json(
+            tmp_path,
+            ["influence", "--h", "wr", "--m", "6", "--d", "2",
+             "--x", "antipodal", "--l", "1"],
+        )
+        assert code == 0
+        assert len(pins) == 6
+        assert all(p for p in pins)
+        assert res["ratio_exact"] is not None
+
+    @pytest.mark.parametrize(
+        "spec,m,d,x,k,ell",  # k and ell are color labels
+        [
+            ("wr", 2, 3, "antipodal", "1", "2"),
+            ("k3", 4, 2, "far-odd", "3", "1"),
+            # no equipartition target: the exact ratio is still reported
+            ("ind+kq:3", 2, 2, "antipodal", "2", "3"),
+        ],
+    )
+    def test_ratio_matches_influence_ratio(self, tmp_path, spec, m, d, x, k, ell):
+        code, res = run_json(
+            tmp_path,
+            ["influence", "--h", spec, "--m", str(m), "--d", str(d),
+             "--x", x, "--k", k, "--l", ell],
+        )
+        assert code == 0
+        assert ("target_note" in res) == (spec == "ind+kq:3")
+        g, t = preset(spec), TorusGraph(m, d)
+        expected = influence_ratio(
+            t, g, WeightSet.ones(g.h), 0, g.labels.index(k),
+            res["pin_vertex"], g.labels.index(ell),
+        )
+        assert Fraction(res["ratio_exact"]) == expected
 
 
 class TestConjectureCommand:
