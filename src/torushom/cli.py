@@ -433,6 +433,7 @@ def cmd_sample(cfg: RunConfig, meta: dict) -> dict:
         )
         final = label
     meta["start"] = stats.start
+    meta["restarts"] = stats.restarts
     return {
         "instance": f"m={t.m} d={t.d} h={g.h}",
         "steps": steps,
@@ -527,10 +528,14 @@ def _empirical_conditional(
         steps=cfg.steps, burn_in=burn, seed=cfg.seed, pinned=(y, ell)
     )
     stats = ChainStats()
-    hits = []
-    for state in run_chain(t, g, w, chain_cfg, cfg.initial, stats=stats):
-        hits.append(1.0 if state[0] == k else 0.0)
+    # one byte per sample, 1 where f(0) = k: the counts and means are the
+    # ones a list of 0.0 / 1.0 gives, in an eighth of the memory
+    hits = bytearray(
+        state[0] == k
+        for state in run_chain(t, g, w, chain_cfg, cfg.initial, stats=stats)
+    )
     meta["start"] = stats.start
+    meta["restarts"] = stats.restarts
     stderr = _batch_stderr(hits) if len(hits) >= 4 else None
     return {
         "p_conditional": sum(hits) / len(hits),

@@ -102,8 +102,9 @@ class ConstraintGraph:
 
 
 class _DrawTables(dict):
-    """mask -> (colors of the mask, cumulative float weights), each entry
-    built on first lookup."""
+    """mask -> (colors of the mask, cumulative float weights, their total),
+    each entry built on first lookup. The last cumulative weight is +inf,
+    so a search for u * total below the total always lands on a color."""
 
     __slots__ = ("weights",)
 
@@ -117,7 +118,9 @@ class _DrawTables(dict):
         for k in colors:
             acc += self.weights[k]
             cum.append(acc)
-        entry = self[mask] = (colors, cum)
+        if cum:
+            cum[-1] = math.inf
+        entry = self[mask] = (colors, cum, acc)
         return entry
 
 
@@ -169,9 +172,10 @@ class WeightSet:
 
     @cached_property
     def draw_tables(self) -> _DrawTables:
-        """Candidate mask -> (its colors, their cumulative float weights),
-        for weighted draws; each entry is built on first lookup. They
-        depend on the weights alone, so they need no extremal scan."""
+        """Candidate mask -> (its colors, their cumulative float weights,
+        the total), for weighted draws; each entry is built on first
+        lookup. They depend on the weights alone, so they need no extremal
+        scan."""
         return _DrawTables(tuple(float(x) for x in self.weights))
 
 

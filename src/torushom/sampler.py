@@ -16,14 +16,16 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .constraint_graph import (
+    MAX_COLORS,
     ConstraintGraph,
+    InstanceStructure,
     MaximalPair,
     WeightSet,
     instance_structure,
@@ -38,10 +40,16 @@ from .exact import (
     is_valid_coloring,
     partition_function,
 )
-from .torus import TorusGraph, giant_component_after_deletion
+from .torus import TorusGraph, giant_component
 
 _GREEDY_RESTARTS = 100
 _RNG_BUFFER = 1 << 14
+# Entries of the palette gather (states x vertices x degree) a block of
+# states may hold: many states a block on Q_2, a few on Z_8^4.
+_BLOCK_ENTRIES = 1 << 14
+# Blocks up to this many entries are walked in Python lists (see
+# `_ideal_hits`): one state of Q_2, Q_3, Q_4 or Z_4^2.
+_LIST_ENTRIES = 64
 
 # Desk-scale defaults; the asymptotic theory leaves the thresholds free,
 # so these are explicit configuration, not derived constants.
@@ -77,6 +85,9 @@ class ChainStats:
     color_changes: int = 0
     # "greedy", "pure", "explicit", or "pure-fallback" after greedy gave up.
     start: str = ""
+    # greedy fills that dead-ended before the start: _GREEDY_RESTARTS
+    # for "pure-fallback", 0 for a start that is not greedy
+    restarts: int = 0
 
 
 def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
@@ -86,11 +97,13 @@ def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
     )
 
 
-def _draw(table: tuple[tuple[int, ...], list[float]], u: float) -> int:
+def _draw(table: tuple[tuple[int, ...], list[float], float], u: float) -> int:
     """The color a uniform u in [0, 1) picks from a (colors, cumulative
-    weights) draw table. Callers draw u, so each keeps its own RNG use."""
-    colors, cum = table
-    return colors[min(bisect_right(cum, u * cum[-1]), len(colors) - 1)]
+    weights, total) draw table. Callers draw u, so each keeps its own RNG
+    use. The +inf last cumulative weight keeps u * total, which rounding
+    can bring up to the total, on the last color."""
+    colors, cum, total = table
+    return colors[bisect_right(cum, u * total)]
 
 
 def _greedy_initial(
@@ -99,10 +112,12 @@ def _greedy_initial(
     w: WeightSet,
     rng: np.random.Generator,
     pinned: tuple[int, int] | None,
-) -> list[int]:
+) -> tuple[list[int], int]:
+    """A weighted greedy fill in random order, and how many fills dead-ended
+    before it."""
     tables = w.draw_tables
     nbrs = t.neighbor_table
-    for _ in range(_GREEDY_RESTARTS):
+    for restarts in range(_GREEDY_RESTARTS):
         order = list(rng.permutation(t.n))
         state: list[int | None] = [None] * t.n
         if pinned is not None:
@@ -123,7 +138,7 @@ def _greedy_initial(
             else:
                 state[v] = _draw(table, rng.random())
         if ok:
-            return state  # type: ignore[return-value]
+            return state, restarts  # type: ignore[return-value]
     raise NoValidInitial(
         f"greedy initialization failed {_GREEDY_RESTARTS} times"
     )
@@ -198,13 +213,23 @@ def _pure_fallback(
     return _pure_initial(t, g, w, pair, rng, pinned)
 
 
-def _resolve_initial(t, g, w, initial, rng, pinned) -> tuple[list[int], str]:
-    """The initial state and the kind of start that produced it."""
+def _resolve_initial(
+    t, g, w, initial, rng, pinned, stats: ChainStats | None = None
+) -> tuple[list[int], str]:
+    """The initial state and the kind of start that produced it; the
+    greedy restarts go to `stats.restarts`."""
+    if stats is not None:
+        stats.restarts = 0
     if initial == "uniform-greedy":
         try:
-            return _greedy_initial(t, g, w, rng, pinned), "greedy"
+            state, restarts = _greedy_initial(t, g, w, rng, pinned)
+            start = "greedy"
         except NoValidInitial:
-            return _pure_fallback(t, g, w, rng, pinned), "pure-fallback"
+            state = _pure_fallback(t, g, w, rng, pinned)
+            restarts, start = _GREEDY_RESTARTS, "pure-fallback"
+        if stats is not None:
+            stats.restarts = restarts
+        return state, start
     if initial == "pure":
         pair = _admitting_pair(t, instance_structure(g, w).pairs, pinned)
         if pair is None:
@@ -250,20 +275,30 @@ def run_chain(
         if not (0 <= y < t.n) or not (0 <= lcol < g.h):
             raise ValueError("pinned pair outside instance")
     rng = chain_rng(cfg.seed, chain_index)
-    state, start = _resolve_initial(t, g, w, initial, rng, cfg.pinned)
+    state, start = _resolve_initial(t, g, w, initial, rng, cfg.pinned, stats)
     if stats is not None:
         stats.start = start
-    pinned_vertex = cfg.pinned[0] if cfg.pinned is not None else None
+    # the vertex a draw skips; n, which no draw reaches, when nothing is pinned
+    pinned_vertex = cfg.pinned[0] if cfg.pinned is not None else t.n
+    free_count = t.n - (1 if cfg.pinned is not None else 0)
+    steps, thin = cfg.steps, cfg.thin
     tables = w.draw_tables
     nbrs = t.neighbor_table
     adj = g.adj
     full = g.full_mask
-    free_count = t.n - (1 if pinned_vertex is not None else 0)
 
     def stream() -> Iterator[Coloring]:
+        # The counters live in locals and reach `stats` at every yield and
+        # at the end, so a reader between items sees the running totals.
+        if stats is not None:
+            base = (stats.steps, stats.forced_moves, stats.color_changes)
+        forced = changes = 0
+        # adj[state[u]] for every vertex, kept in step with state
+        allowed = [adj[c] for c in state]
+        countdown = cfg.burn_in + thin  # steps to the next output
         vbuf = ubuf = None
         pos = _RNG_BUFFER
-        for step in range(1, cfg.steps + 1):
+        for step in range(1, steps + 1):
             if pos == _RNG_BUFFER:
                 # memoryviews index to plain Python numbers, without a list
                 # of 2 * _RNG_BUFFER boxed values
@@ -271,35 +306,94 @@ def run_chain(
                 ubuf = memoryview(rng.random(_RNG_BUFFER))
                 pos = 0
             v = vbuf[pos]
-            if pinned_vertex is not None and v >= pinned_vertex:
+            if v >= pinned_vertex:
                 v += 1
             cand = full
             for u in nbrs[v]:
-                cand &= adj[state[u]]
+                cand &= allowed[u]
             table = tables[cand]
             if len(table[0]) == 1:
                 new = table[0][0]
-                if stats is not None:
-                    stats.forced_moves += 1
+                forced += 1
             else:
                 new = _draw(table, ubuf[pos])
             pos += 1
-            if stats is not None:
-                stats.steps += 1
-                if new != state[v]:
-                    stats.color_changes += 1
-            state[v] = new
-            if step > cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
+            if new != state[v]:
+                changes += 1
+                state[v] = new
+                allowed[v] = adj[new]
+            countdown -= 1
+            if not countdown:
+                countdown = thin
+                if stats is not None:
+                    stats.steps, stats.forced_moves, stats.color_changes = (
+                        base[0] + step, base[1] + forced, base[2] + changes
+                    )
                 yield tuple(state)
+        if stats is not None:
+            stats.steps, stats.forced_moves, stats.color_changes = (
+                base[0] + steps, base[1] + forced, base[2] + changes
+            )
 
     return stream()
 
 
-def _palettes(t: TorusGraph, f: Sequence[int]) -> list[int]:
-    """The set of colors each vertex's neighborhood shows, as a mask."""
-    bit = [1 << c for c in f]
-    get = bit.__getitem__
-    return [reduce(or_, map(get, row)) for row in t.neighbor_table]
+class _PairKeys(NamedTuple):
+    pairs: tuple[MaximalPair, ...]  # sorted
+    keys: np.ndarray  # A << MAX_COLORS | B of each, then a key no pair has
+    index: dict[int, int]  # key -> place in pairs
+
+
+@lru_cache(maxsize=256)
+def _pair_keys(s: InstanceStructure) -> _PairKeys:
+    """The record's maximal pairs in key order, for `_ideal_hits`."""
+    pairs = tuple(sorted(s.pairs))
+    keys = [p.a << MAX_COLORS | p.b for p in pairs] + [np.iinfo(np.int64).max]
+    return _PairKeys(
+        pairs,
+        np.array(keys, dtype=np.int64),
+        {key: i for i, key in enumerate(keys[:-1])},
+    )
+
+
+def _ideal_hits(
+    t: TorusGraph, s: InstanceStructure, states
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ideal edges of a 2-D block of states, one row per state.
+
+    Returns, per row and per entry of t.edge_table, whether the edge is
+    ideal, and the place in `_pair_keys(s).pairs` of the pair it shows
+    (read it only where the edge is ideal). The odd endpoint's neighborhood
+    must show A and the even endpoint's B. Blocks are gathered by numpy
+    over the torus arrays; a block of at most _LIST_ENTRIES palette entries
+    (one state of a small torus) is walked in Python lists instead, where
+    the numpy calls would cost more than the work.
+    """
+    table = _pair_keys(s)
+    if len(states) * t.n * t.degree <= _LIST_ENTRIES:
+        index, miss = table.index, len(table.pairs)
+        at = []
+        for f in states.tolist() if isinstance(states, np.ndarray) else states:
+            bit = [1 << c for c in f]
+            get = bit.__getitem__
+            pal = [reduce(or_, map(get, row)) for row in t.neighbor_table]
+            at.append([
+                index.get(pal[o] << MAX_COLORS | pal[e], miss)
+                for e, o in t.edge_table
+            ])
+        at = np.array(at, dtype=np.intp)
+        return at != miss, at
+    keys = table.keys
+    bits = np.left_shift(1, np.asarray(states), dtype=np.int64)
+    columns = iter(t.neighbor_array)
+    pal = bits.take(next(columns), axis=1)
+    for column in columns:
+        pal |= bits.take(column, axis=1)
+    even, odd = t.edge_array
+    key = pal.take(odd, axis=1) << MAX_COLORS
+    key |= pal.take(even, axis=1)
+    at = keys.searchsorted(key)
+    return keys.take(at) == key, at
 
 
 def is_ideal_edge(
@@ -330,14 +424,13 @@ def ideal_edge_map(
     t: TorusGraph, g: ConstraintGraph, w: WeightSet, f: Sequence[int]
 ) -> dict[tuple[int, int], MaximalPair]:
     """All ideal edges of f at once, keyed by (even endpoint, odd endpoint)."""
-    pair_of = instance_structure(g, w).pair_of
-    pal = _palettes(t, f)
-    out = {}
-    for e in t.edge_table:
-        hit = pair_of.get((pal[e[1]], pal[e[0]]))
-        if hit is not None:
-            out[e] = hit
-    return out
+    s = instance_structure(g, w)
+    hit, at = _ideal_hits(t, s, (f,))
+    pairs, edges = _pair_keys(s).pairs, t.edge_table
+    found = np.flatnonzero(hit[0])
+    return {
+        edges[e]: pairs[k] for e, k in zip(found.tolist(), at[0, found].tolist())
+    }
 
 
 def ideal_fraction(
@@ -363,7 +456,7 @@ def exact_not_ideal_probability(
     return bad / z
 
 
-def _batch_stderr(xs: list[float]) -> float:
+def _batch_stderr(xs: Sequence[float]) -> float:
     nb = max(2, min(64, int(math.isqrt(len(xs)))))
     size = len(xs) // nb
     if size == 0:
@@ -392,15 +485,34 @@ def epsilon_estimate(
     (same mean, lower variance). all_edges=False watches the single
     edge from the origin along the last coordinate instead.
     """
-    edge0 = (0, t.shift(0, t.d, 1))
+    if (cfg.steps - cfg.burn_in) // cfg.thin == 0:
+        raise ValueError(
+            f"the chain yields no sample: steps - burn_in = "
+            f"{cfg.steps} - {cfg.burn_in} is below thin = {cfg.thin}"
+        )
+    s = instance_structure(g, w)
     n_edges = t.num_edges
+    edge0 = t.edge_table.index((0, t.shift(0, t.d, 1)))
+    rows = max(1, _BLOCK_ENTRIES // (t.n * t.degree))
     xs: list[float] = []
-    for f in run_chain(t, g, w, cfg, initial):
-        ideal = ideal_edge_map(t, g, w, f)
+    block: list[bytes] = []  # colors are below MAX_COLORS = 16: a byte each
+
+    def count(block):
+        states = np.frombuffer(b"".join(block), np.uint8).reshape(len(block), t.n)
+        hit, _ = _ideal_hits(t, s, states)
         if all_edges:
-            xs.append((n_edges - len(ideal)) / n_edges)
+            # the same float as (n_edges - ideal count) / n_edges in Python
+            xs.extend(((n_edges - hit.sum(axis=1)) / n_edges).tolist())
         else:
-            xs.append(float(edge0 not in ideal))
+            xs.extend((~hit[:, edge0]).astype(float).tolist())
+
+    for f in run_chain(t, g, w, cfg, initial):
+        block.append(bytes(f))
+        if len(block) == rows:
+            count(block)
+            block.clear()
+    if block:
+        count(block)
     mean = sum(xs) / len(xs)
     return {
         "p_not_ideal": mean,
@@ -443,39 +555,42 @@ def classify(
     construction. Balance compares per-color side frequencies against
     the within-class weight proportions, multiplicatively.
     """
-    edge_pairs = ideal_edge_map(t, g, w, f)
-    frac = Fraction(len(edge_pairs), t.num_edges)
-    if not edge_pairs:
+    s = instance_structure(g, w)
+    hit, at = _ideal_hits(t, s, (f,))
+    hit, at = hit[0], at[0]
+    n_ideal = int(np.count_nonzero(hit))
+    frac = Fraction(n_ideal, t.num_edges)
+    if not n_ideal:
         return PhaseLabel("exceptional", None, frozenset(), frozenset(), frac, None)
 
-    size, comp = giant_component_after_deletion(
-        t, [e for e in t.edge_table if e not in edge_pairs]
-    )
+    size, root, comp = giant_component(t, hit)
     if size < (1 - defect_cap) * t.n:
         return PhaseLabel("exceptional", None, frozenset(), frozenset(), frac, None)
 
-    # the lowest id of the largest size holds the lowest vertex among them
-    root = min(c for c, k in Counter(comp).items() if k == size)
-    component_pairs = {p for e, p in edge_pairs.items() if comp[e[0]] == root}
-    assert len(component_pairs) == 1  # connectivity forces agreement
-    pair = component_pairs.pop()
+    # The component has an ideal edge at each of its vertices, and its
+    # edges agree on one maximal pair by connectivity: read it off the
+    # first ideal edge at the component's lowest vertex.
+    incident = t.incidence_array[:, comp.index(root)]
+    pair = _pair_keys(s).pairs[at[incident[hit[incident]][0]]]
     even, odd = t.side_table
     defect_e = frozenset(v for v in even if not (pair.a >> f[v]) & 1)
     defect_o = frozenset(v for v in odd if not (pair.b >> f[v]) & 1)
 
+    # With c of a side's half vertices colored k, the deviation
+    # |c/half - lambda_k/lambda_A| / (lambda_k/lambda_A) is the rational
+    # |c lambda_A - half lambda_k| / (half lambda_k), here in the integer-
+    # scaled weights; int / int rounds it once, as float(Fraction) does.
     half = t.n // 2
-    class_weight = instance_structure(g, w).class_weight
+    ints = s.int_weights
     devs = []
     balanced = True
-    for side, mask, side_vertices in (("e", pair.a, even), ("o", pair.b, odd)):
-        lam = class_weight[mask]
-        counts: dict[int, int] = {}
-        for v in side_vertices:
-            counts[f[v]] = counts.get(f[v], 0) + 1
-        for k in mask_members(mask):
-            target = w[k] / lam
-            actual = Fraction(counts.get(k, 0), half)
-            rel = float(abs(actual - target) / target)
+    for mask, side_vertices in ((pair.a, even), (pair.b, odd)):
+        members = mask_members(mask)
+        lam = sum(ints[k] for k in members)
+        counts = Counter(map(f.__getitem__, side_vertices))
+        for k in members:
+            target = half * ints[k]
+            rel = abs(counts[k] * lam - target) / target
             devs.append((k, rel))
             if rel > balance_tol:
                 balanced = False

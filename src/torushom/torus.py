@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class TorusGraph:
@@ -118,6 +120,32 @@ class TorusGraph:
         par = self.parity_table
         return tuple((u, v) if par[u] == 0 else (v, u) for u, v in self.edges())
 
+    # The same tables as read-only numpy arrays, for code that gathers
+    # over whole blocks of states.
+
+    @cached_property
+    def neighbor_array(self) -> np.ndarray:
+        """neighbor_table as a (degree, n) array: row j holds the j-th
+        neighbor of every vertex."""
+        return _frozen(np.array(self.neighbor_table, dtype=np.intp).T)
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """edge_table as a (2, num_edges) array: even endpoints, then odd."""
+        return _frozen(np.array(self.edge_table, dtype=np.intp).T)
+
+    @cached_property
+    def incidence_array(self) -> np.ndarray:
+        """(degree, n) array: the edge_table index of the edge from each
+        vertex to the neighbor in the same place of neighbor_array."""
+        index = {e: i for i, e in enumerate(self.edge_table)}
+        par = self.parity_table
+        return _frozen(np.array(
+            [[index[(v, u) if par[v] == 0 else (u, v)] for u in row]
+             for v, row in enumerate(self.neighbor_table)],
+            dtype=np.intp,
+        ).T)
+
     @property
     def num_edges(self) -> int:
         return self.n * self.degree // 2
@@ -222,17 +250,26 @@ def edge_boundary(t: TorusGraph, x_set: Iterable[int]) -> int:
     return count
 
 
-def giant_component_after_deletion(
-    t: TorusGraph, deleted: Iterable[tuple[int, int]]
-) -> tuple[int, list[int]]:
-    """Largest connected component size after deleting the given edges,
-    plus a component id per vertex. Ids count up from 0 in the order of
-    each component's lowest vertex."""
-    gone = {e for u, v in deleted for e in ((u, v), (v, u))}
-    comp = [-1] * t.n
-    best = 0
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
+
+
+def giant_component(t: TorusGraph, kept) -> tuple[int, int, list[int]]:
+    """Components of the subgraph of the kept edges, where `kept` holds a
+    truth value per entry of t.edge_table. Returns the largest size, the
+    id of the first component of that size and a component id per vertex;
+    ids count up from 0 in the order of each component's lowest vertex."""
+    n = t.n
+    # kept neighbors per vertex; n stands in for a dropped one
+    rows = np.where(
+        np.asarray(kept, dtype=bool)[t.incidence_array], t.neighbor_array, n
+    ).T.tolist()
+    comp = [-1] * n + [0]  # the stand-in counts as visited
+    best = root = 0
     cid = 0
-    for s in range(t.n):
+    for s in range(n):
         if comp[s] >= 0:
             continue
         stack = [s]
@@ -241,11 +278,28 @@ def giant_component_after_deletion(
         while stack:
             u = stack.pop()
             size += 1
-            for v in t.neighbor_table[u]:
-                if comp[v] >= 0 or (u, v) in gone:
-                    continue
-                comp[v] = cid
-                stack.append(v)
-        best = max(best, size)
+            for v in rows[u]:
+                if comp[v] < 0:
+                    comp[v] = cid
+                    stack.append(v)
+        if size > best:
+            best, root = size, cid
         cid += 1
+    del comp[n]
+    return best, root, comp
+
+
+def giant_component_after_deletion(
+    t: TorusGraph, deleted: Iterable[tuple[int, int]]
+) -> tuple[int, list[int]]:
+    """Largest connected component size after deleting the given edges,
+    plus a component id per vertex. Ids count up from 0 in the order of
+    each component's lowest vertex."""
+    index = {e: i for i, e in enumerate(t.edge_table)}
+    kept = [True] * t.num_edges
+    for u, v in deleted:
+        i = index.get((u, v), index.get((v, u)))
+        if i is not None:
+            kept[i] = False
+    best, _, comp = giant_component(t, kept)
     return best, comp

@@ -628,3 +628,34 @@ class TestDriver:
         assert set(doc["meta"]) == {
             "timestamp", "runtime_ms", "config", "orbit", "structure_cache"
         }
+
+
+class TestRestartsInMeta:
+    def doc(self, tmp_path, argv):
+        out = tmp_path / "doc.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_fallback_start_reports_every_restart(self, tmp_path):
+        doc = self.doc(tmp_path, [
+            "sample", "--h", "k3", "--m", "8", "--d", "3", "--steps", "2000",
+            "--thin", "1000", "--seed", "0"])
+        assert doc["meta"]["start"] == "pure-fallback"
+        assert doc["meta"]["restarts"] == 100
+        assert "restarts" not in doc["result"]
+        assert "restarts" not in doc["result"]["stats"]
+
+    def test_pure_start_reports_none(self, tmp_path):
+        doc = self.doc(tmp_path, [
+            "sample", "--h", "wr", "--m", "4", "--d", "2", "--steps", "500",
+            "--initial", "pure", "--seed", "3"])
+        assert doc["meta"]["start"] == "pure"
+        assert doc["meta"]["restarts"] == 0
+
+    def test_pinned_chain_reports_its_restarts(self, tmp_path):
+        doc = self.doc(tmp_path, [
+            "influence", "--h", "wr", "--m", "2", "--d", "2", "--x", "antipodal",
+            "--l", "1", "--steps", "2000", "--seed", "4"])
+        assert doc["meta"]["start"] == "greedy"
+        assert doc["meta"]["restarts"] == 0
+        assert "restarts" not in json.dumps(doc["result"])

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from torushom.torus import (
     column_surround_structure_ok,
     columns,
     edge_boundary,
+    giant_component,
     giant_component_after_deletion,
     m_u,
     v_star,
@@ -249,3 +251,35 @@ def test_property_codec_and_shift(md, data):
     cu, cv = t.decode(u), t.decode(v)
     assert cu[coord - 1] == (cv[coord - 1] + step) % m
     assert all(cu[i] == cv[i] for i in range(d) if i != coord - 1)
+
+
+@given(
+    md=st.sampled_from([(2, 1), (2, 3), (4, 2), (4, 3), (6, 2)]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_kept_mask_components_match_deletion(md, data):
+    t = TorusGraph(*md)
+    kept = data.draw(st.lists(st.booleans(), min_size=t.num_edges, max_size=t.num_edges))
+    best, root, comp = giant_component(t, np.array(kept))
+    deleted = [e[::-1] for e, k in zip(t.edge_table, kept) if not k]
+    assert (best, comp) == giant_component_after_deletion(t, deleted)
+    sizes = [comp.count(c) for c in range(max(comp) + 1)]
+    assert best == max(sizes) and root == sizes.index(best)
+    # ids follow the lowest vertex of each component
+    assert [comp.index(c) for c in range(len(sizes))] == sorted(
+        comp.index(c) for c in range(len(sizes))
+    )
+    for (u, v), k in zip(t.edge_table, kept):
+        if k:
+            assert comp[u] == comp[v]
+
+
+def test_arrays_mirror_the_tables():
+    t = TorusGraph(4, 3)
+    assert t.neighbor_array.T.tolist() == [list(r) for r in t.neighbor_table]
+    assert t.edge_array.T.tolist() == [list(e) for e in t.edge_table]
+    for v in range(t.n):
+        for u, e in zip(t.neighbor_array[:, v], t.incidence_array[:, v]):
+            assert set(t.edge_table[e]) == {v, u}
+    assert not t.neighbor_array.flags.writeable
