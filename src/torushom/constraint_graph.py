@@ -135,6 +135,11 @@ class WeightSet:
         if any(w <= 0 for w in ws):
             raise ValueError("weights must be strictly positive")
         object.__setattr__(self, "weights", ws)
+        # Hashing a Fraction runs Python code; every record lookup hashes w.
+        object.__setattr__(self, "_hash", hash(ws))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def ones(cls, h: int) -> "WeightSet":

@@ -16,7 +16,7 @@ g were formed alone.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cache
 
@@ -279,9 +279,8 @@ def verify_extremal_identities(
     else:
         full = _full_branch_and_bound(b_table, prod_of, eta, m, alt_forms, spend_node)
         if full is not None:
-            best_prod, wit_list = full
+            best_prod, wits = full
             delta, exact = eta_m - best_prod, True
-            wits = sorted(wit_list)[:_WITNESS_CAP]
         else:
             # Work cap hit: report the best verified lower bound.
             candidates = [outside_gap]
@@ -315,7 +314,8 @@ def _full_branch_and_bound(
     Candidates are tried in decreasing b order so a strong incumbent
     arrives early; a prefix is cut when even eta-filling its remaining
     positions cannot beat the incumbent. `spend_node()` charges each node
-    to the work cap and returns False when the search must stop.
+    to the work cap and returns False when the search must stop. The
+    witnesses are the lexicographically first _WITNESS_CAP ties, in order.
     """
     order = sorted(range(len(b_table)), key=lambda s: -b_table[s])
     best_prod = -1
@@ -333,8 +333,11 @@ def _full_branch_and_bound(
             val = prod_of(tup)
             if val > best_prod:
                 best_prod, wits = val, [tup]
-            elif val == best_prod and len(wits) < 4 * _WITNESS_CAP:
-                wits.append(tup)
+            elif val == best_prod and (
+                len(wits) < _WITNESS_CAP or tup < wits[-1]
+            ):
+                insort(wits, tup)
+                del wits[_WITNESS_CAP:]
             return True
         for s in order:
             nb = b_prod * b_table[s]

@@ -16,9 +16,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import or_
-from typing import Iterator, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -47,9 +46,6 @@ _RNG_BUFFER = 1 << 14
 # Entries of the palette gather (states x vertices x degree) a block of
 # states may hold: many states a block on Q_2, a few on Z_8^4.
 _BLOCK_ENTRIES = 1 << 14
-# Blocks up to this many entries are walked in Python lists (see
-# `_ideal_hits`): one state of Q_2, Q_3, Q_4 or Z_4^2.
-_LIST_ENTRIES = 64
 
 # Desk-scale defaults; the asymptotic theory leaves the thresholds free,
 # so these are explicit configuration, not derived constants.
@@ -338,22 +334,12 @@ def run_chain(
     return stream()
 
 
-class _PairKeys(NamedTuple):
-    pairs: tuple[MaximalPair, ...]  # sorted
-    keys: np.ndarray  # A << MAX_COLORS | B of each, then a key no pair has
-    index: dict[int, int]  # key -> place in pairs
-
-
 @lru_cache(maxsize=256)
-def _pair_keys(s: InstanceStructure) -> _PairKeys:
-    """The record's maximal pairs in key order, for `_ideal_hits`."""
-    pairs = tuple(sorted(s.pairs))
-    keys = [p.a << MAX_COLORS | p.b for p in pairs] + [np.iinfo(np.int64).max]
-    return _PairKeys(
-        pairs,
-        np.array(keys, dtype=np.int64),
-        {key: i for i, key in enumerate(keys[:-1])},
-    )
+def _pair_keys(s: InstanceStructure) -> np.ndarray:
+    """A << MAX_COLORS | B of each pair in `s.pairs` (ascending in A, so
+    ascending), then a key no pair has, for `_ideal_hits`."""
+    keys = [p.a << MAX_COLORS | p.b for p in s.pairs] + [np.iinfo(np.int64).max]
+    return np.array(keys, dtype=np.int64)
 
 
 def _ideal_hits(
@@ -362,28 +348,12 @@ def _ideal_hits(
     """Ideal edges of a 2-D block of states, one row per state.
 
     Returns, per row and per entry of t.edge_table, whether the edge is
-    ideal, and the place in `_pair_keys(s).pairs` of the pair it shows
-    (read it only where the edge is ideal). The odd endpoint's neighborhood
-    must show A and the even endpoint's B. Blocks are gathered by numpy
-    over the torus arrays; a block of at most _LIST_ENTRIES palette entries
-    (one state of a small torus) is walked in Python lists instead, where
-    the numpy calls would cost more than the work.
+    ideal, and the place in `s.pairs` of the pair it shows (read it only
+    where the edge is ideal). The odd endpoint's neighborhood must show A
+    and the even endpoint's B. The palettes are numpy gathers over the
+    torus arrays, and each edge's (A, B) key is searched among the pairs'.
     """
-    table = _pair_keys(s)
-    if len(states) * t.n * t.degree <= _LIST_ENTRIES:
-        index, miss = table.index, len(table.pairs)
-        at = []
-        for f in states.tolist() if isinstance(states, np.ndarray) else states:
-            bit = [1 << c for c in f]
-            get = bit.__getitem__
-            pal = [reduce(or_, map(get, row)) for row in t.neighbor_table]
-            at.append([
-                index.get(pal[o] << MAX_COLORS | pal[e], miss)
-                for e, o in t.edge_table
-            ])
-        at = np.array(at, dtype=np.intp)
-        return at != miss, at
-    keys = table.keys
+    keys = _pair_keys(s)
     bits = np.left_shift(1, np.asarray(states), dtype=np.int64)
     columns = iter(t.neighbor_array)
     pal = bits.take(next(columns), axis=1)
@@ -426,7 +396,7 @@ def ideal_edge_map(
     """All ideal edges of f at once, keyed by (even endpoint, odd endpoint)."""
     s = instance_structure(g, w)
     hit, at = _ideal_hits(t, s, (f,))
-    pairs, edges = _pair_keys(s).pairs, t.edge_table
+    pairs, edges = s.pairs, t.edge_table
     found = np.flatnonzero(hit[0])
     return {
         edges[e]: pairs[k] for e, k in zip(found.tolist(), at[0, found].tolist())
@@ -571,7 +541,7 @@ def classify(
     # edges agree on one maximal pair by connectivity: read it off the
     # first ideal edge at the component's lowest vertex.
     incident = t.incidence_array[:, comp.index(root)]
-    pair = _pair_keys(s).pairs[at[incident[hit[incident]][0]]]
+    pair = s.pairs[at[incident[hit[incident]][0]]]
     even, odd = t.side_table
     defect_e = frozenset(v for v in even if not (pair.a >> f[v]) & 1)
     defect_o = frozenset(v for v in odd if not (pair.b >> f[v]) & 1)

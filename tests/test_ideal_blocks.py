@@ -35,8 +35,10 @@ from torushom.sampler import (
 from torushom.torus import TorusGraph
 
 TORI = {
+    "Q1": TorusGraph(2, 1),
     "Q2": TorusGraph(2, 2),
     "Q3": TorusGraph(2, 3),
+    "Q4": TorusGraph(2, 4),
     "Z4^2": TorusGraph(4, 2),
     "Z4^3": TorusGraph(4, 3),
     "Z6^2": TorusGraph(6, 2),

@@ -247,7 +247,10 @@ class TestGap:
 # SHA-256 of json.dumps(report.to_json_dict(), sort_keys=True), recorded
 # before g moved onto the shared product path (k5 at m=4 before the support
 # sweep moved onto the half-product table); they pin delta, exactness and
-# the witnesses in order.
+# the witnesses in order. (k6, 2) was recorded again when the
+# branch-and-bound began to keep the lexicographically first ties: its old
+# digest pinned 32 ties taken in search order and then sorted, which missed
+# ({1,2},{0,3,4}) and others (see test_gap_and_witnesses_match_full_enumeration).
 GAP_REPORT_DIGESTS = {
     ("ind", 2): "af19ba1f0c98e280caf9c1c582255b6116f791b0a8048363e6f4f2cf37b25c62",
     ("ind", 4): "fd78c20e89b52e0de3b36bb2e163f1a28fc32b66f821547acd05a98f2b43a322",
@@ -264,7 +267,7 @@ GAP_REPORT_DIGESTS = {
     ("k4", 2): "3ccf300af170bf876a409a73f1fce24905cf27b5159d6a5fbaa1da0a58337e0c",
     ("k4", 4): "2e44ba57242aba81359d68842938786a5f7829cb59ed6f457c6a2189b89368b7",
     ("k5", 2): "9bac0509ac3389880f7f6b2c3550e491bae03e3169ffb8dbfa3a9447e9012940",
-    ("k6", 2): "9b445a23e6d76dc61bbfce6522f90c36ae63a591cc70686fee89162582891b7d",
+    ("k6", 2): "8399ad31ddc2721dff774643fc81668a0444ee4761cba4e59ca4178c07cb955f",
     ("cycle:5", 2): "513c7d89474ddebf4db386490aaf2ec8338f62d107f24c8e43d33ec8662322b4",
     ("path:3", 2): "b9a29b426229b2a2d7e8877b2d95059bcc1d82bb958865526ac9676644d495b5",
     ("ind+k3", 2): "b068e2e6458d4bb091ee21c483f8ef59f604d07d3d985edb6d1073fd09cf6740",
@@ -283,6 +286,48 @@ def test_gap_report_lock(name, m):
     rep = verify_extremal_identities(g, WeightSet.ones(g.h), m)
     doc = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
     assert hashlib.sha256(doc).hexdigest() == GAP_REPORT_DIGESTS[(name, m)]
+
+
+def naive_neighborhood(g, s):
+    return mask_from(
+        y for y in range(g.h) if all(g.has_edge(x, y) for x in mask_members(s))
+    )
+
+
+def naive_gap_report(g, m):
+    """(eta, delta, witnesses) over every tuple of color sets in `product`
+    order: eta and the maximal pairs from |A| |n(A)| over all A, the
+    alternating forms skipped, and the first _WITNESS_CAP tuples reaching
+    the largest g(T) g(nT) as the witnesses."""
+    sets = range(1 << g.h)
+    size = {s: mask_size(s) * mask_size(naive_neighborhood(g, s)) for s in sets}
+    eta = max(size.values())
+    alt = {
+        (a, naive_neighborhood(g, a)) * (m // 2) for a in sets if size[a] == eta
+    }
+    best, wits = -1, []
+    for tup in product(sets, repeat=m):
+        if tup in alt:
+            continue
+        n_tup = tuple(naive_neighborhood(g, s) for s in tup)
+        val = naive_cycle_count(g, tup) * naive_cycle_count(g, n_tup)
+        if val > best:
+            best, wits = val, [tup]
+        elif val == best and len(wits) < proof_quantities._WITNESS_CAP:
+            wits.append(tup)
+    return eta, eta**m - best, wits
+
+
+@pytest.mark.parametrize(
+    "name,m",
+    [(name, 2) for name, _ in identity_corpus()]
+    + [(name, 4) for name, g in identity_corpus() if g.h <= 3],
+)
+def test_gap_and_witnesses_match_full_enumeration(name, m):
+    g = preset(name)
+    rep = verify_extremal_identities(g, WeightSet.ones(g.h), m)
+    assert rep.delta_is_exact
+    assert (rep.eta, rep.delta, list(rep.witnesses)) == naive_gap_report(g, m)
 
 
 @st.composite

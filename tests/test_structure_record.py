@@ -110,6 +110,28 @@ def test_relabeled_or_reweighted_instance_gets_its_own_record(inst, data):
     assert instance_structure(g, w) is first
 
 
+@given(instances())
+@settings(max_examples=40, deadline=None)
+def test_equal_weight_sets_hash_alike_and_share_a_record(inst):
+    g, w = inst
+    text = ",".join(str(x) for x in w.weights)
+    equal = [
+        WeightSet(tuple(w.weights)),
+        WeightSet.parse(text),
+        WeightSet(tuple(str(x) for x in w.weights)),
+        w.scaled(1),
+    ]
+    first = instance_structure(g, w)
+    for w2 in equal:
+        assert w2 == w and w2 is not w
+        assert hash(w2) == hash(w)
+        assert instance_structure(g, w2) is first
+    assert len({w, *equal}) == 1
+    if not w.is_uniform():
+        other = WeightSet(w.weights[1:] + w.weights[:1])
+        assert other != w and instance_structure(g, other) is not first
+
+
 def test_edgeless_graph_has_no_record():
     with pytest.raises(EmptyConstraint):
         instance_structure(ConstraintGraph(2, (0, 0)), WeightSet.ones(2))
