@@ -32,13 +32,12 @@ from .constraint_graph import (
     automorphism_generators,
     common_neighborhood,
     complete_graph,
-    eta_and_maximal_pairs,
     instance_structure,
     orbit_closure,
     subset_weight,
 )
 from .errors import NotEquipartition, ZeroConditioning, ZeroDenominator
-from .exact import exact_marginal, exact_occupation_vector
+from .exact import exact_occupation_vector
 from .torus import TorusGraph
 
 SAME_SIDE = "same-side"
@@ -266,10 +265,12 @@ def influence_ratio(
 ) -> Fraction:
     """Exact finite-torus ratio p(f(x)=k | f(y)=ell) / p(f(x)=k): entry k
     of the conditional law of f(x) over entry k of its unconditional law."""
-    base = exact_marginal(t, g, w, x, k)
+    if not (0 <= k < g.h):
+        raise ValueError(f"color {k} outside palette")
+    base = exact_occupation_vector(t, g, w, x)[k]
     if base == 0:
         raise ZeroDenominator(f"p(f({x})={k}) is zero on this torus")
-    return exact_marginal(t, g, w, x, k, (y, ell)) / base
+    return exact_occupation_vector(t, g, w, x, (y, ell))[k] / base
 
 
 def antipode(t: TorusGraph) -> int:
@@ -450,8 +451,7 @@ def conjecture_L(
     of the replacement times the surviving palette weight raised to the
     torus degree. Zero exactly when neither class can be left.
     """
-    _, pairs = eta_and_maximal_pairs(g, w)
-    if pair not in pairs:
+    if pair not in instance_structure(g, w).pairs:
         raise ValueError(f"{pair} is not a maximal pair of this instance")
     deg = t.degree
     a, b = pair
@@ -497,9 +497,9 @@ class PartitionPrediction:
 def conjecture_partition_prediction(
     g: ConstraintGraph, w: WeightSet, t: TorusGraph
 ) -> PartitionPrediction:
-    _, pairs = eta_and_maximal_pairs(g, w)
     preds = tuple(
-        conjecture_weight_prediction(g, w, p, t) for p in pairs
+        conjecture_weight_prediction(g, w, p, t)
+        for p in instance_structure(g, w).pairs
     )
     shapes = {(p.base, p.correction_exponent) for p in preds}
     model = None

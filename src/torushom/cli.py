@@ -40,7 +40,7 @@ from .constraint_graph import (
     WeightSet,
     blowup,
     check_blowup_pair_bijection,
-    eta_and_maximal_pairs,
+    instance_structure,
     load,
     mask_members,
     preset,
@@ -332,17 +332,17 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def cmd_analyze(cfg: RunConfig, meta: dict) -> dict:
     g, w = resolve_instance(cfg)
-    eta, pairs = eta_and_maximal_pairs(g, w)
+    s = instance_structure(g, w)
     bl = blowup(g, w)
     result = {
         "colors": g.h,
         "labels": list(g.labels),
         "weights": [str(q) for q in w.weights],
-        "eta": frac_str(eta),
-        "pair_count": len(pairs),
-        "maximal_pairs": [pair_labels(g, p) for p in sorted(pairs)],
+        "eta": frac_str(s.eta),
+        "pair_count": len(s.pairs),
+        "maximal_pairs": [pair_labels(g, p) for p in sorted(s.pairs)],
         "support": sorted(
-            sorted(g.labels[k] for k in mask_members(p.a)) for p in pairs
+            sorted(g.labels[k] for k in mask_members(p.a)) for p in s.pairs
         ),
         "equipartition": equipartition_class(g, w),
         "blowup": {

@@ -254,9 +254,8 @@ class InstanceStructure:
 
     scale_c: int  # smallest C with every C*lambda_k integral
     int_weights: tuple[int, ...]  # C*lambda_k
-    eta: Fraction
-    pairs: tuple[MaximalPair, ...]  # ascending in the first class
-    pair_of: dict[tuple[ColorSet, ColorSet], MaximalPair]  # (A, B) -> pair
+    eta: Fraction  # max lambda_A * lambda_B over fully adjacent (A, B)
+    pairs: tuple[MaximalPair, ...]  # every maximizer, ascending in A
     class_weight: dict[ColorSet, Fraction]  # lambda of each class of a pair
 
 
@@ -331,7 +330,6 @@ def _structure(g: ConstraintGraph, w: WeightSet) -> InstanceStructure:
         int_weights=ints,
         eta=Fraction(best, c * c),
         pairs=tuple(pairs),
-        pair_of={(p.a, p.b): p for p in pairs},
         class_weight={
             cls: Fraction(_fold(sums, operator.add, 0, cls), c)
             for p in pairs
@@ -350,21 +348,6 @@ def structure_cache_counts() -> tuple[int, int]:
     """(hits, misses) of the structure records since the process started."""
     info = _structure.cache_info()
     return info.hits, info.misses
-
-
-def eta_and_maximal_pairs(
-    g: ConstraintGraph, w: WeightSet
-) -> tuple[Fraction, tuple[MaximalPair, ...]]:
-    """Extremal constant eta = max lambda_A*lambda_B over fully adjacent
-    (A,B), with all ordered maximizing pairs, ascending in A."""
-    s = instance_structure(g, w)
-    return s.eta, s.pairs
-
-
-def support_family(g: ConstraintGraph, w: WeightSet) -> frozenset[int]:
-    """First-coordinate projection of the maximal pair set."""
-    _, pairs = eta_and_maximal_pairs(g, w)
-    return frozenset(p.a for p in pairs)
 
 
 def blowup(g: ConstraintGraph, w: WeightSet) -> Blowup:
@@ -397,13 +380,13 @@ def blowup(g: ConstraintGraph, w: WeightSet) -> Blowup:
 def check_blowup_pair_bijection(g: ConstraintGraph, w: WeightSet) -> bool:
     """Recompute the extremal structure on the blow-up (all-1 weights) and
     verify eta scales by C^2 and maximal pairs are exactly the lifted ones."""
-    eta, pairs = eta_and_maximal_pairs(g, w)
+    s = instance_structure(g, w)
     bu = blowup(g, w)
-    beta, bpairs = eta_and_maximal_pairs(bu.graph, WeightSet.ones(bu.graph.h))
-    if beta != eta * bu.scale_c**2:
+    bs = instance_structure(bu.graph, WeightSet.ones(bu.graph.h))
+    if bs.eta != s.eta * bu.scale_c**2:
         return False
-    lifted = {(bu.lift(p.a), bu.lift(p.b)) for p in pairs}
-    return lifted == {(p.a, p.b) for p in bpairs}
+    lifted = {(bu.lift(p.a), bu.lift(p.b)) for p in s.pairs}
+    return lifted == {(p.a, p.b) for p in bs.pairs}
 
 
 class _PermutationSearch:

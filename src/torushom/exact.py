@@ -28,7 +28,7 @@ from .constraint_graph import (
     ConstraintGraph,
     MaximalPair,
     WeightSet,
-    eta_and_maximal_pairs,
+    instance_structure,
     mask_from,
     mask_members,
     subset_weight,
@@ -478,23 +478,6 @@ def exact_occupation_vector(
     return tuple(c / total for c in counts)
 
 
-def exact_marginal(
-    t: TorusGraph,
-    g: ConstraintGraph,
-    w: WeightSet,
-    x: int,
-    k: int,
-    condition: tuple[int, int] | None = None,
-    *,
-    method: str = "auto",
-) -> Fraction:
-    """Exact occupation probability p(f(x)=k), optionally given f(y)=l:
-    entry k of `exact_occupation_vector`."""
-    if not (0 <= k < g.h):
-        raise ValueError(f"color {k} outside palette")
-    return exact_occupation_vector(t, g, w, x, condition, method=method)[k]
-
-
 def pure_coloring_weight(
     g: ConstraintGraph, w: WeightSet, pair: MaximalPair, t: TorusGraph
 ) -> Fraction:
@@ -516,7 +499,7 @@ def check_global_bounds(t: TorusGraph, g: ConstraintGraph, w: WeightSet) -> dict
     if not (w.is_uniform() and w[0] == 1):
         raise ValueError("global bounds are stated for all-1 weights")
     z = partition_function(t, g, w).z
-    eta, _ = eta_and_maximal_pairs(g, w)
+    eta = instance_structure(g, w).eta
     lower = eta ** (t.n // 2)
     if z < lower:
         raise TorushomError(

@@ -26,7 +26,7 @@ from .constraint_graph import (
     ConstraintGraph,
     WeightSet,
     common_neighborhood,
-    eta_and_maximal_pairs,
+    instance_structure,
     mask_members,
     mask_size,
 )
@@ -111,15 +111,15 @@ def check_alternating_identity(g: ConstraintGraph, w: WeightSet, m: int) -> int:
     if not (w.is_uniform() and w[0] == 1):
         raise ValueError("extremal identities are stated at all-1 weights")
     _validate_tuple_length(m)
-    eta_frac, pairs = eta_and_maximal_pairs(g, w)
-    assert eta_frac.denominator == 1
-    eta_m = int(eta_frac) ** m
-    for p in pairs:
+    s = instance_structure(g, w)
+    assert s.eta.denominator == 1
+    eta_m = int(s.eta) ** m
+    for p in s.pairs:
         alt = alternating_tuple(p.a, p.b, m)
         prod_val = cycle_count_g(g, alt) * cycle_count_g(g, tuple_neighborhood(g, alt))
         if prod_val != eta_m:
             raise TorushomError(f"identity violated on pair {p}: {prod_val} != {eta_m}")
-    return len(pairs)
+    return len(s.pairs)
 
 
 def _half_products(factors: np.ndarray, k: int) -> np.ndarray:
@@ -233,12 +233,13 @@ def verify_extremal_identities(
         raise CapExceeded(f"{g.h} colors exceeds the subset-table cap")
 
     checked = check_alternating_identity(g, w, m)
-    eta_frac, pairs = eta_and_maximal_pairs(g, w)
-    eta = int(eta_frac)
+    record = instance_structure(g, w)
+    eta = int(record.eta)
     eta_m = eta**m
-    alt_forms = {alternating_tuple(p.a, p.b, m) for p in pairs}
+    alt_forms = {alternating_tuple(p.a, p.b, m) for p in record.pairs}
 
-    support = sorted({p.a for p in pairs})
+    # the pairs hold each A once, ascending
+    support = [p.a for p in record.pairs]
     n_table = [common_neighborhood(g, s) for s in range(1 << g.h)]
     # b(A) = |A| |n(A)| caps g(T) g(nT) one position at a time; off the
     # support family it is at most eta - 1, which powers the wholesale tier.

@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .constraint_graph import (
     MaximalPair,
     WeightSet,
     instance_structure,
-    mask_from,
     mask_members,
 )
 from .errors import EmptyConstraint, InvalidColoring, NoValidInitial
@@ -366,6 +366,26 @@ def _ideal_hits(
     return keys.take(at) == key, at
 
 
+def _edge_index(t: TorusGraph, e: tuple[int, int]) -> int:
+    """The t.edge_table index of the edge e, given in either orientation;
+    ValueError if e is not a torus edge."""
+    u, v = e
+    if 0 <= u < t.n and 0 <= v < t.n:
+        if t.parity_table[u]:
+            u, v = v, u
+        row = t.neighbor_table[u]
+        if v in row:
+            return int(t.incidence_array[row.index(v), u])
+    raise ValueError(f"({e[0]},{e[1]}) is not a torus edge")
+
+
+def _blocks(t: TorusGraph, states: Iterable) -> Iterator[list]:
+    """`states` in lists of as many rows as one `_ideal_hits` block holds."""
+    rows = max(1, _BLOCK_ENTRIES // (t.n * t.degree))
+    it = iter(states)
+    return iter(lambda: list(islice(it, rows)), [])
+
+
 def is_ideal_edge(
     t: TorusGraph,
     g: ConstraintGraph,
@@ -379,15 +399,10 @@ def is_ideal_edge(
     endpoint's exactly A for some maximal pair (A,B); the pair is then
     unique. Accepts the edge in either orientation.
     """
-    u, v = e
-    if t.parity(u) == 1:
-        u, v = v, u
-    if t.parity(u) != 0 or v not in t.neighbors(u):
-        raise ValueError(f"({e[0]},{e[1]}) is not a torus edge")
-    nbrs = t.neighbor_table
-    pal_u = mask_from(f[z] for z in nbrs[u])
-    pal_v = mask_from(f[z] for z in nbrs[v])
-    return instance_structure(g, w).pair_of.get((pal_v, pal_u))
+    i = _edge_index(t, e)
+    s = instance_structure(g, w)
+    hit, at = _ideal_hits(t, s, (f,))
+    return s.pairs[at[0, i]] if hit[0, i] else None
 
 
 def ideal_edge_map(
@@ -416,13 +431,15 @@ def exact_not_ideal_probability(
     edge: tuple[int, int] | None = None,
 ) -> Fraction:
     """Exact Gibbs probability that a fixed edge is not ideal, by enumeration."""
-    if edge is None:
-        edge = (0, t.shift(0, t.d, 1))
+    i = _edge_index(t, (0, t.shift(0, t.d, 1)) if edge is None else edge)
     z = partition_function(t, g, w).z
+    s = instance_structure(g, w)
     bad = Fraction(0)
-    for f in enumerate_colorings(t, g):
-        if is_ideal_edge(t, g, w, f, edge) is None:
-            bad += coloring_weight(t, g, w, f)
+    for block in _blocks(t, enumerate_colorings(t, g)):
+        hit, _ = _ideal_hits(t, s, block)
+        for f, ideal in zip(block, hit[:, i].tolist()):
+            if not ideal:
+                bad += coloring_weight(t, g, w, f)
     return bad / z
 
 
@@ -462,12 +479,10 @@ def epsilon_estimate(
         )
     s = instance_structure(g, w)
     n_edges = t.num_edges
-    edge0 = t.edge_table.index((0, t.shift(0, t.d, 1)))
-    rows = max(1, _BLOCK_ENTRIES // (t.n * t.degree))
+    edge0 = _edge_index(t, (0, t.shift(0, t.d, 1)))
     xs: list[float] = []
-    block: list[bytes] = []  # colors are below MAX_COLORS = 16: a byte each
-
-    def count(block):
+    # colors are below MAX_COLORS = 16: a byte each
+    for block in _blocks(t, map(bytes, run_chain(t, g, w, cfg, initial))):
         states = np.frombuffer(b"".join(block), np.uint8).reshape(len(block), t.n)
         hit, _ = _ideal_hits(t, s, states)
         if all_edges:
@@ -475,14 +490,6 @@ def epsilon_estimate(
             xs.extend(((n_edges - hit.sum(axis=1)) / n_edges).tolist())
         else:
             xs.extend((~hit[:, edge0]).astype(float).tolist())
-
-    for f in run_chain(t, g, w, cfg, initial):
-        block.append(bytes(f))
-        if len(block) == rows:
-            count(block)
-            block.clear()
-    if block:
-        count(block)
     mean = sum(xs) / len(xs)
     return {
         "p_not_ideal": mean,

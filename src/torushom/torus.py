@@ -287,19 +287,3 @@ def giant_component(t: TorusGraph, kept) -> tuple[int, int, list[int]]:
         cid += 1
     del comp[n]
     return best, root, comp
-
-
-def giant_component_after_deletion(
-    t: TorusGraph, deleted: Iterable[tuple[int, int]]
-) -> tuple[int, list[int]]:
-    """Largest connected component size after deleting the given edges,
-    plus a component id per vertex. Ids count up from 0 in the order of
-    each component's lowest vertex."""
-    index = {e: i for i, e in enumerate(t.edge_table)}
-    kept = [True] * t.num_edges
-    for u, v in deleted:
-        i = index.get((u, v), index.get((v, u)))
-        if i is not None:
-            kept[i] = False
-    best, _, comp = giant_component(t, kept)
-    return best, comp

@@ -39,14 +39,14 @@ from torushom.constraint_graph import (
     automorphisms,
     blowup,
     check_blowup_pair_bijection,
-    eta_and_maximal_pairs,
+    instance_structure,
     preset,
 )
 from torushom.exact import (
     coloring_weight,
     dual_route_records,
     enumerate_colorings,
-    exact_marginal,
+    exact_occupation_vector,
     near_pure_one_defect_count,
     partition_function,
     standard_corpus,
@@ -81,17 +81,17 @@ def report(num, name, ok, detail, started, limit):
 
 def test_criterion_01_extremal_pair_structure():
     started = time.monotonic()
-    _, ind_pairs = eta_and_maximal_pairs(preset("ind"), ones(2))
+    ind_pairs = instance_structure(preset("ind"), ones(2)).pairs
     ok_ind = set(ind_pairs) == {
         MaximalPair(0b11, 0b10),
         MaximalPair(0b10, 0b11),
     }
     ok_kq = all(
-        len(eta_and_maximal_pairs(preset(f"kq:{q}"), ones(q))[1])
+        len(instance_structure(preset(f"kq:{q}"), ones(q)).pairs)
         == (1 + q % 2) * math.comb(q, q // 2)
         for q in range(2, 9)
     )
-    _, wr_pairs = eta_and_maximal_pairs(preset("wr"), ones(3))
+    wr_pairs = instance_structure(preset("wr"), ones(3)).pairs
     ok_wr = set(wr_pairs) == {
         MaximalPair(0b011, 0b011),
         MaximalPair(0b110, 0b110),
@@ -336,7 +336,7 @@ def _pinned_marginal_deviation(t, g, w, pin, x, k, steps, seed):
     size = len(hits) // batches
     means = [sum(hits[i * size : (i + 1) * size]) / size for i in range(batches)]
     stderr = statistics.stdev(means) / math.sqrt(batches)
-    exact = float(exact_marginal(t, g, w, x, k, condition=pin))
+    exact = float(exact_occupation_vector(t, g, w, x, condition=pin)[k])
     p_hat = sum(hits) / len(hits)
     return abs(p_hat - exact) / stderr if stderr else 0.0
 

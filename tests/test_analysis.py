@@ -41,7 +41,7 @@ from torushom.constraint_graph import (
     _PermutationSearch,
     automorphism_generators,
     automorphisms,
-    eta_and_maximal_pairs,
+    instance_structure,
     mask_from,
     preset,
 )
@@ -513,7 +513,7 @@ def _image(perm, mask):
 def _class_from_whole_group(g, w):
     """The class as found by listing every automorphism: the first pair's
     orbit is its image set together with the image set of its swap."""
-    _, pairs = eta_and_maximal_pairs(g, w)
+    pairs = instance_structure(g, w).pairs
     mset = set(pairs)
     if len(mset) == 1:
         return "singleton"

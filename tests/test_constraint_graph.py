@@ -20,8 +20,8 @@ from torushom.constraint_graph import (
     complete_looped_graph,
     cycle_graph,
     disjoint_union,
-    eta_and_maximal_pairs,
     hard_core_graph,
+    instance_structure,
     mask_from,
     mask_members,
     nonadjacent_pair_count,
@@ -30,7 +30,6 @@ from torushom.constraint_graph import (
     path_graph,
     preset,
     subset_weight,
-    support_family,
     widom_rowlinson_graph,
 )
 from torushom.errors import CapExceeded, EmptyConstraint, ParseError
@@ -104,32 +103,32 @@ class TestSubsetWeight:
 class TestExtremalPairs:
     def test_hard_core_pairs(self):
         lam = Fraction(7, 3)
-        eta, pairs = eta_and_maximal_pairs(IND, WeightSet((lam, Fraction(1))))
-        assert eta == 1 + lam
+        s = instance_structure(IND, WeightSet((lam, Fraction(1))))
+        assert s.eta == 1 + lam
         both, out = mask_from([IN, OUT]), mask_from([OUT])
-        assert set(pairs) == {MaximalPair(both, out), MaximalPair(out, both)}
+        assert set(s.pairs) == {MaximalPair(both, out), MaximalPair(out, both)}
 
     @pytest.mark.parametrize("q", range(2, 9))
     def test_kq_pair_count(self, q):
-        eta, pairs = eta_and_maximal_pairs(complete_graph(q), WeightSet.ones(q))
-        assert eta == (q // 2) * ((q + 1) // 2)
+        s = instance_structure(complete_graph(q), WeightSet.ones(q))
+        assert s.eta == (q // 2) * ((q + 1) // 2)
         expected = (1 + q % 2) * math.comb(q, q // 2)
-        assert len(pairs) == expected
+        assert len(s.pairs) == expected
 
     def test_k5_eta(self):
-        eta, pairs = eta_and_maximal_pairs(complete_graph(5), WeightSet.ones(5))
-        assert eta == 6 and len(pairs) == 20
+        s = instance_structure(complete_graph(5), WeightSet.ones(5))
+        assert s.eta == 6 and len(s.pairs) == 20
 
     def test_wr_pairs(self):
-        eta, pairs = eta_and_maximal_pairs(WR, ones(WR))
-        assert eta == 4
+        s = instance_structure(WR, ones(WR))
+        assert s.eta == 4
         a, b = 0b011, 0b110  # {1,2} and {2,3}
-        assert set(pairs) == {MaximalPair(a, a), MaximalPair(b, b)}
+        assert set(s.pairs) == {MaximalPair(a, a), MaximalPair(b, b)}
 
     def test_k4loop_single_pair(self):
-        eta, pairs = eta_and_maximal_pairs(K4L, ones(K4L))
-        assert eta == 16
-        assert pairs == (MaximalPair(K4L.full_mask, K4L.full_mask),)
+        s = instance_structure(K4L, ones(K4L))
+        assert s.eta == 16
+        assert s.pairs == (MaximalPair(K4L.full_mask, K4L.full_mask),)
 
     def test_pair_structure_invariants(self):
         for g, w in [
@@ -139,13 +138,13 @@ class TestExtremalPairs:
             (K3, WeightSet((Fraction(3, 2), Fraction(1), Fraction(1)))),
             (cycle_graph(5), WeightSet.ones(5)),
         ]:
-            eta, pairs = eta_and_maximal_pairs(g, w)
+            s = instance_structure(g, w)
             seen = set()
-            for a, b in pairs:
+            for a, b in s.pairs:
                 assert all_adjacent(g, a, b)
                 assert common_neighborhood(g, a) == b
                 assert common_neighborhood(g, b) == a
-                assert subset_weight(w, a) * subset_weight(w, b) == eta
+                assert subset_weight(w, a) * subset_weight(w, b) == s.eta
                 seen.add((a, b))
             # swap closure: (B,A) is always a maximizer too
             assert all((b, a) in seen for a, b in seen)
@@ -153,30 +152,29 @@ class TestExtremalPairs:
             for a in range(1, 1 << g.h):
                 for b in range(1, 1 << g.h):
                     if all_adjacent(g, a, b) and (a, b) not in seen:
-                        assert subset_weight(w, a) * subset_weight(w, b) < eta
+                        assert subset_weight(w, a) * subset_weight(w, b) < s.eta
 
     def test_no_edges_rejected(self):
         bare = ConstraintGraph(3, (0, 0, 0))
         with pytest.raises(EmptyConstraint):
-            eta_and_maximal_pairs(bare, WeightSet.ones(3))
+            instance_structure(bare, WeightSet.ones(3))
 
     def test_color_cap(self):
         n = 25
         g = ConstraintGraph(n, ((1 << n) - 1,) * n)
         with pytest.raises(CapExceeded):
-            eta_and_maximal_pairs(g, WeightSet.ones(n))
+            instance_structure(g, WeightSet.ones(n))
 
     def test_scale_invariance(self):
         w = WeightSet((Fraction(3, 2), Fraction(1), Fraction(1)))
-        eta, pairs = eta_and_maximal_pairs(K3, w)
-        eta2, pairs2 = eta_and_maximal_pairs(K3, w.scaled(Fraction(7, 5)))
-        assert eta2 == eta * Fraction(7, 5) ** 2
-        assert pairs2 == pairs
+        s = instance_structure(K3, w)
+        s2 = instance_structure(K3, w.scaled(Fraction(7, 5)))
+        assert s2.eta == s.eta * Fraction(7, 5) ** 2
+        assert s2.pairs == s.pairs
 
     def test_automorphism_symmetry(self):
         for g, w in [(K3, ones(K3)), (WR, ones(WR)), (IND, ones(IND))]:
-            _, pairs = eta_and_maximal_pairs(g, w)
-            pair_set = {(p.a, p.b) for p in pairs}
+            pair_set = {(p.a, p.b) for p in instance_structure(g, w).pairs}
             for perm in automorphisms(g, w):
                 mapped = {
                     (apply_perm_to_mask(perm, a), apply_perm_to_mask(perm, b))
@@ -187,15 +185,16 @@ class TestExtremalPairs:
 
 class TestSupportFamily:
     def test_ind(self):
-        fam = support_family(IND, ones(IND))
-        assert fam == {mask_from([IN, OUT]), mask_from([OUT])}
+        fam = [p.a for p in instance_structure(IND, ones(IND)).pairs]
+        assert fam == [mask_from([OUT]), mask_from([IN, OUT])]
 
     def test_k3_all_singletons_and_doubletons(self):
-        fam = support_family(K3, ones(K3))
-        assert fam == {0b001, 0b010, 0b100, 0b110, 0b101, 0b011}
+        fam = [p.a for p in instance_structure(K3, ones(K3)).pairs]
+        assert fam == [0b001, 0b010, 0b011, 0b100, 0b101, 0b110]
 
     def test_k4loop(self):
-        assert support_family(K4L, ones(K4L)) == {K4L.full_mask}
+        fam = [p.a for p in instance_structure(K4L, ones(K4L)).pairs]
+        assert fam == [K4L.full_mask]
 
 
 class TestBlowup:
@@ -216,8 +215,7 @@ class TestBlowup:
         bu = blowup(IND, w)
         assert bu.scale_c == 6
         assert bu.block_sizes() == (2, 3)
-        _, pairs = eta_and_maximal_pairs(bu.graph, WeightSet.ones(bu.graph.h))
-        assert len(pairs) == 2
+        assert len(instance_structure(bu.graph, WeightSet.ones(bu.graph.h)).pairs) == 2
         assert check_blowup_pair_bijection(IND, w)
 
     def test_eta_scales_by_c_squared(self):
@@ -226,9 +224,9 @@ class TestBlowup:
             (WR, WeightSet((Fraction(1, 2), Fraction(1), Fraction(1, 2)))),
             (K3, WeightSet((Fraction(3, 2), Fraction(1), Fraction(1)))),
         ]:
-            eta, _ = eta_and_maximal_pairs(g, w)
+            eta = instance_structure(g, w).eta
             bu = blowup(g, w)
-            beta, _ = eta_and_maximal_pairs(bu.graph, WeightSet.ones(bu.graph.h))
+            beta = instance_structure(bu.graph, WeightSet.ones(bu.graph.h)).eta
             assert beta == eta * bu.scale_c**2
             assert check_blowup_pair_bijection(g, w)
 
@@ -378,18 +376,18 @@ def test_property_maximizers_are_neighborhood_pairs(g, data):
     )
     w = WeightSet(tuple(ws))
     try:
-        eta, pairs = eta_and_maximal_pairs(g, w)
+        s = instance_structure(g, w)
     except EmptyConstraint:
         assert not any(g.adj)
         return
-    assert eta > 0
-    for a, b in pairs:
+    assert s.eta > 0
+    for a, b in s.pairs:
         assert common_neighborhood(g, a) == b
         assert common_neighborhood(g, b) == a
-        assert subset_weight(w, a) * subset_weight(w, b) == eta
+        assert subset_weight(w, a) * subset_weight(w, b) == s.eta
     # scaling leaves the pair set alone and squares eta
-    eta3, pairs3 = eta_and_maximal_pairs(g, w.scaled(3))
-    assert pairs3 == pairs and eta3 == eta * 9
+    s3 = instance_structure(g, w.scaled(3))
+    assert s3.pairs == s.pairs and s3.eta == s.eta * 9
 
 
 @given(g=small_graphs)

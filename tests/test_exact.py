@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from torushom.analysis import influence_ratio
 from torushom.constraint_graph import (
     ConstraintGraph,
     MaximalPair,
@@ -25,7 +26,7 @@ from torushom.exact import (
     coloring_weight,
     dual_route_records,
     enumerate_colorings,
-    exact_marginal,
+    exact_occupation_vector,
     is_valid_coloring,
     near_pure_one_defect_count,
     partition_function,
@@ -333,58 +334,58 @@ class TestExactMarginal:
     def test_hard_core_occupation_on_c4(self):
         g = preset("ind")
         t = TorusGraph(4, 1)
-        assert exact_marginal(t, g, ones(g), 0, 0) == Fraction(2, 7)
+        assert exact_occupation_vector(t, g, ones(g), 0)[0] == Fraction(2, 7)
 
     def test_k3_is_uniform_by_symmetry(self):
         g = preset("k3")
         for k in range(3):
-            assert exact_marginal(C4, g, ones(g), 0, k) == Fraction(1, 3)
+            assert exact_occupation_vector(C4, g, ones(g), 0)[k] == Fraction(1, 3)
 
     def test_marginals_sum_to_one(self):
         g = preset("wr")
         w = WeightSet.parse("1,2,1")
         for x in range(Q3.n):
-            assert sum(exact_marginal(Q3, g, w, x, k) for k in range(3)) == 1
+            assert sum(exact_occupation_vector(Q3, g, w, x)[k] for k in range(3)) == 1
 
     def test_conditioning_on_self(self):
         g = preset("k3")
-        assert exact_marginal(C4, g, ones(g), 0, 1, (0, 1)) == 1
-        assert exact_marginal(C4, g, ones(g), 0, 1, (0, 2)) == 0
+        assert exact_occupation_vector(C4, g, ones(g), 0, (0, 1))[1] == 1
+        assert exact_occupation_vector(C4, g, ones(g), 0, (0, 2))[1] == 0
 
     def test_conditioning_shifts_mass(self):
         g = preset("k3")
         # adjacent vertex cannot reuse the conditioned color
-        assert exact_marginal(C4, g, ones(g), 1, 0, (0, 0)) == 0
-        assert exact_marginal(C4, g, ones(g), 1, 1, (0, 0)) == Fraction(1, 2)
+        assert exact_occupation_vector(C4, g, ones(g), 1, (0, 0))[0] == 0
+        assert exact_occupation_vector(C4, g, ones(g), 1, (0, 0))[1] == Fraction(1, 2)
 
     def test_zero_conditioning_event(self):
         lonely = ConstraintGraph(1, (0,))
         with pytest.raises(ZeroConditioningEvent):
-            exact_marginal(C4, lonely, WeightSet.ones(1), 0, 0)
+            exact_occupation_vector(C4, lonely, WeightSet.ones(1), 0)
         with pytest.raises(ZeroConditioningEvent):
-            exact_marginal(C4, lonely, WeightSet.ones(1), 0, 0, (2, 0))
+            exact_occupation_vector(C4, lonely, WeightSet.ones(1), 0, (2, 0))
 
     def test_invalid_vertex_or_color(self):
         g = preset("k3")
         with pytest.raises(ValueError):
-            exact_marginal(C4, g, ones(g), 99, 0)
-        with pytest.raises(ValueError):
-            exact_marginal(C4, g, ones(g), 0, 7)
+            exact_occupation_vector(C4, g, ones(g), 99)
+        with pytest.raises(ValueError, match="outside palette"):
+            influence_ratio(C4, g, ones(g), 0, 7, 1, 0)
 
     def test_translation_invariance(self):
         g = preset("wr")
         w = WeightSet.parse("1,2,1")
-        base = [exact_marginal(Q3, g, w, 0, k) for k in range(3)]
+        base = exact_occupation_vector(Q3, g, w, 0)
         for x in (1, 3, 6, 7):
-            assert [exact_marginal(Q3, g, w, x, k) for k in range(3)] == base
+            assert exact_occupation_vector(Q3, g, w, x) == base
 
     def test_routes_agree_on_marginals(self):
         g = preset("wr")
         w = WeightSet.parse("1,2,1")
         for method in ("brute", "transfer"):
-            assert exact_marginal(
-                Q3, g, w, 5, 1, (0, 0), method=method
-            ) == exact_marginal(Q3, g, w, 5, 1, (0, 0), method="auto")
+            assert exact_occupation_vector(
+                Q3, g, w, 5, (0, 0), method=method
+            )[1] == exact_occupation_vector(Q3, g, w, 5, (0, 0), method="auto")[1]
 
 
 class TestPureColoringWeight:

@@ -1,7 +1,8 @@
-"""The block ideal-edge helper, the phase labels and the estimator built on
-it, against a plain per-edge loop kept here as the oracle; the sentinel
-draw tables against the clamped search they replace; the greedy restart
-count; and the estimator's refusal of a chain that yields no sample."""
+"""The block ideal-edge helper, the phase labels, the single-edge test and
+the estimators built on it, against a plain per-edge loop kept here as the
+oracle; the sentinel draw tables against the clamped search they replace;
+the greedy restart count; and the estimator's refusal of a chain that
+yields no sample."""
 
 import math
 from bisect import bisect_right
@@ -21,6 +22,7 @@ from torushom.constraint_graph import (
     preset,
 )
 from torushom.errors import InvalidColoring
+from torushom.exact import coloring_weight, enumerate_colorings, partition_function
 from torushom.sampler import (
     ChainConfig,
     ChainStats,
@@ -29,7 +31,9 @@ from torushom.sampler import (
     _ideal_hits,
     classify,
     epsilon_estimate,
+    exact_not_ideal_probability,
     ideal_edge_map,
+    is_ideal_edge,
     run_chain,
 )
 from torushom.torus import TorusGraph
@@ -60,8 +64,9 @@ def instance(name):
 
 def per_edge_ideal(t, g, w, f):
     """(even endpoint, odd endpoint) -> pair, one edge at a time: each
-    endpoint's palette from its neighbors' colors, looked up in pair_of."""
-    pair_of = instance_structure(g, w).pair_of
+    endpoint's palette from its neighbors' colors, looked up in a map of
+    the maximal pairs built here."""
+    pair_of = {(p.a, p.b): p for p in instance_structure(g, w).pairs}
     out = {}
     for u, v in t.edges():
         if t.parity(u) == 1:
@@ -194,6 +199,39 @@ def test_any_coloring_matches_the_oracle(torus, inst, data):
     assert helper_hits(hit[0], at[0]) == hits_from_oracle(t, g, w, f)
     got = classify(t, g, w, f, defect_cap=0.6)
     assert label_tuple(got) == oracle_label(t, g, w, f, 0.6, 0.2)
+
+
+@pytest.mark.parametrize("torus", ["Q3", "Z4^2"])
+@pytest.mark.parametrize("inst", ["ind", "k3", "wr"])
+def test_single_edge_matches_the_edge_map(torus, inst):
+    t = TORI[torus]
+    g, w = instance(inst)
+    for initial in ("uniform-greedy", "pure"):
+        cfg = ChainConfig(steps=2_000, seed=3, thin=200)
+        for f in run_chain(t, g, w, cfg, initial):
+            emap = ideal_edge_map(t, g, w, f)
+            for u, v in t.edge_table:
+                want = emap.get((u, v))
+                assert is_ideal_edge(t, g, w, f, (u, v)) == want
+                assert is_ideal_edge(t, g, w, f, (v, u)) == want
+
+
+@pytest.mark.parametrize("torus", ["Q2", "Q3"])
+@pytest.mark.parametrize("spec, weights", [("k3", "1,2,3"), ("wr", "1,2,1")])
+def test_exact_not_ideal_matches_the_per_coloring_sum(torus, spec, weights):
+    t = TORI[torus]
+    g, w = preset(spec), WeightSet.parse(weights)
+    edge = t.edge_table[-1]  # not the default edge from the origin
+    assert 0 not in edge
+    bad = sum(
+        coloring_weight(t, g, w, f)
+        for f in enumerate_colorings(t, g)
+        if edge not in per_edge_ideal(t, g, w, f)
+    )
+    want = Fraction(bad) / partition_function(t, g, w).z
+    assert 0 < want < 1
+    assert exact_not_ideal_probability(t, g, w, edge) == want
+    assert exact_not_ideal_probability(t, g, w, edge[::-1]) == want
 
 
 def block_rows(t):

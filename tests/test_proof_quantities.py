@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from torushom.constraint_graph import (
     ConstraintGraph,
     WeightSet,
-    eta_and_maximal_pairs,
+    instance_structure,
     mask_from,
     mask_members,
     mask_size,
@@ -390,7 +390,7 @@ def sweep_case(draw):
                 adj[j] |= 1 << i
     assume(any(adj))
     g = ConstraintGraph(h, tuple(adj))
-    _, pairs = eta_and_maximal_pairs(g, WeightSet.ones(h))
+    pairs = instance_structure(g, WeightSet.ones(h)).pairs
     s = len({p.a for p in pairs})
     ms = [
         m
@@ -410,7 +410,7 @@ def sweep_case(draw):
 def test_table_sweep_matches_per_tuple_loop(case):
     g, m, block = case
     w = WeightSet.ones(g.h)
-    _, pairs = eta_and_maximal_pairs(g, w)
+    pairs = instance_structure(g, w).pairs
     support = sorted({p.a for p in pairs})
     alt_forms = {alternating_tuple(p.a, p.b, m) for p in pairs}
     with pytest.MonkeyPatch.context() as mp:

@@ -15,7 +15,7 @@ from torushom.constraint_graph import (
     MaximalPair,
     WeightSet,
     apply_perm_to_mask,
-    eta_and_maximal_pairs,
+    instance_structure,
     mask_from,
     mask_members,
     preset,
@@ -25,7 +25,7 @@ from torushom.errors import InvalidColoring, NoValidInitial
 from torushom.exact import (
     coloring_weight,
     enumerate_colorings,
-    exact_marginal,
+    exact_occupation_vector,
     is_valid_coloring,
     partition_function,
 )
@@ -259,10 +259,8 @@ class TestStationarity:
         for f in run_chain(Q2, K3, w, cfg):
             hits[f[3]] += 1
             n += 1
-        tv = sum(
-            abs(hits[k] / n - float(exact_marginal(Q2, K3, w, 3, k, (0, 0))))
-            for k in range(3)
-        ) / 2
+        law = exact_occupation_vector(Q2, K3, w, 3, (0, 0))
+        tv = sum(abs(hits[k] / n - float(law[k])) for k in range(3)) / 2
         assert tv < 0.02
 
 
@@ -310,7 +308,7 @@ class TestInitializers:
         assert any(
             all((p.a >> start[v]) & 1 for v in even)
             and all((p.b >> start[v]) & 1 for v in odd)
-            for p in eta_and_maximal_pairs(K3, WeightSet.ones(3))[1]
+            for p in instance_structure(K3, WeightSet.ones(3)).pairs
         )
 
     def test_fallback_needs_a_pair_admitting_the_pin(self):
@@ -378,7 +376,7 @@ class TestInitializers:
         # ({out}, {in, out}) holds color 0 on the odd side, so the pin does
         # not change which pair the start uses.
         w = WeightSet.ones(2)
-        first = eta_and_maximal_pairs(IND, w)[1][0]
+        first = instance_structure(IND, w).pairs[0]
         pinned, _ = _resolve_initial(Q2, IND, w, "pure", chain_rng(3), (1, 0))
         free, _ = _resolve_initial(Q2, IND, w, ("pure", first), chain_rng(3), (1, 0))
         assert pinned == free and pinned[1] == 0
@@ -388,7 +386,7 @@ class TestInitializers:
         # neither class holds a clique color.
         g = preset("ind+k3")
         w = WeightSet.parse("1,2,1,1,1")
-        assert all(p.a | p.b == 0b11 for p in eta_and_maximal_pairs(g, w)[1])
+        assert all(p.a | p.b == 0b11 for p in instance_structure(g, w).pairs)
         cfg = ChainConfig(steps=2, seed=0, pinned=(1, 2))
         with pytest.raises(NoValidInitial):
             list(run_chain(Q2, g, w, cfg, initial="pure"))
@@ -433,8 +431,13 @@ class TestIdealEdges:
         assert ideal_fraction(Q2, IND, w, f) == 0
 
     def test_non_edge_rejected(self):
-        with pytest.raises(ValueError):
-            is_ideal_edge(Q2, IND, WeightSet.ones(2), (0, 1, 1, 1), (0, 3))
+        # out-of-range endpoints fail the same way as in-range non-edges
+        w = WeightSet.ones(2)
+        for e in [(0, 3), (1, 2), (0, 0), (0, 99), (99, 0), (-1, 0), (0, -1)]:
+            with pytest.raises(ValueError, match="is not a torus edge"):
+                is_ideal_edge(Q2, IND, w, (0, 1, 1, 1), e)
+            with pytest.raises(ValueError, match="is not a torus edge"):
+                exact_not_ideal_probability(Q2, IND, w, e)
 
     def test_pure_coloring_is_ideal_everywhere(self):
         # even side color 0; the odd side must show both remaining colors
@@ -600,7 +603,7 @@ class TestClassify:
 def union_find_pair(t, g, w, f, defect_cap):
     """The pair `classify` labels f with, or None for exceptional, from a
     union-find over the ideal edges: the component search `classify` used
-    before it called `giant_component_after_deletion`, kept as an oracle.
+    before it called `giant_component`, kept as an oracle.
     Among equal largest components it takes the lowest root, so it may
     disagree with `classify` only when defect_cap >= 1/2."""
     edge_pairs = ideal_edge_map(t, g, w, f)

@@ -73,8 +73,6 @@ def test_record_matches_a_rational_pair_scan(inst):
     eta, arg, weight = pair_scan(g, w)
     assert s.eta == eta
     assert [(p.a, p.b) for p in s.pairs] == sorted(arg)
-    assert set(s.pair_of) == set(arg)
-    assert all(s.pair_of[key] == key for key in arg)
     assert s.class_weight == {m: weight(m) for pair in arg for m in pair}
     c = s.scale_c
     assert s.int_weights == tuple(lam * c for lam in w.weights)

@@ -14,7 +14,6 @@ from torushom.torus import (
     columns,
     edge_boundary,
     giant_component,
-    giant_component_after_deletion,
     m_u,
     v_star,
 )
@@ -185,23 +184,22 @@ class TestEdgeBoundary:
 class TestGiantComponent:
     def test_no_deletion(self):
         t = TorusGraph(4, 2)
-        size, comp = giant_component_after_deletion(t, [])
+        size, _, comp = giant_component(t, [True] * t.num_edges)
         assert size == t.n
         assert len(set(comp)) == 1
 
     def test_all_edges_of_c4(self):
         t = TorusGraph(2, 2)
-        size, comp = giant_component_after_deletion(t, list(t.edges()))
+        size, _, comp = giant_component(t, [False] * t.num_edges)
         assert size == 1
         assert len(set(comp)) == t.n
 
     def test_isolate_two_vertices(self):
         t = TorusGraph(4, 2)
-        dead = []
-        for v in (t.encode((0, 0)), t.encode((2, 2))):
-            dead += [(v, u) for u in t.neighbors(v)]
-        assert len(dead) == 8
-        size, _ = giant_component_after_deletion(t, dead)
+        lone = {t.encode((0, 0)), t.encode((2, 2))}
+        kept = [not lone & set(e) for e in t.edge_table]
+        assert kept.count(False) == 8
+        size, _, _ = giant_component(t, kept)
         assert size == 14
 
 
@@ -231,7 +229,8 @@ class TestAudits:
                 nd = len(dele)
                 if nd**d * 4 ** (d - 1) >= m ** (d * (d - 1)):
                     continue
-                size, _ = giant_component_after_deletion(t, dele)
+                gone = set(dele)
+                size, _, _ = giant_component(t, [e not in gone for e in all_edges])
                 assert (t.n - size) ** (d - 1) <= nd**d
 
 
@@ -262,8 +261,6 @@ def test_kept_mask_components_match_deletion(md, data):
     t = TorusGraph(*md)
     kept = data.draw(st.lists(st.booleans(), min_size=t.num_edges, max_size=t.num_edges))
     best, root, comp = giant_component(t, np.array(kept))
-    deleted = [e[::-1] for e, k in zip(t.edge_table, kept) if not k]
-    assert (best, comp) == giant_component_after_deletion(t, deleted)
     sizes = [comp.count(c) for c in range(max(comp) + 1)]
     assert best == max(sizes) and root == sizes.index(best)
     # ids follow the lowest vertex of each component
