@@ -134,6 +134,14 @@ def _check_relation(relation: str) -> None:
 
 # ----------------------------------------------------- theorem targets
 
+def _class_share(
+    g: ConstraintGraph, w: WeightSet, classes: Sequence[int], k: int
+) -> Fraction:
+    """Sum of lambda_k/lambda_C over the classes C (bitmasks) that hold k."""
+    lam = instance_structure(g, w).class_weight
+    return sum((w[k] / lam[c] for c in classes if (c >> k) & 1), Fraction(0))
+
+
 def theorem_occupation_target(
     g: ConstraintGraph, w: WeightSet, side: str, k: int
 ) -> Fraction:
@@ -141,13 +149,8 @@ def theorem_occupation_target(
     average of lambda_k/lambda over classes containing k."""
     _check_side(side)
     pairs = _equipartition_pairs(g, w)
-    lam = instance_structure(g, w).class_weight
-    total = Fraction(0)
-    for pair in pairs:
-        cls = pair.a if side == EVEN else pair.b
-        if (cls >> k) & 1:
-            total += w[k] / lam[cls]
-    return total / len(pairs)
+    classes = [pair.a if side == EVEN else pair.b for pair in pairs]
+    return _class_share(g, w, classes, k) / len(pairs)
 
 
 def theorem_occupation_vector(
@@ -188,12 +191,7 @@ def theorem_conditional_target(
     each surviving (A,B) contributes lambda_k/lambda_A when k is in A.
     """
     kept = _conditioning_pairs(g, w, relation, ell)
-    lam = instance_structure(g, w).class_weight
-    total = Fraction(0)
-    for pair in kept:
-        if (pair.a >> k) & 1:
-            total += w[k] / lam[pair.a]
-    return total / len(kept)
+    return _class_share(g, w, [pair.a for pair in kept], k) / len(kept)
 
 
 def theorem_conditional_vector(
@@ -212,13 +210,12 @@ def theorem_raw_conditional_sum(
     classes compatible with ell: the joint-style display itself."""
     _check_relation(relation)
     pairs = _equipartition_pairs(g, w)
-    lam = instance_structure(g, w).class_weight
-    total = Fraction(0)
-    for pair in pairs:
-        cond_cls = pair.a if relation == SAME_SIDE else pair.b
-        if ((cond_cls >> ell) & 1) and ((pair.a >> k) & 1):
-            total += w[k] / lam[pair.a]
-    return total / len(pairs)
+    classes = [
+        pair.a
+        for pair in pairs
+        if ((pair.a if relation == SAME_SIDE else pair.b) >> ell) & 1
+    ]
+    return _class_share(g, w, classes, k) / len(pairs)
 
 
 def class_posterior_conditional(

@@ -111,14 +111,6 @@ class RunConfig:
             if getattr(self, f.name) is not None
         }
 
-    def to_text(self) -> str:
-        lines = []
-        for name, value in self.to_json_dict().items():
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"{name}={value}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":
         vals = {}
@@ -132,10 +124,6 @@ class RunConfig:
             return cls(**vals)
         except TypeError as e:
             raise ConfigError(str(e)) from None
-
-    @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        return cls.from_mapping(parse_config_text(text))
 
 
 def _field_names() -> frozenset[str]:
@@ -414,7 +402,7 @@ def cmd_sample(cfg: RunConfig, meta: dict) -> dict:
         steps=steps, burn_in=cfg.burn_in, seed=cfg.seed, thin=thin
     )
     stats = ChainStats()
-    even, odd = t.side_sets()
+    even, odd = t.side_table
     trace = []
     step = cfg.burn_in
     final = None

@@ -326,8 +326,12 @@ class _TransferEngine:
             out[layer] &= acc
         return out
 
-    def z_int(self, allowed: list[int] | None) -> tuple[int, str, str]:
-        """Integer-scaled weighted count, with the route and arithmetic used."""
+    def z_int(self, allowed: list[int] | None, budget: int) -> tuple[int, str, str]:
+        """Integer-scaled weighted count, with the route and arithmetic used.
+
+        On Python ints each product of s x s matrices is s^3 interpreted
+        multiply-adds, so that arithmetic charges s^3 per product to `budget`
+        before the first one, and raises BudgetExceeded if they do not fit."""
         s_count = len(self.states)
         if self.t.m == 2:
             a0, a1 = allowed or ((1 << s_count) - 1,) * 2
@@ -347,6 +351,20 @@ class _TransferEngine:
         # trace at most s^m * w_max^m.
         bound = (s_count * max(self.state_w)) ** self.t.m
         arithmetic, dtype = _arithmetic(bound, blas=allowed is None)
+        if arithmetic == "int":
+            # T^(m/2) by binary powering, or m - 2 products of masked factors
+            half = self.t.m // 2
+            products = (
+                half.bit_length() + half.bit_count() - 2
+                if allowed is None
+                else self.t.m - 2
+            )
+            if s_count**3 * products > budget:
+                raise BudgetExceeded(
+                    f"transfer on Python ints needs {products} products of "
+                    f"{s_count} x {s_count} matrices: "
+                    f"{s_count}^3 * {products} > {budget}"
+                )
         if allowed is None:
             return self._trace_power(dtype), route, arithmetic
         t_mat = self._matrix(dtype)
@@ -403,7 +421,7 @@ def transfer_matrix_partition_function(
             f"transfer needs {g.h}^{layer_size} > {budget} raw layer states"
         )
     eng = _engine(t, g, w)
-    z_int, route, arithmetic = eng.z_int(eng.layer_allowed(pins))
+    z_int, route, arithmetic = eng.z_int(eng.layer_allowed(pins), budget)
     return PartitionFunctionResult(
         z=Fraction(z_int, eng.scale**t.n),
         method="transfer",
@@ -447,8 +465,6 @@ def exact_occupation_vector(
     w: WeightSet,
     x: int = 0,
     condition: tuple[int, int] | None = None,
-    *,
-    method: str = "auto",
 ) -> tuple[Fraction, ...]:
     """Exact law of f(x), optionally given f(y)=l: the h pinned counts
     Z(f(x)=k and condition), each divided by their sum.
@@ -467,8 +483,7 @@ def exact_occupation_vector(
         given[y] = mask_from((lcol,))
     counts = [
         partition_function(
-            t, g, w, method=method,
-            pins={**given, x: given.get(x, g.full_mask) & mask_from((k,))},
+            t, g, w, pins={**given, x: given.get(x, g.full_mask) & mask_from((k,))}
         ).z
         for k in range(g.h)
     ]
@@ -530,7 +545,7 @@ def near_pure_one_defect_count(
     """
     if pair.a & pair.b:
         raise ValueError("defect family needs disjoint classes")
-    even, odd = t.side_sets()
+    even, odd = t.side_table
     w = WeightSet.ones(g.h)
     total = Fraction(0)
     for v in even:

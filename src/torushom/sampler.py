@@ -86,10 +86,11 @@ class ChainStats:
     restarts: int = 0
 
 
-def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
-    """Independent stream per chain index, all derived from one seed."""
+def chain_rng(seed: int) -> np.random.Generator:
+    """The chain's random stream, derived from its seed."""
+    # spawn_key=(0,) keeps every seeded stream byte-identical to the trajectory locks.
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(chain_index,))
+        np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     )
 
 
@@ -183,29 +184,21 @@ def _admitting_pair(
     return None
 
 
-def _pure_fallback(
+def _pure_start(
     t: TorusGraph,
     g: ConstraintGraph,
     w: WeightSet,
     rng: np.random.Generator,
     pinned: tuple[int, int] | None,
 ) -> list[int]:
-    """Pure start for when greedy gives up: the first maximal pair whose
-    class on the pinned vertex's side holds the pinned color.
+    """Pure start from the first maximal pair that admits the pin.
 
-    Every pure coloring is valid, so this fails only when H has no
-    maximal pair or no pair admits the pin.
+    Every pure coloring is valid, so this fails only when H has no maximal
+    pair (EmptyConstraint) or no pair admits the pin (NoValidInitial).
     """
-    try:
-        pairs = instance_structure(g, w).pairs
-    except EmptyConstraint:
-        pairs = ()
-    pair = _admitting_pair(t, pairs, pinned)
+    pair = _admitting_pair(t, instance_structure(g, w).pairs, pinned)
     if pair is None:
-        raise NoValidInitial(
-            f"greedy initialization failed {_GREEDY_RESTARTS} times and no "
-            "pure start admits the pin"
-        )
+        raise NoValidInitial("no maximal pair admits the pin")
     return _pure_initial(t, g, w, pair, rng, pinned)
 
 
@@ -221,23 +214,23 @@ def _resolve_initial(
             state, restarts = _greedy_initial(t, g, w, rng, pinned)
             start = "greedy"
         except NoValidInitial:
-            state = _pure_fallback(t, g, w, rng, pinned)
+            try:
+                state = _pure_start(t, g, w, rng, pinned)
+            except (EmptyConstraint, NoValidInitial) as e:
+                raise NoValidInitial(
+                    f"greedy initialization failed {_GREEDY_RESTARTS} times "
+                    f"and no pure start was found: {e}"
+                ) from None
             restarts, start = _GREEDY_RESTARTS, "pure-fallback"
         if stats is not None:
             stats.restarts = restarts
         return state, start
     if initial == "pure":
-        pair = _admitting_pair(t, instance_structure(g, w).pairs, pinned)
-        if pair is None:
-            raise NoValidInitial("no maximal pair admits the pin")
-        return _pure_initial(t, g, w, pair, rng, pinned), "pure"
-    if isinstance(initial, tuple) and len(initial) == 2 and isinstance(
-        initial[1], MaximalPair
-    ):
-        tag, pair = initial
-        if tag != "pure":
-            raise ValueError(f"unknown initializer {initial!r}")
-        return _pure_initial(t, g, w, pair, rng, pinned), "pure"
+        return _pure_start(t, g, w, rng, pinned), "pure"
+    if isinstance(initial, str):
+        raise ValueError(
+            f"unknown initializer {initial!r}: use uniform-greedy or pure"
+        )
     if not is_valid_coloring(t, g, initial):
         raise InvalidColoring("explicit initial coloring is not valid")
     state = list(initial)
@@ -253,7 +246,6 @@ def run_chain(
     cfg: ChainConfig,
     initial="uniform-greedy",
     *,
-    chain_index: int = 0,
     stats: ChainStats | None = None,
 ) -> Iterator[Coloring]:
     """Stream thinned post-burn-in states; deterministic given the config.
@@ -261,16 +253,16 @@ def run_chain(
     The pinned vertex (if any) keeps its color for the whole run, which
     targets the conditional Gibbs law exactly. Initializers: a coloring,
     "uniform-greedy" (random order, weighted greedy fill, restarts, then a
-    pure start that admits the pin if every restart fails), or "pure" /
-    ("pure", pair) for a two-palette start. "pure" starts from the first
-    maximal pair whose class on the pinned vertex's side holds the pinned
-    color. `stats.start` records which start was used.
+    pure start that admits the pin if every restart fails), or "pure" for a
+    two-palette start from the first maximal pair whose class on the pinned
+    vertex's side holds the pinned color; any other string is a ValueError.
+    `stats.start` records which start was used.
     """
     if cfg.pinned is not None:
         y, lcol = cfg.pinned
         if not (0 <= y < t.n) or not (0 <= lcol < g.h):
             raise ValueError("pinned pair outside instance")
-    rng = chain_rng(cfg.seed, chain_index)
+    rng = chain_rng(cfg.seed)
     state, start = _resolve_initial(t, g, w, initial, rng, cfg.pinned, stats)
     if stats is not None:
         stats.start = start

@@ -80,10 +80,6 @@ class TorusGraph:
             v //= self.m
         return s & 1
 
-    def side_sets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(even side, odd side); every edge crosses between them."""
-        return self.side_table
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once, as (u, v) with u < v."""
         for u in range(self.n):
@@ -107,7 +103,8 @@ class TorusGraph:
 
     @cached_property
     def side_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(even side, odd side), from the parity table."""
+        """(even side, odd side), from the parity table; every edge crosses
+        between them."""
         par = self.parity_table
         return tuple(
             tuple(v for v in range(self.n) if par[v] == side) for side in (0, 1)

@@ -35,13 +35,6 @@ def run_json(tmp_path, argv):
 
 
 class TestRunConfig:
-    def test_text_round_trip(self):
-        cfg = RunConfig(
-            command="sample", h="wr", weights="1,2,1", m=4, d=2,
-            steps=1000, burn_in=10, thin=7, seed=42, out="x.json",
-        )
-        assert RunConfig.from_text(cfg.to_text()) == cfg
-
     def test_json_round_trip(self):
         cfg = RunConfig(command="corpus", golden_dir="g", update=True)
         assert RunConfig.from_mapping(cfg.to_json_dict()) == cfg
@@ -56,13 +49,16 @@ class TestRunConfig:
 
     def test_missing_command_rejected(self):
         with pytest.raises(ConfigError):
-            RunConfig.from_text("m=2\n")
+            RunConfig.from_mapping(parse_config_text("m=2\n"))
 
     def test_bool_coercion(self):
-        assert RunConfig.from_text("command=corpus\nupdate=true\n").update
-        assert not RunConfig.from_text("command=corpus\nupdate=no\n").update
+        def update(text):
+            return RunConfig.from_mapping(parse_config_text(text)).update
+
+        assert update("command=corpus\nupdate=true\n")
+        assert not update("command=corpus\nupdate=no\n")
         with pytest.raises(ConfigError):
-            RunConfig.from_text("command=corpus\nupdate=maybe\n")
+            update("command=corpus\nupdate=maybe\n")
 
     def test_parse_int_forms(self):
         assert parse_int("1e6", "steps") == 1_000_000
@@ -307,6 +303,17 @@ class TestSampleCommand:
         assert doc["meta"]["start"] == "pure-fallback"
         assert len(doc["result"]["trace"]) == 2
         assert doc["result"]["initial"] == "uniform-greedy"
+
+    @pytest.mark.parametrize("initial", ["abcd", "greedy"])
+    def test_unknown_initializer_is_a_config_error(self, capsys, initial):
+        # "abcd" has one character per vertex of Z_2^2: it is still a name,
+        # not a coloring
+        argv = ["sample", "--h", "ind", "--m", "2", "--d", "2", "--steps",
+                "10", "--initial", initial]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown initializer {initial!r}")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_different_seed_changes_trace(self, tmp_path):
         base = ["sample", "--h", "k3", "--m", "2", "--d", "2",

@@ -34,6 +34,7 @@ from torushom.exact import (
     standard_corpus,
     transfer_matrix_partition_function,
 )
+from torushom import exact as exact_module
 from torushom.torus import TorusGraph
 
 
@@ -237,6 +238,20 @@ class TestTransferMatrix:
         assert res.arithmetic == "int"
         assert res.z == brute_force_partition_function(t, g, w).z
 
+    @pytest.mark.parametrize("pins", [None, {0: 0b010}])
+    def test_bigint_products_are_refused_before_the_first(self, monkeypatch, pins):
+        # wr on Z_8^2: 1,155 layer states and an entry bound past 2^62, so
+        # the products would run on Python ints; 1155^3 per product is far
+        # past the default budget of 10^7.
+        def no_product(*_):
+            raise AssertionError("a matrix product was formed")
+
+        monkeypatch.setattr(exact_module, "_cycle_trace", no_product)
+        monkeypatch.setattr(exact_module._TransferEngine, "_trace_power", no_product)
+        t, g = TorusGraph(8, 2), preset("wr")
+        with pytest.raises(BudgetExceeded, match="Python ints"):
+            transfer_matrix_partition_function(t, g, ones(g), pins=pins)
+
     def test_method_label(self):
         g = preset("ind")
         res = transfer_matrix_partition_function(Q3, g, ones(g))
@@ -380,12 +395,20 @@ class TestExactMarginal:
             assert exact_occupation_vector(Q3, g, w, x) == base
 
     def test_routes_agree_on_marginals(self):
+        # the law of f(5) given f(0)=0, from each route's pinned counts
         g = preset("wr")
         w = WeightSet.parse("1,2,1")
+        laws = []
         for method in ("brute", "transfer"):
-            assert exact_occupation_vector(
-                Q3, g, w, 5, (0, 0), method=method
-            )[1] == exact_occupation_vector(Q3, g, w, 5, (0, 0), method="auto")[1]
+            counts = [
+                partition_function(
+                    Q3, g, w, method=method,
+                    pins={0: mask_from((0,)), 5: mask_from((k,))},
+                ).z
+                for k in range(g.h)
+            ]
+            laws.append(tuple(c / sum(counts) for c in counts))
+        assert laws[0] == laws[1] == exact_occupation_vector(Q3, g, w, 5, (0, 0))
 
 
 class TestPureColoringWeight:
@@ -444,7 +467,7 @@ class TestNearPureFamily:
 
     def test_cross_check_by_filtering_full_enumeration(self):
         g = preset("k8")
-        even, odd = C4.side_sets()
+        even, odd = C4.side_table
         a, b = self.K8_PAIR
         hits = 0
         for f in enumerate_colorings(C4, g):

@@ -108,7 +108,7 @@ def oracle_label(t, g, w, f, defect_cap, balance_tol):
         return ("exceptional", None, frozenset(), frozenset(), frac, None, ())
     root = sizes.index(max(sizes))
     (pair,) = {p for e, p in ideal.items() if comp[e[0]] == root}
-    even, odd = t.side_sets()
+    even, odd = t.side_table
     defect_e = frozenset(v for v in even if not (pair.a >> f[v]) & 1)
     defect_o = frozenset(v for v in odd if not (pair.b >> f[v]) & 1)
     devs, balanced = [], True

@@ -41,7 +41,8 @@ from torushom.sampler import (
     ideal_fraction,
     is_ideal_edge,
     run_chain,
-    _pure_fallback,
+    _pure_initial,
+    _pure_start,
     _resolve_initial,
 )
 from torushom.torus import TorusGraph
@@ -114,18 +115,6 @@ class TestDeterminism:
         w = WeightSet.ones(3)
         a = list(run_chain(Q2, K3, w, ChainConfig(steps=200, seed=1)))
         b = list(run_chain(Q2, K3, w, ChainConfig(steps=200, seed=2)))
-        assert a != b
-
-    def test_chain_index_gives_independent_stream(self):
-        w = WeightSet.ones(3)
-        cfg = ChainConfig(steps=200, seed=17)
-        a = list(run_chain(Q2, K3, w, cfg, chain_index=0))
-        b = list(run_chain(Q2, K3, w, cfg, chain_index=1))
-        assert a != b
-
-    def test_chain_rng_streams_differ(self):
-        a = chain_rng(5, 0).integers(0, 2**32, size=8).tolist()
-        b = chain_rng(5, 1).integers(0, 2**32, size=8).tolist()
         assert a != b
 
 
@@ -302,8 +291,8 @@ class TestInitializers:
         assert stats.start == "pure-fallback"
         assert f[y] == 2 and is_valid_coloring(t, K3, f)
         # The start itself is pure for a pair whose side holds the pin.
-        start = _pure_fallback(t, K3, WeightSet.ones(3), chain_rng(0), (y, 2))
-        even, odd = t.side_sets()
+        start = _pure_start(t, K3, WeightSet.ones(3), chain_rng(0), (y, 2))
+        even, odd = t.side_table
         assert start[y] == 2
         assert any(
             all((p.a >> start[v]) & 1 for v in even)
@@ -330,18 +319,21 @@ class TestInitializers:
     def test_pure_initial_with_explicit_pair(self):
         w = WeightSet.ones(2)
         pair = MaximalPair(mask_from((1,)), mask_from((0, 1)))
+        start = _pure_initial(Q2, IND, w, pair, chain_rng(0), None)
+        assert is_valid_coloring(Q2, IND, start)
         cfg = ChainConfig(steps=1, seed=0)
-        (f,) = run_chain(Q2, IND, w, cfg, initial=("pure", pair))
+        (f,) = run_chain(Q2, IND, w, cfg, initial=start)
         assert is_valid_coloring(Q2, IND, f)
 
     def test_unknown_initializer_tag_rejected(self):
-        pair = MaximalPair(1, 2)
-        with pytest.raises(ValueError):
-            list(
-                run_chain(
-                    Q2, K3, WeightSet.ones(3), ChainConfig(steps=1), ("magic", pair)
-                )
-            )
+        with pytest.raises(ValueError, match="unknown initializer 'magic'"):
+            run_chain(Q2, K3, WeightSet.ones(3), ChainConfig(steps=1), "magic")
+
+    def test_pure_pair_tuple_is_not_an_initializer(self):
+        # A (tag, pair) tuple is read as an explicit coloring, and refused.
+        pair = instance_structure(IND, WeightSet.ones(2)).pairs[0]
+        with pytest.raises(InvalidColoring):
+            run_chain(Q2, IND, WeightSet.ones(2), ChainConfig(steps=1), ("pure", pair))
 
     def test_explicit_invalid_initial_rejected(self):
         with pytest.raises(InvalidColoring):
@@ -365,7 +357,7 @@ class TestInitializers:
         pin = (1, 2)
         state, start = _resolve_initial(Q2, g, w, "pure", chain_rng(0), pin)
         assert start == "pure" and state[1] == 2
-        even, odd = Q2.side_sets()
+        even, odd = Q2.side_table
         assert all(state[v] == 3 for v in even)
         assert all(state[v] in (2, 4) for v in odd)
         cfg = ChainConfig(steps=2, seed=0, pinned=pin)
@@ -378,7 +370,7 @@ class TestInitializers:
         w = WeightSet.ones(2)
         first = instance_structure(IND, w).pairs[0]
         pinned, _ = _resolve_initial(Q2, IND, w, "pure", chain_rng(3), (1, 0))
-        free, _ = _resolve_initial(Q2, IND, w, ("pure", first), chain_rng(3), (1, 0))
+        free = _pure_initial(Q2, IND, w, first, chain_rng(3), (1, 0))
         assert pinned == free and pinned[1] == 0
 
     def test_pure_start_with_no_admitting_pair_raises(self):

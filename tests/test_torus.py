@@ -77,20 +77,20 @@ class TestNeighbors:
 class TestBipartition:
     def test_m2d2(self):
         t = TorusGraph(2, 2)
-        even, odd = t.side_sets()
+        even, odd = t.side_table
         assert {t.decode(v) for v in even} == {(0, 0), (1, 1)}
         assert {t.decode(v) for v in odd} == {(0, 1), (1, 0)}
 
     def test_m4d1(self):
         t = TorusGraph(4, 1)
-        even, odd = t.side_sets()
+        even, odd = t.side_table
         assert even == (0, 2) and odd == (1, 3)
 
     @pytest.mark.parametrize("m,d", [(2, 2), (2, 3), (4, 2), (4, 3), (6, 2), (2, 5)])
     def test_every_edge_crosses(self, m, d):
         t = TorusGraph(m, d)
         assert t.n <= 4096
-        even, odd = t.side_sets()
+        even, odd = t.side_table
         assert len(even) == len(odd) == t.n // 2
         for u, v in t.edges():
             assert t.parity(u) != t.parity(v)
