@@ -9,9 +9,7 @@ side of every comparison comes from the counting module, so distances
 between the two are honest measurements, not simulations.
 
 Conditional targets follow the class-uniform reading: conditioning on
-color ell keeps every compatible class equally likely. The posterior
-variant (classes reweighted by how likely ell is under each) is exposed
-separately, as is the raw unnormalized class sum.
+color ell keeps every compatible class equally likely.
 """
 
 from __future__ import annotations
@@ -203,42 +201,6 @@ def theorem_conditional_vector(
     )
 
 
-def theorem_raw_conditional_sum(
-    g: ConstraintGraph, w: WeightSet, relation: str, k: int, ell: int
-) -> Fraction:
-    """The unnormalized class sum (1/|M|) sum lambda_k/lambda_A over
-    classes compatible with ell: the joint-style display itself."""
-    _check_relation(relation)
-    pairs = _equipartition_pairs(g, w)
-    classes = [
-        pair.a
-        for pair in pairs
-        if ((pair.a if relation == SAME_SIDE else pair.b) >> ell) & 1
-    ]
-    return _class_share(g, w, classes, k) / len(pairs)
-
-
-def class_posterior_conditional(
-    g: ConstraintGraph, w: WeightSet, relation: str, k: int, ell: int
-) -> Fraction:
-    """Bayes variant: classes weighted by how likely ell is under each.
-
-    Differs from the class-uniform target exactly when the conditioning
-    class weight lambda_A varies across the surviving pairs.
-    """
-    kept = _conditioning_pairs(g, w, relation, ell)
-    lam = instance_structure(g, w).class_weight
-    num = Fraction(0)
-    den = Fraction(0)
-    for pair in kept:
-        cond_cls = pair.a if relation == SAME_SIDE else pair.b
-        u = w[ell] / lam[cond_cls]
-        den += u
-        if (pair.a >> k) & 1:
-            num += u * w[k] / lam[pair.a]
-    return num / den
-
-
 def theorem_influence_ratio(
     g: ConstraintGraph, w: WeightSet, relation: str, k: int, ell: int
 ) -> Fraction:
@@ -427,11 +389,6 @@ class ConjecturePrediction:
 
     def leading_weight(self) -> Fraction:
         return self.base**self.half_volume
-
-    def log2_value(self) -> float:
-        return self.half_volume * math.log2(float(self.base)) + float(
-            self.correction_exponent
-        ) / math.log(2)
 
     def value(self) -> float:
         return float(self.leading_weight()) * math.exp(

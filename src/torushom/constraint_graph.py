@@ -9,12 +9,11 @@ lambda_A * lambda_B, together with the set of ordered pairs achieving it.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -229,14 +228,6 @@ def common_neighborhood(g: ConstraintGraph, a: ColorSet) -> ColorSet:
         out &= g.adj[low.bit_length() - 1]
         m ^= low
     return out
-
-
-def nonadjacent_pair_count(g: ConstraintGraph, a: ColorSet, b: ColorSet) -> int:
-    """Number of pairs (x, y) in a x b with x not adjacent to y."""
-    total = 0
-    for x in mask_members(a):
-        total += mask_size(b & ~g.adj[x])
-    return total
 
 
 def subset_weight(w: WeightSet, t: ColorSet) -> Fraction:

@@ -20,6 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -112,13 +113,25 @@ def _descriptor(t: TorusGraph, g: ConstraintGraph, w: WeightSet) -> str:
     return f"m={t.m} d={t.d} h={g.h} w=({ws})"
 
 
-def is_valid_coloring(t: TorusGraph, g: ConstraintGraph, f: Sequence[int]) -> bool:
-    """True when every torus edge lands on an edge of the constraint graph."""
+def _coloring_fault(
+    t: TorusGraph, g: ConstraintGraph, f: Sequence
+) -> str | None:
+    """Why f is not a valid coloring of t into g, or None when it is."""
     if len(f) != t.n:
-        return False
-    if any(not (0 <= k < g.h) for k in f):
-        return False
-    return all(g.has_edge(f[u], f[v]) for u, v in t.edges())
+        return f"expected {t.n} entries, got {len(f)}"
+    for v, k in enumerate(f):
+        if not (isinstance(k, Integral) and 0 <= k < g.h):
+            return f"vertex {v} holds {k!r}, not a color 0..{g.h - 1}"
+    for u, v in t.edge_table:
+        if not g.has_edge(f[u], f[v]):
+            return f"edge ({u},{v}) maps to non-adjacent colors ({f[u]},{f[v]})"
+    return None
+
+
+def is_valid_coloring(t: TorusGraph, g: ConstraintGraph, f: Sequence) -> bool:
+    """True when every entry is a color and every torus edge lands on an
+    edge of the constraint graph."""
+    return _coloring_fault(t, g, f) is None
 
 
 def coloring_weight(
@@ -126,17 +139,11 @@ def coloring_weight(
 ) -> Fraction:
     """Product of vertex weights of a valid coloring.
 
-    Raises InvalidColoring when some edge of the torus is not honored.
+    Raises InvalidColoring when f is not a valid coloring.
     """
-    if len(f) != t.n:
-        raise InvalidColoring(f"expected {t.n} entries, got {len(f)}")
-    for u, v in t.edges():
-        if not (0 <= f[u] < g.h) or not (0 <= f[v] < g.h):
-            raise InvalidColoring(f"color out of range on edge ({u},{v})")
-        if not g.has_edge(f[u], f[v]):
-            raise InvalidColoring(
-                f"edge ({u},{v}) maps to non-adjacent colors ({f[u]},{f[v]})"
-            )
+    fault = _coloring_fault(t, g, f)
+    if fault is not None:
+        raise InvalidColoring(fault)
     return math.prod((w[k] for k in f), start=Fraction(1))
 
 

@@ -347,10 +347,10 @@ def _ideal_hits(
     """
     keys = _pair_keys(s)
     bits = np.left_shift(1, np.asarray(states), dtype=np.int64)
-    columns = iter(t.neighbor_array)
-    pal = bits.take(next(columns), axis=1)
-    for column in columns:
-        pal |= bits.take(column, axis=1)
+    rows = iter(t.neighbor_array)
+    pal = bits.take(next(rows), axis=1)
+    for row in rows:
+        pal |= bits.take(row, axis=1)
     even, odd = t.edge_array
     key = pal.take(odd, axis=1) << MAX_COLORS
     key |= pal.take(even, axis=1)
@@ -378,25 +378,6 @@ def _blocks(t: TorusGraph, states: Iterable) -> Iterator[list]:
     return iter(lambda: list(islice(it, rows)), [])
 
 
-def is_ideal_edge(
-    t: TorusGraph,
-    g: ConstraintGraph,
-    w: WeightSet,
-    f: Sequence[int],
-    e: tuple[int, int],
-) -> MaximalPair | None:
-    """The maximal pair whose palettes the edge exhibits, if any.
-
-    The even endpoint's neighborhood must show exactly B and the odd
-    endpoint's exactly A for some maximal pair (A,B); the pair is then
-    unique. Accepts the edge in either orientation.
-    """
-    i = _edge_index(t, e)
-    s = instance_structure(g, w)
-    hit, at = _ideal_hits(t, s, (f,))
-    return s.pairs[at[0, i]] if hit[0, i] else None
-
-
 def ideal_edge_map(
     t: TorusGraph, g: ConstraintGraph, w: WeightSet, f: Sequence[int]
 ) -> dict[tuple[int, int], MaximalPair]:
@@ -408,12 +389,6 @@ def ideal_edge_map(
     return {
         edges[e]: pairs[k] for e, k in zip(found.tolist(), at[0, found].tolist())
     }
-
-
-def ideal_fraction(
-    t: TorusGraph, g: ConstraintGraph, w: WeightSet, f: Sequence[int]
-) -> Fraction:
-    return Fraction(len(ideal_edge_map(t, g, w, f)), t.num_edges)
 
 
 def exact_not_ideal_probability(

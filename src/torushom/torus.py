@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -153,98 +153,6 @@ class TorusGraph:
         radix = self.m ** (self.d - coord)
         x = (v // radix) % self.m
         return v - x * radix + ((x + step) % self.m) * radix
-
-
-@dataclass(frozen=True)
-class Column:
-    """A last-coordinate fiber (v_0,...,v_{m-1}); base has x_d = 0 and even
-    coordinate parity. Induces an m-cycle for m >= 4, a single edge for m=2."""
-
-    base: int
-    members: tuple[int, ...]
-
-
-def v_star(t: TorusGraph) -> tuple[int, ...]:
-    """Column bases: x_d = 0 and even parity; exactly m^(d-1)/2 of them."""
-    out = []
-    for prefix in range(t.m ** (t.d - 1)):
-        v = prefix * t.m
-        if t.parity(v) == 0:
-            out.append(v)
-    return tuple(out)
-
-
-def columns(t: TorusGraph) -> tuple[Column, ...]:
-    return tuple(
-        Column(base, tuple(base + i for i in range(t.m))) for base in v_star(t)
-    )
-
-
-def column_of(t: TorusGraph, v: int) -> Column:
-    """The fiber through v (regardless of base parity)."""
-    base = v - (v % t.m)
-    return Column(base, tuple(base + i for i in range(t.m)))
-
-
-def m_u(t: TorusGraph, u: int) -> tuple[int, ...]:
-    """Neighbors of u outside its own column: N_u minus the +-1 steps along
-    the last coordinate (a single vertex when m=2)."""
-    above = t.shift(u, t.d, 1)
-    below = t.shift(u, t.d, -1)
-    return tuple(x for x in t.neighbors(u) if x != above and x != below)
-
-
-def column_side_sets(
-    t: TorusGraph, c: Column
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """(M_u per member in column order, their union sorted)."""
-    per = tuple(m_u(t, u) for u in c.members)
-    union = sorted(set().union(*[set(p) for p in per]))
-    return per, tuple(union)
-
-
-def column_surround_structure_ok(t: TorusGraph, c: Column) -> bool:
-    """Check the induced shape of the union of the M_u around a column:
-    2d-2 disjoint m-cycles for m >= 4, d-1 disjoint edges for m = 2."""
-    _, union = column_side_sets(t, c)
-    members = set(union)
-    if t.m >= 4:
-        want_components, want_size, want_degree = 2 * t.d - 2, t.m, 2
-    else:
-        want_components, want_size, want_degree = t.d - 1, 2, 1
-    if len(members) != want_components * want_size:
-        return False
-    seen: set[int] = set()
-    components = 0
-    for start in union:
-        if start in seen:
-            continue
-        components += 1
-        stack, comp = [start], set()
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            inside = [y for y in t.neighbors(x) if y in members]
-            if len(set(inside)) != want_degree:
-                return False
-            stack.extend(inside)
-        if len(comp) != want_size:
-            return False
-        seen |= comp
-    return components == want_components
-
-
-def edge_boundary(t: TorusGraph, x_set: Iterable[int]) -> int:
-    """Number of torus edges with exactly one endpoint in the set."""
-    inside = set(x_set)
-    count = 0
-    for u in inside:
-        for v in t.neighbors(u):
-            if v not in inside:
-                count += 1
-    return count
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from torushom.analysis import (
     ComparisonRecord,
     ConjecturePrediction,
     antipode,
-    class_posterior_conditional,
     coloring_count_prediction,
     conditional_comparison,
     conjecture_L,
@@ -32,7 +31,6 @@ from torushom.analysis import (
     theorem_influence_ratio,
     theorem_occupation_target,
     theorem_occupation_vector,
-    theorem_raw_conditional_sum,
 )
 from torushom.constraint_graph import (
     ConstraintGraph,
@@ -193,30 +191,6 @@ class TestConditionalTargets:
         w = WeightSet.parse("2,1,1")  # singleton class {1,2}
         with pytest.raises(ZeroConditioning):
             theorem_conditional_target(WR, w, "same-side", 0, 2)
-
-    def test_three_semantics_separate_at_odd_q(self):
-        # uneven class sizes split the readings: class-uniform 2/3,
-        # likelihood-weighted 3/4, unnormalized class sum 1/3
-        assert theorem_conditional_target(K3, W3, "same-side", 0, 0) == (
-            Fraction(2, 3)
-        )
-        assert class_posterior_conditional(K3, W3, "same-side", 0, 0) == (
-            Fraction(3, 4)
-        )
-        assert theorem_raw_conditional_sum(K3, W3, "same-side", 0, 0) == (
-            Fraction(1, 3)
-        )
-
-    @pytest.mark.parametrize("q", [4, 6])
-    def test_posterior_matches_uniform_at_even_q(self, q):
-        # equal class sizes make the likelihood weights constant
-        g = preset(f"kq:{q}")
-        w = WeightSet.ones(q)
-        for rel in ("same-side", "cross-side"):
-            for k in range(q):
-                assert class_posterior_conditional(
-                    g, w, rel, k, 0
-                ) == theorem_conditional_target(g, w, rel, k, 0)
 
     def test_influence_ratio_targets(self):
         assert theorem_influence_ratio(K3, W3, "same-side", 0, 0) == 2
@@ -418,14 +392,6 @@ class TestPredictions:
                 half_volume=2,
                 correction_exponent=Fraction(-1, 2),
             )
-
-    def test_log2_value_matches(self):
-        pred = conjecture_weight_prediction(
-            IND, W2, MaximalPair(mask_from((0, 1)), mask_from((1,))),
-            TorusGraph(2, 2),
-        )
-        assert pred.log2_value() == pytest.approx(math.log2(pred.value()))
-
 
 class TestColoringCountConjecture:
     def test_f_values(self):

@@ -24,7 +24,6 @@ from torushom.constraint_graph import (
     instance_structure,
     mask_from,
     mask_members,
-    nonadjacent_pair_count,
     parse_json,
     parse_text,
     path_graph,
@@ -75,12 +74,6 @@ class TestAdjacencyOps:
     def test_common_neighborhood_of_full_kq(self):
         # nothing is adjacent to all colors including itself (no loops)
         assert common_neighborhood(K3, K3.full_mask) == 0
-
-    def test_nonadjacent_pairs(self):
-        assert nonadjacent_pair_count(K3, 0b001, 0b001) == 1
-        assert nonadjacent_pair_count(K3, 0b011, 0b100) == 0
-        assert nonadjacent_pair_count(WR, 0b101, 0b101) == 2
-
 
 class TestSubsetWeight:
     def test_sum(self):

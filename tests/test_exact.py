@@ -35,6 +35,7 @@ from torushom.exact import (
     transfer_matrix_partition_function,
 )
 from torushom import exact as exact_module
+from torushom.sampler import ChainConfig, run_chain
 from torushom.torus import TorusGraph
 
 
@@ -83,6 +84,23 @@ class TestColoringWeight:
         assert is_valid_coloring(C4, g, (0, 1, 1, 1))
         assert not is_valid_coloring(C4, g, (0, 0, 1, 1))
         assert not is_valid_coloring(C4, g, (1, 1, 1))
+
+    @pytest.mark.parametrize("entry", [0.5, "a", None])
+    @pytest.mark.parametrize(
+        "call", ["is_valid_coloring", "coloring_weight", "run_chain"]
+    )
+    def test_non_integer_entry_is_not_a_coloring(self, call, entry):
+        # refused as a coloring by the one check, never a TypeError
+        g = preset("ind")
+        f = (entry, 1, 1, 1)
+        if call == "is_valid_coloring":
+            assert is_valid_coloring(C4, g, f) is False
+            return
+        with pytest.raises(InvalidColoring):
+            if call == "coloring_weight":
+                coloring_weight(C4, g, ones(g), f)
+            else:
+                run_chain(C4, g, ones(g), ChainConfig(steps=1), f)
 
 
 class TestBruteForce:

@@ -38,8 +38,6 @@ from torushom.sampler import (
     epsilon_estimate,
     exact_not_ideal_probability,
     ideal_edge_map,
-    ideal_fraction,
-    is_ideal_edge,
     run_chain,
     _pure_initial,
     _pure_start,
@@ -405,29 +403,28 @@ class TestIdealEdges:
     def test_hand_example_single_occupied_vertex(self):
         w = WeightSet.ones(2)
         f = (0, 1, 1, 1)
-        pair = is_ideal_edge(Q2, IND, w, f, (0, 1))
+        pair = ideal_edge_map(Q2, IND, w, f)[(0, 1)]
         assert pair == MaximalPair(mask_from((0, 1)), mask_from((1,)))
 
     def test_orientation_is_automatic(self):
+        # either orientation names one edge_table entry, and the map keys
+        # that edge (even endpoint, odd endpoint)
         w = WeightSet.ones(2)
-        f = (0, 1, 1, 1)
-        assert is_ideal_edge(Q2, IND, w, f, (1, 0)) == is_ideal_edge(
-            Q2, IND, w, f, (0, 1)
-        )
+        i = sampler._edge_index(Q2, (1, 0))
+        assert i == sampler._edge_index(Q2, (0, 1))
+        assert Q2.edge_table[i] == (0, 1)
+        assert (0, 1) in ideal_edge_map(Q2, IND, w, (0, 1, 1, 1))
 
     def test_all_unoccupied_has_no_ideal_edges(self):
         w = WeightSet.ones(2)
         f = (1, 1, 1, 1)
-        assert is_ideal_edge(Q2, IND, w, f, (0, 1)) is None
         assert ideal_edge_map(Q2, IND, w, f) == {}
-        assert ideal_fraction(Q2, IND, w, f) == 0
+        assert classify(Q2, IND, w, f).ideal_fraction == 0
 
     def test_non_edge_rejected(self):
         # out-of-range endpoints fail the same way as in-range non-edges
         w = WeightSet.ones(2)
         for e in [(0, 3), (1, 2), (0, 0), (0, 99), (99, 0), (-1, 0), (0, -1)]:
-            with pytest.raises(ValueError, match="is not a torus edge"):
-                is_ideal_edge(Q2, IND, w, (0, 1, 1, 1), e)
             with pytest.raises(ValueError, match="is not a torus edge"):
                 exact_not_ideal_probability(Q2, IND, w, e)
 
@@ -438,7 +435,7 @@ class TestIdealEdges:
         want = MaximalPair(mask_from((0,)), mask_from((1, 2)))
         emap = ideal_edge_map(Q2, K3, w, f)
         assert set(emap.values()) == {want}
-        assert ideal_fraction(Q2, K3, w, f) == 1
+        assert classify(Q2, K3, w, f).ideal_fraction == 1
         for u, v in emap:
             assert Q2.parity(u) == 0 and Q2.parity(v) == 1
 

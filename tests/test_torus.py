@@ -5,18 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torushom.torus import (
-    Column,
-    TorusGraph,
-    column_of,
-    column_side_sets,
-    column_surround_structure_ok,
-    columns,
-    edge_boundary,
-    giant_component,
-    m_u,
-    v_star,
-)
+from torushom.torus import TorusGraph, giant_component
 
 
 class TestConstruction:
@@ -96,91 +85,6 @@ class TestBipartition:
             assert t.parity(u) != t.parity(v)
 
 
-class TestColumns:
-    def test_v_star_size(self):
-        for m, d in [(2, 2), (2, 4), (4, 2), (4, 3), (6, 2)]:
-            t = TorusGraph(m, d)
-            bases = v_star(t)
-            assert len(bases) == m ** (d - 1) // 2
-            for b in bases:
-                assert t.decode(b)[-1] == 0 and t.parity(b) == 0
-
-    def test_columns_disjoint_cover_half(self):
-        # columns based at even-parity prefixes are pairwise disjoint and
-        # cover exactly the half of V whose first d-1 coordinates sum even
-        for m, d in [(2, 3), (4, 2), (6, 2)]:
-            t = TorusGraph(m, d)
-            cols = columns(t)
-            seen = set()
-            for c in cols:
-                assert len(c.members) == m
-                assert not (seen & set(c.members))
-                seen |= set(c.members)
-            assert len(seen) == t.n // 2
-            assert all(t.parity(v - v % m) == 0 for v in seen)
-
-    def test_column_induces_cycle_or_edge(self):
-        t = TorusGraph(4, 2)
-        c = columns(t)[0]
-        ring = c.members
-        for i, u in enumerate(ring):
-            assert ring[(i + 1) % len(ring)] in t.neighbors(u)
-        t2 = TorusGraph(2, 3)
-        c2 = columns(t2)[0]
-        assert c2.members[1] in t2.neighbors(c2.members[0])
-
-    def test_m_u_m2d2(self):
-        t = TorusGraph(2, 2)
-        v = t.encode((0, 0))
-        assert [t.decode(x) for x in m_u(t, v)] == [(1, 0)]
-        c = column_of(t, v)
-        per, union = column_side_sets(t, c)
-        assert {t.decode(x) for x in union} == {(1, 0), (1, 1)}
-        assert column_surround_structure_ok(t, c)
-
-    def test_m_c_m4d2_two_cycles(self):
-        t = TorusGraph(4, 2)
-        c = columns(t)[0]  # base (0,0)
-        _, union = column_side_sets(t, c)
-        cols_hit = {t.decode(x)[0] for x in union}
-        assert cols_hit == {1, 3}
-        assert len(union) == 8
-        assert column_surround_structure_ok(t, c)
-
-    def test_m_u_sizes(self):
-        for m, d in [(2, 3), (2, 4), (4, 2), (4, 3), (6, 2)]:
-            t = TorusGraph(m, d)
-            want = 2 * d - 2 if m >= 4 else d - 1
-            for c in columns(t):
-                for u in c.members:
-                    assert len(m_u(t, u)) == want
-                assert column_surround_structure_ok(t, c)
-
-    def test_m2d1_empty(self):
-        t = TorusGraph(2, 1)
-        assert m_u(t, 0) == ()
-        assert column_surround_structure_ok(t, columns(t)[0])
-
-
-class TestEdgeBoundary:
-    def test_singleton(self):
-        t = TorusGraph(4, 2)
-        assert edge_boundary(t, [5]) == 4
-
-    def test_whole_vertex_set(self):
-        t = TorusGraph(4, 2)
-        assert edge_boundary(t, range(t.n)) == 0
-
-    def test_facet_m2d3(self):
-        t = TorusGraph(2, 3)
-        facet = [v for v in range(t.n) if t.decode(v)[0] == 0]
-        assert len(facet) == 4
-        assert edge_boundary(t, facet) == 4
-
-    def test_empty(self):
-        assert edge_boundary(TorusGraph(2, 2), []) == 0
-
-
 class TestGiantComponent:
     def test_no_deletion(self):
         t = TorusGraph(4, 2)
@@ -204,18 +108,6 @@ class TestGiantComponent:
 
 
 class TestAudits:
-    def test_isoperimetry(self):
-        # boundary(X) >= |X|^((d-1)/d) for |X| <= n/2, exact integer compare
-        rng = random.Random(20260818)
-        for m, d in [(2, 3), (2, 4), (4, 2), (4, 3), (6, 2), (2, 5)]:
-            t = TorusGraph(m, d)
-            assert t.n <= 4096
-            for _ in range(40):
-                size = rng.randint(1, t.n // 2)
-                x = rng.sample(range(t.n), size)
-                b = edge_boundary(t, x)
-                assert b**d >= size ** (d - 1)
-
     def test_component_bound_after_deletion(self):
         # if |D|^d * 4^(d-1) < m^(d(d-1)) then the surviving giant covers
         # all but at most n * (m|D|/n)^(d/(d-1)) vertices
