@@ -7,10 +7,13 @@ eliminates each vertex once its last neighbor is swept, and a layered
 transfer matrix. They share numpy and the `_arithmetic` rule but not the
 decomposition (vertex elimination against layer transfer), which is what
 makes their exact agreement a meaningful cross-check. Everything here is
-exact. Floating point touches a partition function in one place only: the
-unpinned transfer contraction runs on float64 BLAS when an entry bound
-proves that every value it forms is an integer below 2^53, where float64
-arithmetic is exact (`_arithmetic`).
+exact. Floating point touches a partition function in one place only: an
+unpinned transfer count at m >= 4 splits trace(T^m) into momentum sectors,
+one per character of the layer's translation group, and takes each
+sector's trace modulo primes p = 1 (mod m) on float64 BLAS, with every
+value it forms an integer below 2^53, where float64 arithmetic is exact.
+CRT assembles the count from enough primes to pass a bound on it, and one
+spare prime must agree.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from numbers import Integral
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,12 +34,12 @@ from .constraint_graph import (
     WeightSet,
     instance_structure,
     mask_from,
-    mask_members,
     subset_weight,
 )
 from .errors import (
     BudgetExceeded,
     InvalidColoring,
+    OracleMismatch,
     TorushomError,
     ZeroConditioningEvent,
 )
@@ -53,14 +56,14 @@ DEFAULT_TRANSFER_BUDGET = 10**7
 _FLOAT64_EXACT = 2**53
 # Above this, int64 layer products could overflow; switch to exact bigints.
 _INT64_SAFE = 2**62
+# Columns of the character sums the sector route forms per product.
+_CHAR_BLOCK = 4096
 
 
-def _arithmetic(bound: int, *, blas: bool = False) -> tuple[str, object]:
+def _arithmetic(bound: int) -> tuple[str, object]:
     """(label, dtype) of the narrowest exact arithmetic for nonnegative integer
     matrix products whose entries, partial sums and trace stay at most
-    `bound`: float64 below 2^53 if `blas`, int64 below 2^62, else Python ints."""
-    if blas and bound < _FLOAT64_EXACT:
-        return "float64", np.float64
+    `bound`: int64 below 2^62, else Python ints."""
     if bound < _INT64_SAFE:
         return "int64", np.int64
     return "int", object
@@ -90,10 +93,12 @@ class PartitionFunctionResult:
     """Exact partition function value plus provenance of the computation.
 
     `method` names the public route (brute or transfer). `route` names the
-    path inside it: "brute", "bitset" (transfer at m=2), "squaring"
-    (unpinned transfer at m >= 4) or "masked" (pinned transfer at m >= 4).
-    `arithmetic` is "float64", "int64" or "int" (Python integers); brute
-    force takes "int64" or "int". `layer_states` is the number of valid
+    path inside it: "brute", "bitset" (transfer at m=2, popcounts of packed
+    compatibility rows), "sectors" (unpinned transfer at m >= 4) or
+    "masked" (pinned transfer at m >= 4). `arithmetic` is "modular" for
+    "sectors" (residues modulo primes, assembled by CRT), "int" for
+    "bitset", and "int64" or "int" (Python integers) for "brute" and
+    "masked". `layer_states` is the number of valid
     layer colorings, None for brute; `search_states` is the number of
     nonzero (vertex, frontier coloring) entries the brute-force sweep met,
     None for transfer.
@@ -260,80 +265,211 @@ def brute_force_partition_function(
     )
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to bases 2, 3, 5 and 7, which is exact below 3,215,031,751."""
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _sector_prime(m: int, dim: int, i: int) -> int:
+    """The i-th largest prime p = 1 (mod m) for which every entry and partial
+    sum of a product of two dim x dim matrices of residues mod p, at most
+    dim * (p - 1)^2, stays below 2^53, where float64 is exact."""
+    if i == 0:
+        top = math.isqrt((_FLOAT64_EXACT - 1) // dim)
+        p = top - top % m + 1 + m
+    else:
+        p = _sector_prime(m, dim, i - 1)
+    p -= m
+    while not _is_prime(p):
+        p -= m
+    return p
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity(m: int, p: int) -> int:
+    """A primitive m-th root of unity modulo a prime p = 1 (mod m)."""
+    factors = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    omega, x = 1, 1
+    while any(pow(omega, m // q, p) == 1 for q in factors):
+        x += 1
+        omega = pow(x, (p - 1) // m, p)
+    return omega
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for float64 integers 0 <= x < 2^53. The rounded
+    quotient is within 2^-53 * x/p < 1/p of x/p, which is an integer or at
+    least 1/p below the next one, so its floor is exact."""
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for float64 stacks of residues whose product is exact."""
+    return _reduce(a @ b, p)
+
+
+def _power_trace_mod(mats: np.ndarray, m: int, p: int) -> int:
+    """Sum over a stack of residue matrices of trace(M^m) mod p, m even: P =
+    M^(m/2) by binary powering, closed as the diagonal of P P."""
+    base, power, k = mats, None, m // 2
+    while k:
+        if k & 1:
+            power = base if power is None else _mulmod(power, base, p)
+        k >>= 1
+        if k:
+            base = _mulmod(base, base, p)
+    # dim terms below p^2 per diagonal entry, so each sum is exact
+    diag = _reduce(np.einsum("kij,kji->ki", power, power), p)
+    return int(diag.astype(np.int64).sum()) % p
+
+
+def _layer_states(t: TorusGraph, g: ConstraintGraph) -> np.ndarray:
+    """The valid colorings of one layer of t (the torus Z_m^(d-1), or one
+    vertex when d = 1) as a uint8 array with one row per coloring, in the
+    order of `enumerate_colorings`: a sweep over the layer's vertices that
+    extends every row by each color its lower neighbors allow."""
+    adj = _bit_rows(g.adj, g.h).astype(bool)
+    if t.d == 1:
+        lower: list[list[int]] = [[]]
+    else:
+        layer = TorusGraph(t.m, t.d - 1)
+        lower = [[u for u in layer.neighbors(v) if u < v] for v in range(layer.n)]
+    states = np.zeros((1, 0), dtype=np.uint8)
+    for nbrs in lower:
+        cand = np.ones((len(states), g.h), dtype=bool)
+        for u in nbrs:
+            cand &= adj[states[:, u]]
+        rows, colors = np.nonzero(cand)
+        states = np.column_stack((states[rows], colors.astype(np.uint8)))
+    return states
+
+
+class _Sectors(NamedTuple):
+    """Orbits of the layer states under the translations G = Z_m^(d-1) of the
+    layer. Group elements are numbered like the layer's positions."""
+
+    orbit: np.ndarray  # (s,) orbit of each state
+    shift: np.ndarray  # (s,) an element taking each state to its representative
+    reps: np.ndarray  # (orbits,) the least state of each orbit
+    kdot: np.ndarray  # (|G|, |G|) k . a mod m
+    member: np.ndarray  # (|G|, orbits) chi_k is trivial on the orbit's stabilizer
+
+
+def _sectors(t: TorusGraph, states: np.ndarray) -> _Sectors:
+    """Orbit labels from the index permutation of each unit translation,
+    composed over the whole group."""
+    s, positions = states.shape
+    act = np.arange(s)[None, :]  # act[a, i]: the index of state i shifted by a
+    coords = np.zeros((1, 0), dtype=np.int64)
+    if t.d > 1:
+        layer = TorusGraph(t.m, t.d - 1)
+        for c in range(1, t.d):
+            shifted = np.empty_like(states)
+            shifted[:, [layer.shift(p, c, 1) for p in range(positions)]] = states
+            # states are sorted rows, and the shifted rows are the same set
+            gen = np.empty(s, dtype=np.intp)
+            gen[np.lexsort(shifted.T[::-1])] = np.arange(s)
+            steps = [act]
+            for _ in range(t.m - 1):
+                steps.append(gen[steps[-1]])
+            # a new least significant coordinate, so elements follow positions
+            act = np.stack(steps, axis=1).reshape(-1, s)
+            coords = np.column_stack(
+                (np.repeat(coords, t.m, axis=0), np.tile(np.arange(t.m), len(coords)))
+            )
+    reps, orbit = np.unique(act.min(axis=0), return_inverse=True)
+    kdot = coords @ coords.T % t.m
+    stab = act[:, reps] == reps
+    member = (kdot != 0).astype(np.int64) @ stab.astype(np.int64) == 0
+    return _Sectors(orbit.ravel(), act.argmin(axis=0), reps, kdot, member)
+
+
 class _TransferEngine:
     """Layered transfer-matrix evaluator for one (torus shape, H, weights).
 
     The torus is sliced along the last coordinate into m layers, each a
     Z_m^{d-1} torus (a single vertex when d=1). States are the valid
-    colorings of one layer; compatibility between consecutive layers is
-    a bitset intersection over positions. For m=2 the two layers are
-    joined by a single matching, so the inter-layer feasibility is
-    applied exactly once rather than squared.
+    colorings of one layer, a uint8 array. State j may follow state i when
+    every position's colors are adjacent in H; row i of `compat` packs
+    those j into bits. For m=2 the two layers are joined by a single
+    matching, so the inter-layer feasibility is applied exactly once
+    rather than squared. Unpinned counts at m >= 4 go through the orbits
+    of the states under the layer's translations (`sectors`).
     """
 
     def __init__(self, t: TorusGraph, g: ConstraintGraph, w: WeightSet):
         self.t = t
         self.g = g
-        self.layer_n = t.n // t.m
-        if t.d == 1:
-            states: list[Coloring] = [(k,) for k in range(g.h)]
-        else:
-            layer = TorusGraph(t.m, t.d - 1)
-            states = list(enumerate_colorings(layer, g))
-        self.states = states
+        self.states = _layer_states(t, g)
         self.scale, wint = w.integer_scaled()
-        self.state_w = [math.prod((wint[k] for k in s), start=1) for s in states]
+        dtype = _arithmetic(max(wint) ** self.states.shape[1])[1]
+        state_w = np.array(wint, dtype=dtype)[self.states].prod(axis=1)
+        # weights: the distinct state weights, ascending; cls: each state's
+        # place among them
+        weights, self.cls = np.unique(state_w, return_inverse=True)
+        self.weights = tuple(int(x) for x in weights)
 
-        # by_pc[p][c]: bitset of states whose color at position p is c.
-        by_pc = [[0] * g.h for _ in range(self.layer_n)]
-        for i, s in enumerate(states):
-            bit = 1 << i
-            for p, k in enumerate(s):
-                by_pc[p][k] |= bit
-        self.by_pc = by_pc
+    @cached_property
+    def _near(self) -> np.ndarray:
+        """(positions, h, packed states): the states whose color at the
+        position is adjacent to the color."""
+        adj = _bit_rows(self.g.adj, self.g.h).astype(bool)
+        near = adj[:, self.states.T].transpose(1, 0, 2)
+        return np.packbits(near, axis=-1, bitorder="little")
 
-        allowed = [[0] * g.h for _ in range(self.layer_n)]
-        for p in range(self.layer_n):
-            for c in range(g.h):
-                acc = 0
-                for k in mask_members(g.adj[c]):
-                    acc |= by_pc[p][k]
-                allowed[p][c] = acc
+    def _compat_rows(self, index) -> np.ndarray:
+        """Packed compatibility rows of the states at `index`."""
+        sub = self.states[index]
+        near = self._near
+        out = near[0][sub[:, 0]]
+        for p in range(1, sub.shape[1]):
+            out &= near[p][sub[:, p]]
+        return out
 
-        full = (1 << len(states)) - 1
-        compat = []
-        for s in states:
-            mask = full
-            for p, k in enumerate(s):
-                mask &= allowed[p][k]
-            compat.append(mask)
-        self.compat = compat
+    @cached_property
+    def compat(self) -> np.ndarray:
+        """Bit j of row i (little-endian) is set when state j may follow i."""
+        return self._compat_rows(slice(None))
 
-        groups: dict[int, int] = {}
-        for i, wgt in enumerate(self.state_w):
-            groups[wgt] = groups.get(wgt, 0) | (1 << i)
-        self.weight_groups = tuple(groups.items())
+    @cached_property
+    def sectors(self) -> _Sectors:
+        return _sectors(self.t, self.states)
 
-    def _wsum(self, mask: int) -> int:
-        return sum(wgt * (mask & grp).bit_count() for wgt, grp in self.weight_groups)
-
-    def layer_allowed(self, pins: Pins | None) -> list[int] | None:
-        """Translate vertex pins into per-layer allowed-state bitsets."""
+    def layer_allowed(self, pins: Pins | None) -> np.ndarray | None:
+        """Translate vertex pins into an (m, states) mask of allowed states."""
         if not pins:
             return None
-        full = (1 << len(self.states)) - 1
-        out = [full] * self.t.m
+        out = np.ones((self.t.m, len(self.states)), dtype=bool)
         for v, cmask in pins.items():
             if not (0 <= v < self.t.n):
                 raise ValueError(f"pinned vertex {v} outside torus")
             layer, pos = v % self.t.m, v // self.t.m
-            acc = 0
-            for k in mask_members(cmask & self.g.full_mask):
-                acc |= self.by_pc[pos][k]
-            out[layer] &= acc
+            colors = _bit_rows([cmask & self.g.full_mask], self.g.h)[0].astype(bool)
+            out[layer] &= colors[self.states[:, pos]]
         return out
 
-    def z_int(self, allowed: list[int] | None, budget: int) -> tuple[int, str, str]:
+    def z_int(self, allowed: np.ndarray | None, budget: int) -> tuple[int, str, str]:
         """Integer-scaled weighted count, with the route and arithmetic used.
 
         On Python ints each product of s x s matrices is s^3 interpreted
@@ -341,65 +477,115 @@ class _TransferEngine:
         before the first one, and raises BudgetExceeded if they do not fit."""
         s_count = len(self.states)
         if self.t.m == 2:
-            a0, a1 = allowed or ((1 << s_count) - 1,) * 2
-            total = 0
-            rest = a0
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                i = bit.bit_length() - 1
-                total += self.state_w[i] * self._wsum(self.compat[i] & a1)
-            return total, "bitset", "int"
-        route = "squaring" if allowed is None else "masked"
+            return self._pair_sum(allowed), "bitset", "int"
+        if allowed is None:
+            return self._sector_sum(), "sectors", "modular"
         if s_count == 0:
-            return 0, route, "int"
+            return 0, "masked", "int"
         # Entry and trace bound for the m-fold product of row-masked T: an
         # entry of a j-fold product is at most s^(j-1) * w_max^j, and the
         # trace at most s^m * w_max^m.
-        bound = (s_count * max(self.state_w)) ** self.t.m
-        arithmetic, dtype = _arithmetic(bound, blas=allowed is None)
-        if arithmetic == "int":
-            # T^(m/2) by binary powering, or m - 2 products of masked factors
-            half = self.t.m // 2
-            products = (
-                half.bit_length() + half.bit_count() - 2
-                if allowed is None
-                else self.t.m - 2
+        bound = (s_count * self.weights[-1]) ** self.t.m
+        arithmetic, dtype = _arithmetic(bound)
+        products = self.t.m - 2
+        if arithmetic == "int" and s_count**3 * products > budget:
+            raise BudgetExceeded(
+                f"transfer on Python ints needs {products} products of "
+                f"{s_count} x {s_count} matrices: "
+                f"{s_count}^3 * {products} > {budget}"
             )
-            if s_count**3 * products > budget:
-                raise BudgetExceeded(
-                    f"transfer on Python ints needs {products} products of "
-                    f"{s_count} x {s_count} matrices: "
-                    f"{s_count}^3 * {products} > {budget}"
-                )
-        if allowed is None:
-            return self._trace_power(dtype), route, arithmetic
         t_mat = self._matrix(dtype)
-        keep = _bit_rows(allowed, s_count).astype(dtype)
-        return _cycle_trace(t_mat * row[:, None] for row in keep), route, arithmetic
+        keep = allowed.astype(dtype)
+        return _cycle_trace(t_mat * row[:, None] for row in keep), "masked", arithmetic
+
+    def _pair_sum(self, allowed: np.ndarray | None) -> int:
+        """m = 2: the sum of w_i * w_j over compatible pairs, i allowed in
+        layer 0 and j in layer 1, from popcounts per weight class."""
+        k = len(self.weights)
+        row_cls = self.cls if allowed is None else np.where(allowed[0], self.cls, k)
+        buf = np.empty_like(self.compat)
+        total = 0
+        for c, wc in enumerate(self.weights):
+            cols = self.cls == c
+            if allowed is not None:
+                cols &= allowed[1]
+            np.bitwise_and(self.compat, np.packbits(cols, bitorder="little"), out=buf)
+            per_row = np.bitwise_count(buf, out=buf).sum(axis=1, dtype=np.int64)
+            by_cls = np.zeros(k + 1, dtype=np.int64)
+            np.add.at(by_cls, row_cls, per_row)
+            total += wc * sum(wr * int(x) for wr, x in zip(self.weights, by_cls))
+        return total
 
     def _matrix(self, dtype) -> np.ndarray:
         """T in `dtype`: T[i, j] is state i's weight when j may follow i."""
-        weights = np.array(self.state_w, dtype=dtype)
-        return _bit_rows(self.compat, len(self.states)).astype(dtype) * weights[:, None]
+        weights = np.array(self.weights, dtype=dtype)[self.cls]
+        bits = np.unpackbits(self.compat, axis=1, count=len(self.states), bitorder="little")
+        return bits.astype(dtype) * weights[:, None]
 
-    def _trace_power(self, dtype) -> int:
-        """trace(T^m) as sum(P * P^T) with P = T^(m/2) by binary powering.
+    def _sector_sum(self) -> int:
+        """trace(T^m) as the sum over the characters chi_k of G of
+        trace(M_k^m), where M_k[O, O'] = w(O) * sum over the states y of O'
+        that may follow O's representative of chi_k(shift of y), and
+        O, O' range over the orbits of sector k.
 
-        With every entry of T a nonnegative integer and s^m * w_max^m below
-        2^53, every product, partial sum and Frobenius term formed here is
-        an integer no larger than that bound, so float64 (BLAS) is exact in
-        any summation order. Below 2^62 the same holds for int64.
-        """
-        base, power = self._matrix(dtype), None
-        k = self.t.m // 2
-        while k:
-            if k & 1:
-                power = base if power is None else power @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        return _cycle_trace((power, power))
+        Each sector trace is taken modulo primes p = 1 (mod m), where the
+        m-th roots of unity exist, until their product passes the bound
+        (s * w_max)^m on Z; CRT assembles Z, and one spare prime must agree.
+        The shift takes y to its representative rather than back, which
+        relabels sector k as -k and leaves the sum unchanged."""
+        s_count = len(self.states)
+        if s_count == 0:
+            return 0
+        sec = self.sectors
+        n, group = len(sec.reps), len(sec.kdot)
+        # counts[a, O, O']: states y of O' with shift a that may follow O's rep
+        o, y = np.nonzero(np.unpackbits(
+            self._compat_rows(sec.reps), axis=1, count=s_count, bitorder="little"
+        ))
+        counts = np.bincount(
+            (sec.shift[y] * n + o) * n + sec.orbit[y], minlength=group * n * n
+        ).reshape(group, n, n).astype(np.float64)
+        bound = (s_count * self.weights[-1]) ** self.t.m
+        # a product entry sums n terms below p^2, a character sum |O'| <= |G|
+        dim = max(n, group)
+        used, modulus = [], 1
+        while modulus <= bound:
+            used.append(_sector_prime(self.t.m, dim, len(used)))
+            modulus *= used[-1]
+        spare = _sector_prime(self.t.m, dim, len(used))
+        z = 0
+        for p in used:
+            r = self._sector_residue(sec, counts, p)
+            q = modulus // p
+            z += r * q * pow(q, -1, p)
+        z %= modulus
+        r = self._sector_residue(sec, counts, spare)
+        if z % spare != r:
+            raise OracleMismatch(
+                f"sector trace {z} is {z % spare} modulo the spare prime "
+                f"{spare}, which gives {r}"
+            )
+        return z
+
+    def _sector_residue(self, sec: _Sectors, counts: np.ndarray, p: int) -> int:
+        """Sum over k of trace(M_k^m) mod p; a sector's matrix keeps the full
+        orbit index, zero outside its orbits."""
+        n, group = len(sec.reps), len(sec.kdot)
+        omega = _root_of_unity(self.t.m, p)
+        powers = np.array([pow(omega, e, p) for e in range(self.t.m)], dtype=np.float64)
+        chars = powers[sec.kdot]
+        w_mod = np.array([x % p for x in self.weights], dtype=np.float64)
+        weighted = (counts * w_mod[self.cls[sec.reps], None]).reshape(group, n * n)
+        # An entry sums at most |O'| <= |G| terms below p^2, so it is exact.
+        # Column blocks keep each product small enough for the BLAS to run
+        # it on one thread, which is faster here than splitting it.
+        mats = np.empty_like(weighted)
+        for j in range(0, n * n, _CHAR_BLOCK):
+            block = slice(j, j + _CHAR_BLOCK)
+            np.matmul(chars, weighted[:, block], out=mats[:, block])
+        mats = _reduce(mats, p).reshape(group, n, n)
+        mats *= sec.member[:, :, None] & sec.member[:, None, :]
+        return _power_trace_mod(mats, self.t.m, p)
 
 
 @lru_cache(maxsize=None)
@@ -421,13 +607,23 @@ def transfer_matrix_partition_function(
     budget: int = DEFAULT_TRANSFER_BUDGET,
     pins: Pins | None = None,
 ) -> PartitionFunctionResult:
-    """Transfer-matrix route: layer states, bitset compatibility, cyclic trace."""
+    """Transfer-matrix route: layer states, bitset compatibility, cyclic trace.
+
+    The budget is checked twice: against the h^(n/m) raw layer states before
+    any is enumerated, and against the s^2 compatibility bits of the s valid
+    ones before any is built."""
     layer_size = t.n // t.m
     if g.h**layer_size > budget:
         raise BudgetExceeded(
             f"transfer needs {g.h}^{layer_size} > {budget} raw layer states"
         )
     eng = _engine(t, g, w)
+    s_count = len(eng.states)
+    if s_count**2 > budget:
+        raise BudgetExceeded(
+            f"transfer needs {s_count}^2 > {budget} compatibility bits "
+            f"for its {s_count} layer states"
+        )
     z_int, route, arithmetic = eng.z_int(eng.layer_allowed(pins), budget)
     return PartitionFunctionResult(
         z=Fraction(z_int, eng.scale**t.n),

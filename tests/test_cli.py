@@ -205,8 +205,8 @@ class TestCountCommand:
                                 "layer_states": 6}),
             ("count-k4loop-m2-d3", {"route": "bitset", "arithmetic": "int",
                                     "layer_states": 256}),
-            ("count-wr-weighted-m4-d1", {"route": "squaring",
-                                         "arithmetic": "float64",
+            ("count-wr-weighted-m4-d1", {"route": "sectors",
+                                         "arithmetic": "modular",
                                          "layer_states": 3}),
         ],
     )
@@ -234,7 +234,7 @@ class TestCountCommand:
         assert main(argv) == 0
         doc = json.loads(out.read_text())
         assert doc["meta"]["count"] == {
-            "transfer": {"route": "squaring", "arithmetic": "float64",
+            "transfer": {"route": "sectors", "arithmetic": "modular",
                          "layer_states": 7, "search_states": None},
         }
         assert "count" not in doc["result"]

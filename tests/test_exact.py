@@ -18,9 +18,11 @@ from torushom.constraint_graph import (
 from torushom.errors import (
     BudgetExceeded,
     InvalidColoring,
+    OracleMismatch,
     ZeroConditioningEvent,
 )
 from torushom.exact import (
+    DEFAULT_TRANSFER_BUDGET,
     brute_force_partition_function,
     check_global_bounds,
     coloring_weight,
@@ -45,6 +47,20 @@ def ones(g):
 
 C4 = TorusGraph(2, 2)
 Q3 = TorusGraph(2, 3)
+
+
+@pytest.fixture
+def sector_primes(monkeypatch):
+    """The primes the sector route takes residues modulo, in order."""
+    seen = []
+    residue = exact_module._TransferEngine._sector_residue
+
+    def spy(self, sec, counts, p):
+        seen.append(p)
+        return residue(self, sec, counts, p)
+
+    monkeypatch.setattr(exact_module._TransferEngine, "_sector_residue", spy)
+    return seen
 
 
 class TestColoringWeight:
@@ -250,23 +266,29 @@ class TestTransferMatrix:
         g = preset("k4loop")
         w = WeightSet.parse("1000000,1000000,1000000,1000000")
         t = TorusGraph(4, 1)
-        # 4^4 colorings each of weight 10^24; int64 would overflow
+        # 4^4 colorings each of weight 10^24; int64 would overflow, and
+        # the bound (4 * 10^6)^4 takes several primes
         res = transfer_matrix_partition_function(t, g, w)
         assert res.z == 256 * 10**24
-        assert res.arithmetic == "int"
+        assert res.arithmetic == "modular"
         assert res.z == brute_force_partition_function(t, g, w).z
 
     @pytest.mark.parametrize("pins", [None, {0: 0b010}])
     def test_bigint_products_are_refused_before_the_first(self, monkeypatch, pins):
-        # wr on Z_8^2: 1,155 layer states and an entry bound past 2^62, so
-        # the products would run on Python ints; 1155^3 per product is far
-        # past the default budget of 10^7.
+        # wr on Z_8^2: 1,155 layer states and an entry bound past 2^62.
+        # Pinned, the products would run on Python ints; 1155^3 per product
+        # is far past the default budget of 10^7. Unpinned, the sector route
+        # counts it modulo primes and forms no product of T.
         def no_product(*_):
             raise AssertionError("a matrix product was formed")
 
         monkeypatch.setattr(exact_module, "_cycle_trace", no_product)
-        monkeypatch.setattr(exact_module._TransferEngine, "_trace_power", no_product)
         t, g = TorusGraph(8, 2), preset("wr")
+        if pins is None:
+            res = transfer_matrix_partition_function(t, g, ones(g))
+            assert res.z == 2146443144974317720907
+            assert (res.route, res.arithmetic) == ("sectors", "modular")
+            return
         with pytest.raises(BudgetExceeded, match="Python ints"):
             transfer_matrix_partition_function(t, g, ones(g), pins=pins)
 
@@ -275,15 +297,19 @@ class TestTransferMatrix:
         res = transfer_matrix_partition_function(Q3, g, ones(g))
         assert res.method == "transfer"
 
-    @pytest.mark.parametrize("lam, arithmetic", [(2435, "float64"), (2436, "int64")])
-    def test_float64_boundary_on_looped_k4(self, lam, arithmetic):
-        # On Z_4 the entry bound (s * w_max)^m = (4 * lam)^4 equals Z, so
-        # 2435 is the largest uniform weight whose bound stays below 2^53.
+    @pytest.mark.parametrize("lam, primes", [(1722, 3), (1723, 4)])
+    def test_prime_count_boundary_on_looped_k4(self, sector_primes, lam, primes):
+        # On Z_4 the bound (s * w_max)^m = (4 * lam)^4 equals Z, so 1722 is
+        # the largest uniform weight whose Z two primes cover; the last
+        # prime taken is the spare.
         g = preset("k4loop")
         w = WeightSet.parse(",".join([str(lam)] * 4))
         res = transfer_matrix_partition_function(TorusGraph(4, 1), g, w)
         assert res.z == (4 * lam) ** 4
-        assert (res.route, res.arithmetic) == ("squaring", arithmetic)
+        assert (res.route, res.arithmetic) == ("sectors", "modular")
+        assert len(sector_primes) == primes
+        assert all(p % 4 == 1 for p in sector_primes)
+        assert math.prod(sector_primes[:-2]) <= res.z < math.prod(sector_primes[:-1])
 
     def test_ind_on_z4_cubed_runs_on_float64(self):
         # Z_4^3 is Q_6, whose independent sets number 19,768,832,143.
@@ -291,7 +317,7 @@ class TestTransferMatrix:
         res = transfer_matrix_partition_function(TorusGraph(4, 3), g, ones(g))
         assert res.z == 19768832143
         assert (res.route, res.arithmetic, res.layer_states) == (
-            "squaring", "float64", 743
+            "sectors", "modular", 743
         )
 
     def test_pinned_route_keeps_integer_arithmetic(self):
@@ -300,6 +326,98 @@ class TestTransferMatrix:
         res = transfer_matrix_partition_function(t, g, ones(g), pins={5: 1})
         assert (res.route, res.arithmetic) == ("masked", "int64")
         assert res.z == brute_force_partition_function(t, g, ones(g), pins={5: 1}).z
+
+    def test_compat_bits_are_refused_before_compat_is_built(self, monkeypatch):
+        # Q_6 sliced into two Q_5 layers: 2^32 raw layer states pass a budget
+        # of 10^10, but the 254,475 valid ones need 254475^2 > 10^10
+        # compatibility bits (about 8 GB).
+        def no_compat(*_):
+            raise AssertionError("compatibility rows were built")
+
+        monkeypatch.setattr(exact_module._TransferEngine, "_compat_rows", no_compat)
+        g = preset("ind")
+        with pytest.raises(BudgetExceeded, match="254475\\^2"):
+            transfer_matrix_partition_function(
+                TorusGraph(2, 6), g, ones(g), budget=10**10
+            )
+
+
+class TestSectors:
+    @pytest.mark.parametrize(
+        "spec, m, d, orbits",
+        [("ind", 4, 3, 56), ("wr", 8, 2, 152), ("k3", 4, 2, 6), ("wr", 6, 1, 3)],
+    )
+    def test_orbits_and_sectors_partition_the_states(self, spec, m, d, orbits):
+        g = preset(spec)
+        t = TorusGraph(m, d)
+        eng = exact_module._engine(t, g, ones(g))
+        sec = eng.sectors
+        s, group = len(eng.states), m ** (d - 1)
+        sizes = np.bincount(sec.orbit)
+        assert len(sec.reps) == len(sizes) == orbits
+        assert sizes.sum() == s
+        assert all(group % int(x) == 0 for x in sizes)
+        # each orbit has one basis vector in |G| / |stabilizer| = |O| sectors
+        assert sec.member.shape == (group, orbits)
+        assert (sec.member.sum(axis=0) == sizes).all()
+        assert sec.member.sum() == s
+
+    def test_wrong_residue_on_one_prime_is_caught(self, monkeypatch):
+        residue = exact_module._TransferEngine._sector_residue
+        seen = []
+
+        def off_by_one_on_the_first(self, sec, counts, p):
+            seen.append(p)
+            return (residue(self, sec, counts, p) + (len(seen) == 1)) % p
+
+        monkeypatch.setattr(
+            exact_module._TransferEngine, "_sector_residue", off_by_one_on_the_first
+        )
+        g = preset("wr")
+        with pytest.raises(OracleMismatch, match="spare prime"):
+            transfer_matrix_partition_function(
+                TorusGraph(6, 2), g, WeightSet.parse("1,3,1")
+            )
+
+    @pytest.mark.parametrize(
+        "d, weights, z",
+        [(1, "1000000,1000000,1000000,1000000", 256 * 10**24), (2, "1,2,3,4", 10**16)],
+    )
+    def test_crt_over_several_primes_is_exact(self, sector_primes, d, weights, z):
+        # Every coloring is valid on k4loop, so Z = (sum of weights)^n.
+        res = transfer_matrix_partition_function(
+            TorusGraph(4, d), preset("k4loop"), WeightSet.parse(weights)
+        )
+        assert res.z == z
+        assert len(sector_primes) >= 3
+        assert len(set(sector_primes)) == len(sector_primes)
+
+    @pytest.mark.parametrize(
+        "spec, weights", [("ind", None), ("k3", None), ("wr", None), ("wr", "1,2,1")]
+    )
+    def test_z4_squared_is_q4_across_routes(self, spec, weights):
+        # Z_4^2 and Q_4 are isomorphic: the sector route at m=4 against
+        # the packed pair count at m=2
+        g = preset(spec)
+        w = ones(g) if weights is None else WeightSet.parse(weights)
+        sectors = transfer_matrix_partition_function(TorusGraph(4, 2), g, w)
+        pairs = transfer_matrix_partition_function(TorusGraph(2, 4), g, w)
+        assert (sectors.route, pairs.route) == ("sectors", "bitset")
+        assert sectors.z == pairs.z
+
+    @pytest.mark.parametrize(
+        "spec, m, d, budget, z",
+        [
+            ("wr", 8, 2, DEFAULT_TRANSFER_BUDGET, 2146443144974317720907),
+            ("k3", 4, 3, 10**12, 100301050602),
+        ],
+    )
+    def test_locked_values(self, spec, m, d, budget, z):
+        g = preset(spec)
+        res = transfer_matrix_partition_function(
+            TorusGraph(m, d), g, ones(g), budget=budget
+        )
+        assert res.z == z
 
 
 class TestDualRoute:
@@ -551,29 +669,14 @@ def test_routes_agree_on_random_graphs(gw, shape):
 
 @settings(max_examples=40, deadline=None)
 @given(random_instances(), st.sampled_from([(4, 1), (6, 1), (8, 1), (4, 2)]))
-# 16 layer states of weight up to 6^4: the entry bound 20736^4 passes 2^53
+# 16 layer states of weight up to 6^4: the bound 20736^4 takes three primes
 @example((ConstraintGraph(2, (3, 3)), WeightSet.parse("3,1/2")), (4, 2))
 def test_squaring_matches_brute_on_random_graphs(gw, shape):
     g, w = gw
     assume(shape[1] == 1 or g.h <= 2)  # keeps brute force on Z_4^2 small
     t = TorusGraph(*shape)
     zt = transfer_matrix_partition_function(t, g, w)
-    assert zt.route == "squaring"
-    # float64 exactly when the entry bound (s * w_max)^m is below 2^53
-    _, wint = w.integer_scaled()
-    layer = (
-        [(k,) for k in range(g.h)]
-        if t.d == 1
-        else enumerate_colorings(TorusGraph(t.m, t.d - 1), g)
-    )
-    w_max = max((math.prod(wint[k] for k in f) for f in layer), default=0)
-    if not zt.layer_states:
-        expected = "int"
-    elif (zt.layer_states * w_max) ** t.m < 2**53:
-        expected = "float64"
-    else:
-        expected = "int64"
-    assert zt.arithmetic == expected
+    assert (zt.route, zt.arithmetic) == ("sectors", "modular")
     assert zt.z == brute_force_partition_function(t, g, w).z
 
 
@@ -599,7 +702,7 @@ def test_pin_allowing_every_color_matches_squaring(gw, m, d, data):
     v = data.draw(st.integers(min_value=0, max_value=t.n - 1))
     unpinned = transfer_matrix_partition_function(t, g, w)
     pinned = transfer_matrix_partition_function(t, g, w, pins={v: g.full_mask})
-    assert unpinned.route == "squaring"
+    assert unpinned.route == "sectors"
     assert pinned.route == "masked"
     assert pinned.z == unpinned.z
 
