@@ -4,16 +4,15 @@ Two independent routes compute the same partition function: a sweep over
 the vertices in index order that keeps one array over the colorings of its
 frontier (the swept vertices that still have an unswept neighbor) and
 eliminates each vertex once its last neighbor is swept, and a layered
-transfer matrix. They share numpy and the `_arithmetic` rule but not the
-decomposition (vertex elimination against layer transfer), which is what
-makes their exact agreement a meaningful cross-check. Everything here is
-exact. Floating point touches a partition function in one place only: an
-unpinned transfer count at m >= 4 splits trace(T^m) into momentum sectors,
-one per character of the layer's translation group, and takes each
-sector's trace modulo primes p = 1 (mod m) on float64 BLAS, with every
-value it forms an integer below 2^53, where float64 arithmetic is exact.
-CRT assembles the count from enough primes to pass a bound on it, and one
-spare prime must agree.
+transfer matrix. They share numpy and the modular arithmetic below but not
+the decomposition (vertex elimination against layer transfer), which is
+what makes their exact agreement a meaningful cross-check. Everything here
+is exact: a count whose bound stays below 2^62 runs on int64, and past it
+modulo primes on float64, every value an integer below 2^53, where float64
+is exact; `_crt` assembles it from enough primes to pass the bound, and one
+spare prime must agree. Unpinned transfer counts at m >= 4 always run
+modulo primes p = 1 (mod m), whose m-th roots of unity split trace(T^m)
+into momentum sectors, one per character of the layer's translation group.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from numbers import Integral
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,21 +51,10 @@ Pins = Mapping[int, int]
 DEFAULT_BRUTE_BUDGET = 10**8
 DEFAULT_TRANSFER_BUDGET = 10**7
 
-# Below this, float64 represents every integer and adds them exactly.
-_FLOAT64_EXACT = 2**53
-# Above this, int64 layer products could overflow; switch to exact bigints.
+# Above this, int64 products could overflow; count modulo primes instead.
 _INT64_SAFE = 2**62
 # Columns of the character sums the sector route forms per product.
 _CHAR_BLOCK = 4096
-
-
-def _arithmetic(bound: int) -> tuple[str, object]:
-    """(label, dtype) of the narrowest exact arithmetic for nonnegative integer
-    matrix products whose entries, partial sums and trace stay at most
-    `bound`: int64 below 2^62, else Python ints."""
-    if bound < _INT64_SAFE:
-        return "int64", np.int64
-    return "int", object
 
 
 def _bit_rows(masks: Sequence[int], n: int) -> np.ndarray:
@@ -77,15 +65,27 @@ def _bit_rows(masks: Sequence[int], n: int) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=n, bitorder="little")
 
 
-def _cycle_trace(factors: Iterable[np.ndarray]) -> int:
-    """Exact trace of the ordered product of two or more square factors, in
-    a dtype `_arithmetic` chose. Factors are drawn one at a time, so a
-    generator never holds them all; the last product closes as a Frobenius sum."""
-    it = iter(factors)
-    prod, last = next(it), next(it)
-    for f in it:
-        prod, last = prod @ last, f
-    return int((prod * last.T).sum())
+def _cycle_trace(factors: Callable, bound: int, dim: int) -> int:
+    """Exact trace of the ordered product of two or more dim x dim integer
+    factors with entries, partial sums and trace at most `bound`: on int64
+    from `factors(None)` below 2^62, else from residues `factors(p)` modulo
+    the primes of `_crt`, drawn one at a time; it closes as a Frobenius sum."""
+    if bound < _INT64_SAFE:
+        it = iter(factors(None))
+        prod, last = next(it), next(it)
+        for f in it:
+            prod, last = prod @ last, f
+        return int(np.vdot(prod, last.T))
+
+    def residue(p: int) -> int:
+        it = (f.astype(np.float64) for f in factors(p))
+        prod, last = next(it), next(it)
+        for f in it:
+            prod, last = _reduce(prod @ last, p), f
+        # a row sums dim terms below p^2, so it is exact
+        return int(_reduce((prod * last.T).sum(axis=1), p).sum()) % p
+
+    return _crt(lambda primes: [residue(p) for p in primes], bound, 1, dim)
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,10 @@ class PartitionFunctionResult:
     `method` names the public route (brute or transfer). `route` names the
     path inside it: "brute", "bitset" (transfer at m=2, popcounts of packed
     compatibility rows), "sectors" (unpinned transfer at m >= 4) or
-    "masked" (pinned transfer at m >= 4). `arithmetic` is "modular" for
-    "sectors" (residues modulo primes, assembled by CRT), "int" for
-    "bitset", and "int64" or "int" (Python integers) for "brute" and
-    "masked". `layer_states` is the number of valid
+    "masked" (pinned transfer at m >= 4). `arithmetic` is "int" for
+    "bitset" (popcounts summed as Python integers), "modular" (residues
+    modulo primes, assembled by `_crt`) for "sectors", and "int64" or
+    "modular" for "brute" and "masked". `layer_states` is the number of valid
     layer colorings, None for brute; `search_states` is the number of
     nonzero (vertex, frontier coloring) entries the brute-force sweep met,
     None for transfer.
@@ -206,8 +206,9 @@ def brute_force_partition_function(
     an axis holding its pinned integer-scaled weights, multiplies in the
     adjacency of H against the axis of each lower neighbor, and sums out
     every vertex whose last neighbor is v. Every partial sum is at most
-    (sum of weights)^n, so `_arithmetic` of that bound picks "int64" or
-    "int" (Python ints in object arrays).
+    (sum of weights)^n: below 2^62 the sweep runs on int64 ("int64"), and
+    past it once on float64 residues, with one lane per prime of `_crt`
+    ("modular").
 
     The budget bounds the sweep's real work, sum_v h^(|F_v| + 1): the
     array at vertex v holds h^(|F_v| + 1) entries. The sum is taken from
@@ -235,27 +236,46 @@ def brute_force_partition_function(
             )
         frontier += 1 - len(done.get(v, ()))
     scale, wint = w.integer_scaled()
-    arithmetic, dtype = _arithmetic(sum(wint) ** n)
-    vertex_w = _bit_rows(_pin_masks(t, g, pins), h) * np.array(wint, dtype=dtype)
-    adj = _bit_rows(g.adj, h).astype(dtype)[None, :, None, :]
-    axes: list[int] = []  # frontier vertices, ascending: the state's axes
-    state = np.ones(1, dtype=dtype)
+    bound = sum(wint) ** n
+    masks = _bit_rows(_pin_masks(t, g, pins), h)[:, None]
+    adj = _bit_rows(g.adj, h)[:, None, :]
     states = 0
-    for v in range(n):
-        if v < n - 1:
-            states += int(np.count_nonzero(state))
-        state = (state[:, None] * vertex_w[v]).ravel()
-        axes.append(v)
-        for u in {u for u in nbrs[v] if u < v}:
-            i = bisect_left(axes, u)
-            view = state.reshape(h**i, h, -1, h)
-            np.multiply(view, adj, out=view)
-        for u in done.get(v, ()):
-            i = bisect_left(axes, u)
-            state = state.reshape(h**i, h, -1).sum(axis=1).ravel()
-            del axes[i]
+
+    def sweep(primes: list[int] | None) -> list[int]:
+        """Z on int64, or Z modulo each prime with a leading lane per prime."""
+        nonlocal states
+        if primes is None:
+            lead, lane_w, mod = (), np.array(wint, dtype=np.int64), lambda x: x
+        else:
+            lane_w = np.array([[x % p for x in wint] for p in primes], np.float64)
+            lead, p = (len(primes),), np.array(primes, dtype=np.float64)[:, None]
+            mod = lambda x: _reduce(x, p)
+        vertex_w, adj_w = (masks * lane_w)[..., None, :], adj.astype(lane_w.dtype)
+        axes: list[int] = []  # frontier vertices, ascending: the state's axes
+        state = np.ones((*lead, 1), dtype=lane_w.dtype)
+        for v in range(n):
+            if v < n - 1:
+                # nonzero modulo some prime, as their product passes the bound
+                states += int(np.count_nonzero(state.any(axis=0) if lead else state))
+            state = mod((state[..., None] * vertex_w[v]).reshape(*lead, -1))
+            axes.append(v)
+            for u in {u for u in nbrs[v] if u < v}:
+                i = bisect_left(axes, u)
+                view = state.reshape(*lead, h**i, h, -1, h)
+                np.multiply(view, adj_w, out=view)
+            for u in done.get(v, ()):
+                i = bisect_left(axes, u)
+                state = state.reshape(*lead, h**i, h, -1).sum(axis=-2)
+                state = mod(state.reshape(*lead, -1))
+                del axes[i]
+        return [int(x) for x in state.reshape(-1)]
+
+    if bound < _INT64_SAFE:
+        arithmetic, z = "int64", sweep(None)[0]
+    else:
+        arithmetic, z = "modular", _crt(sweep, bound, 1, 1)
     return PartitionFunctionResult(
-        z=Fraction(int(state[0]), scale**n),
+        z=Fraction(z, scale**n),
         method="brute",
         instance=_descriptor(t, g, w),
         route="brute",
@@ -287,16 +307,12 @@ def _is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _sector_prime(m: int, dim: int, i: int) -> int:
-    """The i-th largest prime p = 1 (mod m) for which every entry and partial
-    sum of a product of two dim x dim matrices of residues mod p, at most
-    dim * (p - 1)^2, stays below 2^53, where float64 is exact."""
-    if i == 0:
-        top = math.isqrt((_FLOAT64_EXACT - 1) // dim)
-        p = top - top % m + 1 + m
-    else:
-        p = _sector_prime(m, dim, i - 1)
-    p -= m
+def _prime(m: int, dim: int, i: int) -> int:
+    """The i-th largest prime p = 1 (mod m), any prime for m = 1, at which
+    every entry and partial sum of a product of two dim x dim residue
+    matrices, at most dim * (p - 1)^2, stays below 2^53 (float64 is exact)."""
+    p = _prime(m, dim, i - 1) - 1 if i else math.isqrt((2**53 - 1) // dim) + 1
+    p -= (p - 1) % m  # the largest p' <= p with p' = 1 (mod m)
     while not _is_prime(p):
         p -= m
     return p
@@ -313,20 +329,36 @@ def _root_of_unity(m: int, p: int) -> int:
     return omega
 
 
-def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place, for float64 integers 0 <= x < 2^53. The rounded
-    quotient is within 2^-53 * x/p < 1/p of x/p, which is an integer or at
-    least 1/p below the next one, so its floor is exact."""
+def _crt(residues: Callable, bound: int, m: int, dim: int) -> int:
+    """The integer 0 <= z <= bound whose residues modulo the primes
+    `_prime(m, dim, i)`, taken until their product passes the bound, are
+    `residues(primes)`. CRT assembles z; the residue at one spare prime,
+    passed last, must agree, or OracleMismatch is raised."""
+    used, modulus = [], 1
+    while modulus <= bound:
+        used.append(_prime(m, dim, len(used)))
+        modulus *= used[-1]
+    spare = _prime(m, dim, len(used))
+    *rs, check = residues([*used, spare])
+    z = sum(r * (q := modulus // p) * pow(q, -1, p) for r, p in zip(rs, used)) % modulus
+    if z % spare != check:
+        raise OracleMismatch(
+            f"count {z} is {z % spare} modulo the spare prime {spare}, "
+            f"which gives {check}"
+        )
+    return z
+
+
+def _reduce(x: np.ndarray, p) -> np.ndarray:
+    """x mod p in place, for float64 integers 0 <= x < 2^53 and a prime p (or
+    primes broadcasting against x). The rounded quotient is within 2^-53 * x/p
+    < 1/p of x/p, which is an integer or at least 1/p below the next one, so
+    its floor is exact."""
     q = x / p
     np.floor(q, out=q)
     q *= p
     x -= q
     return x
-
-
-def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for float64 stacks of residues whose product is exact."""
-    return _reduce(a @ b, p)
 
 
 def _power_trace_mod(mats: np.ndarray, m: int, p: int) -> int:
@@ -335,10 +367,10 @@ def _power_trace_mod(mats: np.ndarray, m: int, p: int) -> int:
     base, power, k = mats, None, m // 2
     while k:
         if k & 1:
-            power = base if power is None else _mulmod(power, base, p)
+            power = base if power is None else _reduce(power @ base, p)
         k >>= 1
         if k:
-            base = _mulmod(base, base, p)
+            base = _reduce(base @ base, p)
     # dim terms below p^2 per diagonal entry, so each sum is exact
     diag = _reduce(np.einsum("kij,kji->ki", power, power), p)
     return int(diag.astype(np.int64).sum()) % p
@@ -421,14 +453,21 @@ class _TransferEngine:
     def __init__(self, t: TorusGraph, g: ConstraintGraph, w: WeightSet):
         self.t = t
         self.g = g
-        self.states = _layer_states(t, g)
         self.scale, wint = w.integer_scaled()
-        dtype = _arithmetic(max(wint) ** self.states.shape[1])[1]
-        state_w = np.array(wint, dtype=dtype)[self.states].prod(axis=1)
-        # weights: the distinct state weights, ascending; cls: each state's
-        # place among them
-        weights, self.cls = np.unique(state_w, return_inverse=True)
-        self.weights = tuple(int(x) for x in weights)
+        # A state's weight depends only on its key: digit j, in base positions
+        # + 1, counts its positions whose color has the distinct weight vals[j].
+        vals, base = sorted(set(wint)), t.n // t.m + 1
+        if base ** len(vals) >= 2**63:
+            raise BudgetExceeded(f"state weight keys need {base}^{len(vals)} >= 2^63")
+        self.states = _layer_states(t, g)
+        radix = np.array([base ** vals.index(x) for x in wint], dtype=np.int64)
+        key = radix[self.states].sum(axis=1)
+        _, first, key_of = np.unique(key, return_index=True, return_inverse=True)
+        key_w = [math.prod(wint[c] for c in row) for row in self.states[first].tolist()]
+        # weights: the distinct state weights, ascending; cls: each state's place
+        self.weights = tuple(sorted(set(key_w)))
+        place = np.array([bisect_left(self.weights, x) for x in key_w], dtype=np.intp)
+        self.cls = place[key_of]
 
     @cached_property
     def _near(self) -> np.ndarray:
@@ -469,34 +508,27 @@ class _TransferEngine:
             out[layer] &= colors[self.states[:, pos]]
         return out
 
-    def z_int(self, allowed: np.ndarray | None, budget: int) -> tuple[int, str, str]:
-        """Integer-scaled weighted count, with the route and arithmetic used.
-
-        On Python ints each product of s x s matrices is s^3 interpreted
-        multiply-adds, so that arithmetic charges s^3 per product to `budget`
-        before the first one, and raises BudgetExceeded if they do not fit."""
+    def z_int(self, allowed: np.ndarray | None) -> tuple[int, str, str]:
+        """Integer-scaled weighted count, with the route and arithmetic used."""
         s_count = len(self.states)
+        # Entry and trace bound for the m-fold product of T, row-masked or
+        # not: an entry of a j-fold product is at most s^(j-1) * w_max^j,
+        # and the trace at most s^m * w_max^m.
+        bound = (s_count * max(self.weights, default=0)) ** self.t.m
         if self.t.m == 2:
             return self._pair_sum(allowed), "bitset", "int"
         if allowed is None:
-            return self._sector_sum(), "sectors", "modular"
-        if s_count == 0:
-            return 0, "masked", "int"
-        # Entry and trace bound for the m-fold product of row-masked T: an
-        # entry of a j-fold product is at most s^(j-1) * w_max^j, and the
-        # trace at most s^m * w_max^m.
-        bound = (s_count * self.weights[-1]) ** self.t.m
-        arithmetic, dtype = _arithmetic(bound)
-        products = self.t.m - 2
-        if arithmetic == "int" and s_count**3 * products > budget:
-            raise BudgetExceeded(
-                f"transfer on Python ints needs {products} products of "
-                f"{s_count} x {s_count} matrices: "
-                f"{s_count}^3 * {products} > {budget}"
-            )
-        t_mat = self._matrix(dtype)
-        keep = allowed.astype(dtype)
-        return _cycle_trace(t_mat * row[:, None] for row in keep), "masked", arithmetic
+            return self._sector_sum(bound), "sectors", "modular"
+        bits = np.unpackbits(self.compat, axis=1, count=s_count, bitorder="little")
+
+        def factors(p: int | None) -> Iterator[np.ndarray]:
+            """Row-masked T, T[i, j] = w_i (or w_i mod p) when j may follow i."""
+            w = [x if p is None else x % p for x in self.weights]
+            t_mat = bits * np.array(w, dtype=np.int64)[self.cls][:, None]
+            return (t_mat * row[:, None] for row in allowed)
+
+        arithmetic = "int64" if bound < _INT64_SAFE else "modular"
+        return _cycle_trace(factors, bound, s_count), "masked", arithmetic
 
     def _pair_sum(self, allowed: np.ndarray | None) -> int:
         """m = 2: the sum of w_i * w_j over compatible pairs, i allowed in
@@ -516,23 +548,16 @@ class _TransferEngine:
             total += wc * sum(wr * int(x) for wr, x in zip(self.weights, by_cls))
         return total
 
-    def _matrix(self, dtype) -> np.ndarray:
-        """T in `dtype`: T[i, j] is state i's weight when j may follow i."""
-        weights = np.array(self.weights, dtype=dtype)[self.cls]
-        bits = np.unpackbits(self.compat, axis=1, count=len(self.states), bitorder="little")
-        return bits.astype(dtype) * weights[:, None]
-
-    def _sector_sum(self) -> int:
+    def _sector_sum(self, bound: int) -> int:
         """trace(T^m) as the sum over the characters chi_k of G of
         trace(M_k^m), where M_k[O, O'] = w(O) * sum over the states y of O'
         that may follow O's representative of chi_k(shift of y), and
         O, O' range over the orbits of sector k.
 
         Each sector trace is taken modulo primes p = 1 (mod m), where the
-        m-th roots of unity exist, until their product passes the bound
-        (s * w_max)^m on Z; CRT assembles Z, and one spare prime must agree.
-        The shift takes y to its representative rather than back, which
-        relabels sector k as -k and leaves the sum unchanged."""
+        m-th roots of unity exist, and `_crt` assembles Z. The shift takes y
+        to its representative rather than back, which relabels sector k as
+        -k and leaves the sum unchanged."""
         s_count = len(self.states)
         if s_count == 0:
             return 0
@@ -545,27 +570,9 @@ class _TransferEngine:
         counts = np.bincount(
             (sec.shift[y] * n + o) * n + sec.orbit[y], minlength=group * n * n
         ).reshape(group, n, n).astype(np.float64)
-        bound = (s_count * self.weights[-1]) ** self.t.m
         # a product entry sums n terms below p^2, a character sum |O'| <= |G|
-        dim = max(n, group)
-        used, modulus = [], 1
-        while modulus <= bound:
-            used.append(_sector_prime(self.t.m, dim, len(used)))
-            modulus *= used[-1]
-        spare = _sector_prime(self.t.m, dim, len(used))
-        z = 0
-        for p in used:
-            r = self._sector_residue(sec, counts, p)
-            q = modulus // p
-            z += r * q * pow(q, -1, p)
-        z %= modulus
-        r = self._sector_residue(sec, counts, spare)
-        if z % spare != r:
-            raise OracleMismatch(
-                f"sector trace {z} is {z % spare} modulo the spare prime "
-                f"{spare}, which gives {r}"
-            )
-        return z
+        residues = lambda primes: [self._sector_residue(sec, counts, p) for p in primes]
+        return _crt(residues, bound, self.t.m, max(n, group))
 
     def _sector_residue(self, sec: _Sectors, counts: np.ndarray, p: int) -> int:
         """Sum over k of trace(M_k^m) mod p; a sector's matrix keeps the full
@@ -624,7 +631,7 @@ def transfer_matrix_partition_function(
             f"transfer needs {s_count}^2 > {budget} compatibility bits "
             f"for its {s_count} layer states"
         )
-    z_int, route, arithmetic = eng.z_int(eng.layer_allowed(pins), budget)
+    z_int, route, arithmetic = eng.z_int(eng.layer_allowed(pins))
     return PartitionFunctionResult(
         z=Fraction(z_int, eng.scale**t.n),
         method="transfer",

@@ -8,10 +8,11 @@ other tuple falls short by an integer gap, and the minimum gap delta is
 what a counting argument needs to be at least 1. Everything here is
 exact integer arithmetic at all-1 weights; weighted instances route
 through the blow-up construction instead. g is the trace of the product
-of the factors diag(1_{A_i}) Adj(H), taken by `exact._cycle_trace`; the
-gap search over tuples of support sets takes every g at once from a table
-of half-products, a block at a time, and charges the work cap as if each
-g were formed alone.
+of the factors diag(1_{A_i}) Adj(H), taken by `exact._cycle_trace` on
+int64 below 2^62 and modulo primes past it; the gap search over tuples of
+support sets takes every g at once, on int64, from a table of
+half-products, a block at a time, and charges the work cap as if each g
+were formed alone.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .constraint_graph import (
     mask_size,
 )
 from .errors import CapExceeded, TorushomError
-from .exact import _arithmetic, _bit_rows, _cycle_trace
+from .exact import _bit_rows, _cycle_trace
 
 # A tuple of color sets, one bitmask per cyclic position.
 ColorSetTuple = tuple[int, ...]
@@ -48,12 +49,10 @@ def _validate_tuple_length(m: int) -> None:
         raise ValueError(f"tuple length must be even and >= 2, got {m}")
 
 
-def _factor(g: ConstraintGraph, s: int, m: int) -> np.ndarray:
-    """diag(1_A) Adj(H) for the color set A = s, for an m-fold product. The
-    products count walks, so their entries are at most h^(j-1) after j
-    factors and g is at most h^m: the dtype is chosen for h^m."""
+def _factor(g: ConstraintGraph, s: int) -> np.ndarray:
+    """diag(1_A) Adj(H) for A = s on int64, whose 0/1 entries are residues."""
     rows = [g.adj[x] if s >> x & 1 else 0 for x in range(g.h)]
-    return _bit_rows(rows, g.h).astype(_arithmetic(g.h**m)[1])
+    return _bit_rows(rows, g.h).astype(np.int64)
 
 
 def cycle_count_g(g: ConstraintGraph, sets: ColorSetTuple) -> int:
@@ -65,7 +64,7 @@ def cycle_count_g(g: ConstraintGraph, sets: ColorSetTuple) -> int:
     """
     m = len(sets)
     _validate_tuple_length(m)
-    return _cycle_trace([_factor(g, s, m) for s in sets])
+    return _cycle_trace(lambda _: [_factor(g, s) for s in sets], g.h**m, g.h)
 
 
 def tuple_neighborhood(g: ConstraintGraph, sets: ColorSetTuple) -> ColorSetTuple:
@@ -148,15 +147,15 @@ def _support_sweep(
     of left halves with all right halves gives g on whole rows of the
     |S|^(m/2) x |S|^(m/2) table, once for A and once for n(A). Blocks are
     scanned in order and hold at most max(_BLOCK_ENTRIES, |S|^(m/2))
-    entries each; the alternating forms are masked by index. The dtype is
-    chosen for g(T) g(nT) <= h^(2m).
+    entries each; the alternating forms are masked by index. The sweep runs
+    on int64, which holds g(T) g(nT) <= h^(2m) under the caps on h and m.
     """
+    assert g.h ** (2 * m) <= 12**16 < 2**62, "h <= 12 and m <= 8 keep int64 exact"
     s, k = len(support), m // 2
     half = s**k
-    dtype = _arithmetic(g.h ** (2 * m))[1]
 
     def halves(sets: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        f = np.stack([_factor(g, x, m) for x in sets]).astype(dtype)
+        f = np.stack([_factor(g, x) for x in sets])
         prods = _half_products(f, k)
         # Row r of the first is vec(L_r); column c of the second is vec(R_c^T).
         return prods.reshape(half, -1), prods.transpose(2, 1, 0).reshape(-1, half)
@@ -186,17 +185,10 @@ def _support_sweep(
         room = _WITNESS_CAP - len(found)
         found += [base + i for i, v in enumerate(vals) if v == top][:room]
 
-    def decode(i: int) -> ColorSetTuple:
-        digits = []
-        for _ in range(m):
-            i, r = divmod(i, s)
-            digits.append(support[r])
-        return tuple(reversed(digits))
-
     swept = s**m - len(skip)
     if best < 0:
         return None, [], swept
-    return best, [decode(i) for i in found], swept
+    return best, [tuple(support[i // p % s] for p in place) for i in found], swept
 
 
 def verify_extremal_identities(
@@ -250,15 +242,18 @@ def verify_extremal_identities(
     )
     outside_gap = eta_m - b_out * eta ** (m - 1)
 
-    factor_of = cache(lambda s: _factor(g, s, m))
+    factor_of = cache(lambda s: _factor(g, s))
     # Matrix products formed so far, starting with the identity check's.
     work = 2 * (m - 1) * checked
+
+    walks = g.h**m  # g counts closed walks, so it is at most h^m
 
     def prod_of(tup: ColorSetTuple) -> int:
         nonlocal work
         work += 2 * (m - 1)
-        g_t = _cycle_trace([factor_of(s) for s in tup])
-        return g_t * _cycle_trace([factor_of(n_table[s]) for s in tup])
+        g_t = _cycle_trace(lambda _: [factor_of(s) for s in tup], walks, g.h)
+        n_t = _cycle_trace(lambda _: [factor_of(n_table[s]) for s in tup], walks, g.h)
+        return g_t * n_t
 
     def spend_node() -> bool:
         """Charge one search node; False once a leaf could pass the cap."""
@@ -284,10 +279,8 @@ def verify_extremal_identities(
             delta, exact = eta_m - best_prod, True
         else:
             # Work cap hit: report the best verified lower bound.
-            candidates = [outside_gap]
-            if best_support is not None:
-                candidates.append(best_support)
-            delta, exact = min(candidates), False
+            bounds = (outside_gap, best_support)
+            delta, exact = min(x for x in bounds if x is not None), False
             wits = support_wits if best_support == delta else []
 
     if delta < 1:

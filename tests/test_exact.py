@@ -37,6 +37,7 @@ from torushom.exact import (
     transfer_matrix_partition_function,
 )
 from torushom import exact as exact_module
+from torushom.proof_quantities import cycle_count_g
 from torushom.sampler import ChainConfig, run_chain
 from torushom.torus import TorusGraph
 
@@ -208,7 +209,10 @@ class TestBruteArithmetic:
     @pytest.mark.parametrize("shape", [(2, 3), (4, 2)])
     @pytest.mark.parametrize("pins", [None, {0: 0b01}, {3: 0b10, 5: 0b11}])
     def test_heavy_weights_take_python_ints(self, shape, pins):
-        # (10^9 + 1)^n is far past 2^62, so the sweep runs on object arrays
+        # (10^9 + 1)^n is far past 2^62, so the sweep runs modulo primes; the
+        # transfer route takes the popcount sum at m = 2 (Python ints) and,
+        # at m = 4, the sectors or, pinned, the masked product modulo primes,
+        # whose state weight classes reach 10^18
         g = preset("ind")
         w = WeightSet.parse("1000000000,1")
         t = TorusGraph(*shape)
@@ -217,11 +221,20 @@ class TestBruteArithmetic:
             (coloring_weight(t, g, w, f) for f in enumerate_colorings(t, g, pins)),
             Fraction(0),
         )
-        assert res.arithmetic == "int"
+        assert res.arithmetic == "modular"
         assert res.z == expected
+        # an entry is nonzero when it is nonzero modulo one of the primes
+        unit = brute_force_partition_function(t, g, ones(g), pins=pins)
+        assert res.search_states == unit.search_states
+        tr = transfer_matrix_partition_function(t, g, w, pins=pins)
+        route = "bitset" if t.m == 2 else "masked" if pins else "sectors"
+        assert (tr.route, tr.arithmetic) == (
+            route, "int" if route == "bitset" else "modular"
+        )
+        assert tr.z == expected
 
     @pytest.mark.parametrize(
-        "weights, arithmetic", [("1,2,3,209", "int64"), ("1,2,3,210", "int")]
+        "weights, arithmetic", [("1,2,3,209", "int64"), ("1,2,3,210", "modular")]
     )
     def test_int64_boundary_on_looped_k4(self, weights, arithmetic):
         # Every coloring of Q_3 is valid, so Z = (sum of weights)^8, the
@@ -273,24 +286,25 @@ class TestTransferMatrix:
         assert res.arithmetic == "modular"
         assert res.z == brute_force_partition_function(t, g, w).z
 
-    @pytest.mark.parametrize("pins", [None, {0: 0b010}])
-    def test_bigint_products_are_refused_before_the_first(self, monkeypatch, pins):
-        # wr on Z_8^2: 1,155 layer states and an entry bound past 2^62.
-        # Pinned, the products would run on Python ints; 1155^3 per product
-        # is far past the default budget of 10^7. Unpinned, the sector route
-        # counts it modulo primes and forms no product of T.
+    def test_unpinned_wr_on_z8_squared_forms_no_product_of_t(self, monkeypatch):
+        # wr on Z_8^2: 1,155 layer states and an entry bound past 2^62. The
+        # sector route counts it modulo primes and forms no product of T.
         def no_product(*_):
             raise AssertionError("a matrix product was formed")
 
         monkeypatch.setattr(exact_module, "_cycle_trace", no_product)
         t, g = TorusGraph(8, 2), preset("wr")
-        if pins is None:
-            res = transfer_matrix_partition_function(t, g, ones(g))
-            assert res.z == 2146443144974317720907
-            assert (res.route, res.arithmetic) == ("sectors", "modular")
-            return
-        with pytest.raises(BudgetExceeded, match="Python ints"):
-            transfer_matrix_partition_function(t, g, ones(g), pins=pins)
+        res = transfer_matrix_partition_function(t, g, ones(g))
+        assert res.z == 2146443144974317720907
+        assert (res.route, res.arithmetic) == ("sectors", "modular")
+
+    def test_weight_keys_past_int64_are_refused_before_any_state(self):
+        # 16 distinct weights over the 16 positions of a Z_4^3 layer need
+        # keys up to 17^16 > 2^63; 16^16 raw states pass a budget of 10^20
+        g = preset("k16")
+        w = WeightSet.parse(",".join(str(k) for k in range(1, 17)))
+        with pytest.raises(BudgetExceeded, match="17\\^16"):
+            transfer_matrix_partition_function(TorusGraph(4, 3), g, w, budget=10**20)
 
     def test_method_label(self):
         g = preset("ind")
@@ -342,6 +356,24 @@ class TestTransferMatrix:
             )
 
 
+# Every m >= 4 corpus instance, and two whose pinned counts pass 2^62.
+PINNED_CASES = [
+    *(
+        pytest.param(i.torus, i.graph, i.weights, id=i.name)
+        for i in standard_corpus()
+        if i.torus.m >= 4
+    ),
+    pytest.param(
+        TorusGraph(4, 2), preset("ind"), WeightSet.parse("1000000000,1"),
+        id="ind-heavy-m4d2",
+    ),
+    pytest.param(
+        TorusGraph(8, 1), preset("wr"), WeightSet.parse("1000000,1,1000000"),
+        id="wr-heavy-m8d1",
+    ),
+]
+
+
 class TestSectors:
     @pytest.mark.parametrize(
         "spec, m, d, orbits",
@@ -362,22 +394,52 @@ class TestSectors:
         assert (sec.member.sum(axis=0) == sizes).all()
         assert sec.member.sum() == s
 
-    def test_wrong_residue_on_one_prime_is_caught(self, monkeypatch):
-        residue = exact_module._TransferEngine._sector_residue
-        seen = []
+    @pytest.mark.parametrize(
+        "route", ["sectors", "masked", "brute", "cycle_count_g"]
+    )
+    def test_wrong_residue_on_one_prime_is_caught(self, monkeypatch, route):
+        # every count past int64 reaches its residues through one CRT helper
+        crt = exact_module._crt
 
-        def off_by_one_on_the_first(self, sec, counts, p):
-            seen.append(p)
-            return (residue(self, sec, counts, p) + (len(seen) == 1)) % p
+        def off_by_one_on_the_first(residues, bound, m, dim):
+            def wrong(primes):
+                got = list(residues(primes))
+                got[0] = (got[0] + 1) % primes[0]
+                return got
 
-        monkeypatch.setattr(
-            exact_module._TransferEngine, "_sector_residue", off_by_one_on_the_first
-        )
-        g = preset("wr")
+            return crt(wrong, bound, m, dim)
+
+        monkeypatch.setattr(exact_module, "_crt", off_by_one_on_the_first)
+        heavy = WeightSet.parse("1000000000,1")
         with pytest.raises(OracleMismatch, match="spare prime"):
-            transfer_matrix_partition_function(
-                TorusGraph(6, 2), g, WeightSet.parse("1,3,1")
-            )
+            if route == "sectors":
+                transfer_matrix_partition_function(
+                    TorusGraph(6, 2), preset("wr"), WeightSet.parse("1,3,1")
+                )
+            elif route == "masked":
+                transfer_matrix_partition_function(
+                    TorusGraph(4, 2), preset("ind"), heavy, pins={5: 0b01}
+                )
+            elif route == "brute":
+                brute_force_partition_function(Q3, preset("ind"), heavy)
+            else:
+                g = preset("k4loop")
+                cycle_count_g(g, (g.full_mask,) * 40)
+
+    @pytest.mark.parametrize("t, g, w", PINNED_CASES)
+    @pytest.mark.parametrize("v", [0, 1])
+    def test_pinned_counts_sum_to_the_sector_count(self, t, g, w, v):
+        # v = 1 lies in the second layer; no brute force is involved
+        pinned = [
+            transfer_matrix_partition_function(t, g, w, pins={v: mask_from((k,))})
+            for k in range(g.h)
+        ]
+        whole = transfer_matrix_partition_function(t, g, w)
+        assert {r.route for r in pinned} == {"masked"}
+        assert whole.route == "sectors"
+        assert sum(r.z for r in pinned) == whole.z
+        if max(w.weights) > 1000:
+            assert {r.arithmetic for r in pinned} == {"modular"}
 
     @pytest.mark.parametrize(
         "d, weights, z",

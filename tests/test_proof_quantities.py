@@ -62,7 +62,7 @@ class TestCycleCount:
         assert cycle_count_g(g, (g.full_mask,) * 4) == 256
 
     def test_exact_past_int64(self):
-        # 4^40 = 2^80: the product runs on Python ints, not int64
+        # 4^40 = 2^80: the product runs modulo primes, not on int64
         g = preset("k4loop")
         assert cycle_count_g(g, (g.full_mask,) * 40) == 4**40
 
@@ -130,9 +130,9 @@ def cycle_trace_calls(monkeypatch):
     calls = []
     real = proof_quantities._cycle_trace
 
-    def counted(factors):
-        calls.append(len(factors))
-        return real(factors)
+    def counted(factors, bound, dim):
+        calls.append(len(factors(None)))
+        return real(factors, bound, dim)
 
     monkeypatch.setattr(proof_quantities, "_cycle_trace", counted)
     return calls
