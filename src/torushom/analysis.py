@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import NamedTuple, Sequence
 
 from .constraint_graph import (
@@ -212,25 +211,6 @@ def theorem_influence_ratio(
 
 
 # ---------------------------------------------------- exact comparisons
-
-def influence_ratio(
-    t: TorusGraph,
-    g: ConstraintGraph,
-    w: WeightSet,
-    x: int,
-    k: int,
-    y: int,
-    ell: int,
-) -> Fraction:
-    """Exact finite-torus ratio p(f(x)=k | f(y)=ell) / p(f(x)=k): entry k
-    of the conditional law of f(x) over entry k of its unconditional law."""
-    if not (0 <= k < g.h):
-        raise ValueError(f"color {k} outside palette")
-    base = exact_occupation_vector(t, g, w, x)[k]
-    if base == 0:
-        raise ZeroDenominator(f"p(f({x})={k}) is zero on this torus")
-    return exact_occupation_vector(t, g, w, x, (y, ell))[k] / base
-
 
 def antipode(t: TorusGraph) -> int:
     """The vertex farthest from the origin: all coordinates m/2."""
@@ -470,41 +450,6 @@ def conjecture_f_q(q: int, d: int) -> Fraction:
     return Fraction(hi, 2 * lo) * (2 - Fraction(2, hi)) ** d + Fraction(
         lo, 2 * hi
     ) * (2 - Fraction(2, lo)) ** d
-
-
-@dataclass(frozen=True)
-class ColoringCountPrediction:
-    """Predicted proper q-coloring count of the m=2 torus of dimension d:
-    pair_count * base^(2^(d-1)) * exp(correction_exponent)."""
-
-    q: int
-    d: int
-    pair_count: int
-    base: int
-    correction_exponent: Fraction
-
-    @property
-    def prefactor_model(self) -> str:
-        return _prefactor_string(self.pair_count, self.correction_exponent)
-
-    def value(self) -> float:
-        return (
-            self.pair_count
-            * float(self.base) ** (2 ** (self.d - 1))
-            * math.exp(float(self.correction_exponent))
-        )
-
-
-def coloring_count_prediction(q: int, d: int) -> ColoringCountPrediction:
-    if q < 2 or d < 1:
-        raise ValueError("need q >= 2 and d >= 1")
-    return ColoringCountPrediction(
-        q=q,
-        d=d,
-        pair_count=(1 + (q % 2)) * comb(q, q // 2),
-        base=(q // 2) * ((q + 1) // 2),
-        correction_exponent=conjecture_f_q(q, d),
-    )
 
 
 def consistency_L_vs_f(q: int, d: int) -> bool:

@@ -15,11 +15,13 @@ import csv
 import datetime
 import functools
 import json
+import math
 import os
 import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, fields
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
@@ -148,7 +150,8 @@ def coerce_config_value(key: str, raw):
 
 
 def parse_int(raw, key: str) -> int:
-    """Integer option; scientific notation like 1e6 is accepted."""
+    """Integer option; scientific notation like 1e6 is accepted, parsed
+    exactly and only within the float range."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
     text = str(raw).strip()
@@ -157,10 +160,10 @@ def parse_int(raw, key: str) -> int:
     except ValueError:
         pass
     try:
-        value = float(text)
-    except ValueError:
+        value = Decimal(text)
+    except InvalidOperation:
         raise ConfigError(f"{key} expects an integer, got {raw!r}") from None
-    if not value.is_integer():
+    if not math.isfinite(float(value)) or value != value.to_integral_value():
         raise ConfigError(f"{key} expects an integer, got {raw!r}")
     return int(value)
 

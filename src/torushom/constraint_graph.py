@@ -58,13 +58,13 @@ class ConstraintGraph:
             raise ValueError("need at least one color")
         if len(self.adj) != self.h:
             raise ValueError("adjacency length != color count")
-        full = (1 << self.h) - 1
         for k, row in enumerate(self.adj):
-            if row & ~full:
+            if row >> self.h:
                 raise ValueError(f"adjacency row {k} references colors >= {self.h}")
-        for i in range(self.h):
-            for j in range(self.h):
-                if bool(self.adj[i] >> j & 1) != bool(self.adj[j] >> i & 1):
+        # each set bit once, so the check is linear in h plus the edges
+        for i, row in enumerate(self.adj):
+            for j in mask_members(row):
+                if not self.adj[j] >> i & 1:
                     raise ValueError("adjacency not symmetric")
         if not self.labels:
             object.__setattr__(self, "labels", tuple(str(k) for k in range(self.h)))
@@ -80,24 +80,6 @@ class ConstraintGraph:
 
     def is_loop(self, k: int) -> bool:
         return bool(self.adj[k] >> k & 1)
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (i, j) with i <= j; a loop appears as (k, k)."""
-        return [(i, j) for i in range(self.h) for j in range(i, self.h)
-                if self.has_edge(i, j)]
-
-    def relabeled(self, perm: Sequence[int]) -> "ConstraintGraph":
-        """Apply a color permutation: new color perm[k] plays old k's role."""
-        adj = [0] * self.h
-        for k in range(self.h):
-            row = 0
-            for j in mask_members(self.adj[k]):
-                row |= 1 << perm[j]
-            adj[perm[k]] = row
-        labels = [""] * self.h
-        for k in range(self.h):
-            labels[perm[k]] = self.labels[k]
-        return ConstraintGraph(self.h, tuple(adj), tuple(labels))
 
 
 class _DrawTables(dict):
@@ -208,15 +190,6 @@ class Blowup:
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(mask_size(b) for b in self.blocks)
-
-
-def all_adjacent(g: ConstraintGraph, a: ColorSet, b: ColorSet) -> bool:
-    """True iff every color of a is adjacent to every color of b
-    (vacuously true when either side is empty)."""
-    for x in mask_members(a):
-        if b & ~g.adj[x]:
-            return False
-    return True
 
 
 def common_neighborhood(g: ConstraintGraph, a: ColorSet) -> ColorSet:

@@ -27,21 +27,8 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .constraint_graph import (
-    ConstraintGraph,
-    MaximalPair,
-    WeightSet,
-    instance_structure,
-    mask_from,
-    subset_weight,
-)
-from .errors import (
-    BudgetExceeded,
-    InvalidColoring,
-    OracleMismatch,
-    TorushomError,
-    ZeroConditioningEvent,
-)
+from .constraint_graph import ConstraintGraph, WeightSet, mask_from
+from .errors import BudgetExceeded, OracleMismatch, ZeroConditioningEvent
 from .torus import TorusGraph
 
 Coloring = tuple[int, ...]
@@ -139,19 +126,6 @@ def is_valid_coloring(t: TorusGraph, g: ConstraintGraph, f: Sequence) -> bool:
     return _coloring_fault(t, g, f) is None
 
 
-def coloring_weight(
-    t: TorusGraph, g: ConstraintGraph, w: WeightSet, f: Sequence[int]
-) -> Fraction:
-    """Product of vertex weights of a valid coloring.
-
-    Raises InvalidColoring when f is not a valid coloring.
-    """
-    fault = _coloring_fault(t, g, f)
-    if fault is not None:
-        raise InvalidColoring(fault)
-    return math.prod((w[k] for k in f), start=Fraction(1))
-
-
 def _pin_masks(t: TorusGraph, g: ConstraintGraph, pins: Pins | None) -> list[int]:
     masks = [g.full_mask] * t.n
     if pins:
@@ -160,32 +134,6 @@ def _pin_masks(t: TorusGraph, g: ConstraintGraph, pins: Pins | None) -> list[int
                 raise ValueError(f"pinned vertex {v} outside torus")
             masks[v] = cmask & g.full_mask
     return masks
-
-
-def enumerate_colorings(
-    t: TorusGraph, g: ConstraintGraph, pins: Pins | None = None
-) -> Iterator[Coloring]:
-    """Yield every valid coloring, optionally restricted by per-vertex pins."""
-    n = t.n
-    masks = _pin_masks(t, g, pins)
-    lower = [[u for u in t.neighbors(v) if u < v] for v in range(n)]
-    adj = g.adj
-    color = [0] * n
-
-    def rec(v: int) -> Iterator[Coloring]:
-        cand = masks[v]
-        for u in lower[v]:
-            cand &= adj[color[u]]
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            color[v] = bit.bit_length() - 1
-            if v == n - 1:
-                yield tuple(color)
-            else:
-                yield from rec(v + 1)
-
-    yield from rec(0)
 
 
 def brute_force_partition_function(
@@ -378,22 +326,24 @@ def _power_trace_mod(mats: np.ndarray, m: int, p: int) -> int:
 
 def _layer_states(t: TorusGraph, g: ConstraintGraph) -> np.ndarray:
     """The valid colorings of one layer of t (the torus Z_m^(d-1), or one
-    vertex when d = 1) as a uint8 array with one row per coloring, in the
-    order of `enumerate_colorings`: a sweep over the layer's vertices that
-    extends every row by each color its lower neighbors allow."""
+    vertex when d = 1), one row per coloring in lexicographic order: a
+    sweep over the layer's vertices that extends every row by each color
+    its lower neighbors allow. Colors are uint8 up to 256 colors, and the
+    smallest unsigned type that holds h - 1 beyond."""
     adj = _bit_rows(g.adj, g.h).astype(bool)
     if t.d == 1:
         lower: list[list[int]] = [[]]
     else:
         layer = TorusGraph(t.m, t.d - 1)
         lower = [[u for u in layer.neighbors(v) if u < v] for v in range(layer.n)]
-    states = np.zeros((1, 0), dtype=np.uint8)
+    dtype = np.min_scalar_type(g.h - 1)
+    states = np.zeros((1, 0), dtype=dtype)
     for nbrs in lower:
         cand = np.ones((len(states), g.h), dtype=bool)
         for u in nbrs:
             cand &= adj[states[:, u]]
         rows, colors = np.nonzero(cand)
-        states = np.column_stack((states[rows], colors.astype(np.uint8)))
+        states = np.column_stack((states[rows], colors.astype(dtype)))
     return states
 
 
@@ -442,9 +392,9 @@ class _TransferEngine:
 
     The torus is sliced along the last coordinate into m layers, each a
     Z_m^{d-1} torus (a single vertex when d=1). States are the valid
-    colorings of one layer, a uint8 array. State j may follow state i when
-    every position's colors are adjacent in H; row i of `compat` packs
-    those j into bits. For m=2 the two layers are joined by a single
+    colorings of one layer, one row each (`_layer_states`). State j may
+    follow state i when every position's colors are adjacent in H; row i
+    of `compat` packs those j into bits. For m=2 the two layers are joined by a single
     matching, so the inter-layer feasibility is applied exactly once
     rather than squared. Unpinned counts at m >= 4 go through the orbits
     of the states under the layer's translations (`sectors`).
@@ -701,69 +651,6 @@ def exact_occupation_vector(
     if total == 0:
         raise ZeroConditioningEvent("conditioning event has weight zero")
     return tuple(c / total for c in counts)
-
-
-def pure_coloring_weight(
-    g: ConstraintGraph, w: WeightSet, pair: MaximalPair, t: TorusGraph
-) -> Fraction:
-    """Total weight of colorings that map one side into A and the other into B.
-
-    Equals (lambda_A * lambda_B)^(n/2); at all-1 weights this is the count
-    (|A||B|)^(n/2).
-    """
-    return (subset_weight(w, pair.a) * subset_weight(w, pair.b)) ** (t.n // 2)
-
-
-def check_global_bounds(t: TorusGraph, g: ConstraintGraph, w: WeightSet) -> dict:
-    """Compare |Hom| against eta^(n/2) below and eta^(n/2) * 2^(n/(2 deg)) above.
-
-    The lower bound is universal and is asserted; the upper bound is an
-    asymptotic statement in the degree and is only reported, since small
-    tori can violate it numerically.
-    """
-    if not (w.is_uniform() and w[0] == 1):
-        raise ValueError("global bounds are stated for all-1 weights")
-    z = partition_function(t, g, w).z
-    eta = instance_structure(g, w).eta
-    lower = eta ** (t.n // 2)
-    if z < lower:
-        raise TorushomError(
-            f"lower bound violated: Z={z} < eta^(n/2)={lower}"
-        )
-    upper = float(lower) * 2.0 ** (t.n / (2 * t.degree))
-    return {
-        "z": z,
-        "eta": eta,
-        "n": t.n,
-        "degree": t.degree,
-        "lower_bound": lower,
-        "lower_ok": True,
-        "lower_slack": float(z / lower),
-        "upper_bound": upper,
-        "upper_ok": float(z) <= upper,
-        "upper_slack": upper / float(z) if z else math.inf,
-    }
-
-
-def near_pure_one_defect_count(
-    t: TorusGraph, g: ConstraintGraph, pair: MaximalPair
-) -> int:
-    """Count colorings that are pure-(A,B) except one even vertex colored in B.
-
-    Requires A and B disjoint so "colored from B" is unambiguous. Counted
-    by construction: sum over the defect vertex of a pinned enumeration.
-    """
-    if pair.a & pair.b:
-        raise ValueError("defect family needs disjoint classes")
-    even, odd = t.side_table
-    w = WeightSet.ones(g.h)
-    total = Fraction(0)
-    for v in even:
-        pins = {u: (pair.b if u == v else pair.a) for u in even}
-        pins.update({u: pair.b for u in odd})
-        total += brute_force_partition_function(t, g, w, pins=pins).z
-    assert total.denominator == 1
-    return int(total)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,7 @@ weights restricted to what the neighborhood allows, so the stationary
 law is exactly the Gibbs distribution. On top of the dynamics sit the
 structural observables: ideal edges (edges whose endpoint neighborhoods
 show exactly the two palettes of a maximal pair), the not-ideal
-probability estimator with its exact enumeration twin, and a phase
-classifier that labels a coloring by the largest ideal component.
+probability estimator, and a phase classifier that labels a coloring by the largest ideal component.
 """
 
 from __future__ import annotations
@@ -32,13 +31,7 @@ from .constraint_graph import (
     mask_members,
 )
 from .errors import EmptyConstraint, InvalidColoring, NoValidInitial
-from .exact import (
-    Coloring,
-    coloring_weight,
-    enumerate_colorings,
-    is_valid_coloring,
-    partition_function,
-)
+from .exact import Coloring, is_valid_coloring
 from .torus import TorusGraph, giant_component
 
 _GREEDY_RESTARTS = 100
@@ -376,38 +369,6 @@ def _blocks(t: TorusGraph, states: Iterable) -> Iterator[list]:
     rows = max(1, _BLOCK_ENTRIES // (t.n * t.degree))
     it = iter(states)
     return iter(lambda: list(islice(it, rows)), [])
-
-
-def ideal_edge_map(
-    t: TorusGraph, g: ConstraintGraph, w: WeightSet, f: Sequence[int]
-) -> dict[tuple[int, int], MaximalPair]:
-    """All ideal edges of f at once, keyed by (even endpoint, odd endpoint)."""
-    s = instance_structure(g, w)
-    hit, at = _ideal_hits(t, s, (f,))
-    pairs, edges = s.pairs, t.edge_table
-    found = np.flatnonzero(hit[0])
-    return {
-        edges[e]: pairs[k] for e, k in zip(found.tolist(), at[0, found].tolist())
-    }
-
-
-def exact_not_ideal_probability(
-    t: TorusGraph,
-    g: ConstraintGraph,
-    w: WeightSet,
-    edge: tuple[int, int] | None = None,
-) -> Fraction:
-    """Exact Gibbs probability that a fixed edge is not ideal, by enumeration."""
-    i = _edge_index(t, (0, t.shift(0, t.d, 1)) if edge is None else edge)
-    z = partition_function(t, g, w).z
-    s = instance_structure(g, w)
-    bad = Fraction(0)
-    for block in _blocks(t, enumerate_colorings(t, g)):
-        hit, _ = _ideal_hits(t, s, block)
-        for f, ideal in zip(block, hit[:, i].tolist()):
-            if not ideal:
-                bad += coloring_weight(t, g, w, f)
-    return bad / z
 
 
 def _batch_stderr(xs: Sequence[float]) -> float:

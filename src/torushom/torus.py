@@ -45,14 +45,6 @@ class TorusGraph:
             v = v * self.m + x
         return v
 
-    def decode(self, v: int) -> tuple[int, ...]:
-        self._check(v)
-        out = []
-        for _ in range(self.d):
-            out.append(v % self.m)
-            v //= self.m
-        return tuple(reversed(out))
-
     def _check(self, v: int):
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range 0..{self.n - 1}")

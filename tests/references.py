@@ -1,0 +1,273 @@
+"""Reference definitions that tests compare the program against.
+
+None of this is reached by the `torushom` program, so it lives beside the
+tests rather than in `src/`: the definition of an admissible pair, plain
+enumeration of colorings and their weights, closed forms for pure and
+near-pure families, the eta^(n/2) bounds on |Hom|, the enumeration twin of
+the not-ideal estimator, the exact influence ratio and the q-coloring count
+prediction. pytest does not collect this module; tests import from it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from torushom.analysis import _prefactor_string, conjecture_f_q
+from torushom.constraint_graph import (
+    ColorSet,
+    ConstraintGraph,
+    MaximalPair,
+    WeightSet,
+    instance_structure,
+    mask_members,
+    subset_weight,
+)
+from torushom.errors import InvalidColoring, TorushomError, ZeroDenominator
+from torushom.exact import (
+    Coloring,
+    Pins,
+    _coloring_fault,
+    _pin_masks,
+    brute_force_partition_function,
+    exact_occupation_vector,
+    partition_function,
+)
+from torushom.sampler import _blocks, _edge_index, _ideal_hits
+from torushom.torus import TorusGraph
+
+
+# ------------------------------------------------------------- geometry
+
+def decode(t: TorusGraph, v: int) -> tuple[int, ...]:
+    """The coordinates of vertex v, inverse to `TorusGraph.encode`."""
+    t._check(v)
+    out = []
+    for _ in range(t.d):
+        out.append(v % t.m)
+        v //= t.m
+    return tuple(reversed(out))
+
+
+# ---------------------------------------------------- constraint graphs
+
+def relabeled(g: ConstraintGraph, perm: Sequence[int]) -> ConstraintGraph:
+    """Apply a color permutation: new color perm[k] plays old k's role."""
+    adj = [0] * g.h
+    for k in range(g.h):
+        row = 0
+        for j in mask_members(g.adj[k]):
+            row |= 1 << perm[j]
+        adj[perm[k]] = row
+    labels = [""] * g.h
+    for k in range(g.h):
+        labels[perm[k]] = g.labels[k]
+    return ConstraintGraph(g.h, tuple(adj), tuple(labels))
+
+
+def all_adjacent(g: ConstraintGraph, a: ColorSet, b: ColorSet) -> bool:
+    """True iff every color of a is adjacent to every color of b
+    (vacuously true when either side is empty)."""
+    for x in mask_members(a):
+        if b & ~g.adj[x]:
+            return False
+    return True
+
+
+# ------------------------------------------------------- exact counting
+
+def coloring_weight(
+    t: TorusGraph, g: ConstraintGraph, w: WeightSet, f: Sequence[int]
+) -> Fraction:
+    """Product of vertex weights of a valid coloring.
+
+    Raises InvalidColoring when f is not a valid coloring.
+    """
+    fault = _coloring_fault(t, g, f)
+    if fault is not None:
+        raise InvalidColoring(fault)
+    return math.prod((w[k] for k in f), start=Fraction(1))
+
+
+def enumerate_colorings(
+    t: TorusGraph, g: ConstraintGraph, pins: Pins | None = None
+) -> Iterator[Coloring]:
+    """Yield every valid coloring, optionally restricted by per-vertex pins."""
+    n = t.n
+    masks = _pin_masks(t, g, pins)
+    lower = [[u for u in t.neighbors(v) if u < v] for v in range(n)]
+    adj = g.adj
+    color = [0] * n
+
+    def rec(v: int) -> Iterator[Coloring]:
+        cand = masks[v]
+        for u in lower[v]:
+            cand &= adj[color[u]]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            color[v] = bit.bit_length() - 1
+            if v == n - 1:
+                yield tuple(color)
+            else:
+                yield from rec(v + 1)
+
+    yield from rec(0)
+
+
+def pure_coloring_weight(
+    g: ConstraintGraph, w: WeightSet, pair: MaximalPair, t: TorusGraph
+) -> Fraction:
+    """Total weight of colorings that map one side into A and the other into B.
+
+    Equals (lambda_A * lambda_B)^(n/2); at all-1 weights this is the count
+    (|A||B|)^(n/2).
+    """
+    return (subset_weight(w, pair.a) * subset_weight(w, pair.b)) ** (t.n // 2)
+
+
+def check_global_bounds(t: TorusGraph, g: ConstraintGraph, w: WeightSet) -> dict:
+    """Compare |Hom| against eta^(n/2) below and eta^(n/2) * 2^(n/(2 deg)) above.
+
+    The lower bound is universal and is asserted; the upper bound is an
+    asymptotic statement in the degree and is only reported, since small
+    tori can violate it numerically.
+    """
+    if not (w.is_uniform() and w[0] == 1):
+        raise ValueError("global bounds are stated for all-1 weights")
+    z = partition_function(t, g, w).z
+    eta = instance_structure(g, w).eta
+    lower = eta ** (t.n // 2)
+    if z < lower:
+        raise TorushomError(
+            f"lower bound violated: Z={z} < eta^(n/2)={lower}"
+        )
+    upper = float(lower) * 2.0 ** (t.n / (2 * t.degree))
+    return {
+        "z": z,
+        "eta": eta,
+        "n": t.n,
+        "degree": t.degree,
+        "lower_bound": lower,
+        "lower_ok": True,
+        "lower_slack": float(z / lower),
+        "upper_bound": upper,
+        "upper_ok": float(z) <= upper,
+        "upper_slack": upper / float(z) if z else math.inf,
+    }
+
+
+def near_pure_one_defect_count(
+    t: TorusGraph, g: ConstraintGraph, pair: MaximalPair
+) -> int:
+    """Count colorings that are pure-(A,B) except one even vertex colored in B.
+
+    Requires A and B disjoint so "colored from B" is unambiguous. Counted
+    by construction: sum over the defect vertex of a pinned enumeration.
+    """
+    if pair.a & pair.b:
+        raise ValueError("defect family needs disjoint classes")
+    even, odd = t.side_table
+    w = WeightSet.ones(g.h)
+    total = Fraction(0)
+    for v in even:
+        pins = {u: (pair.b if u == v else pair.a) for u in even}
+        pins.update({u: pair.b for u in odd})
+        total += brute_force_partition_function(t, g, w, pins=pins).z
+    assert total.denominator == 1
+    return int(total)
+
+
+# ---------------------------------------------------------- ideal edges
+
+def ideal_edge_map(
+    t: TorusGraph, g: ConstraintGraph, w: WeightSet, f: Sequence[int]
+) -> dict[tuple[int, int], MaximalPair]:
+    """All ideal edges of f at once, keyed by (even endpoint, odd endpoint)."""
+    s = instance_structure(g, w)
+    hit, at = _ideal_hits(t, s, (f,))
+    pairs, edges = s.pairs, t.edge_table
+    found = np.flatnonzero(hit[0])
+    return {
+        edges[e]: pairs[k] for e, k in zip(found.tolist(), at[0, found].tolist())
+    }
+
+
+def exact_not_ideal_probability(
+    t: TorusGraph,
+    g: ConstraintGraph,
+    w: WeightSet,
+    edge: tuple[int, int] | None = None,
+) -> Fraction:
+    """Exact Gibbs probability that a fixed edge is not ideal, by enumeration."""
+    i = _edge_index(t, (0, t.shift(0, t.d, 1)) if edge is None else edge)
+    z = partition_function(t, g, w).z
+    s = instance_structure(g, w)
+    bad = Fraction(0)
+    for block in _blocks(t, enumerate_colorings(t, g)):
+        hit, _ = _ideal_hits(t, s, block)
+        for f, ideal in zip(block, hit[:, i].tolist()):
+            if not ideal:
+                bad += coloring_weight(t, g, w, f)
+    return bad / z
+
+
+# ------------------------------------------------------------- analysis
+
+def influence_ratio(
+    t: TorusGraph,
+    g: ConstraintGraph,
+    w: WeightSet,
+    x: int,
+    k: int,
+    y: int,
+    ell: int,
+) -> Fraction:
+    """Exact finite-torus ratio p(f(x)=k | f(y)=ell) / p(f(x)=k): entry k
+    of the conditional law of f(x) over entry k of its unconditional law."""
+    if not (0 <= k < g.h):
+        raise ValueError(f"color {k} outside palette")
+    base = exact_occupation_vector(t, g, w, x)[k]
+    if base == 0:
+        raise ZeroDenominator(f"p(f({x})={k}) is zero on this torus")
+    return exact_occupation_vector(t, g, w, x, (y, ell))[k] / base
+
+
+@dataclass(frozen=True)
+class ColoringCountPrediction:
+    """Predicted proper q-coloring count of the m=2 torus of dimension d:
+    pair_count * base^(2^(d-1)) * exp(correction_exponent)."""
+
+    q: int
+    d: int
+    pair_count: int
+    base: int
+    correction_exponent: Fraction
+
+    @property
+    def prefactor_model(self) -> str:
+        return _prefactor_string(self.pair_count, self.correction_exponent)
+
+    def value(self) -> float:
+        return (
+            self.pair_count
+            * float(self.base) ** (2 ** (self.d - 1))
+            * math.exp(float(self.correction_exponent))
+        )
+
+
+def coloring_count_prediction(q: int, d: int) -> ColoringCountPrediction:
+    if q < 2 or d < 1:
+        raise ValueError("need q >= 2 and d >= 1")
+    return ColoringCountPrediction(
+        q=q,
+        d=d,
+        pair_count=(1 + (q % 2)) * comb(q, q // 2),
+        base=(q // 2) * ((q + 1) // 2),
+        correction_exponent=conjecture_f_q(q, d),
+    )

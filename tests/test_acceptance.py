@@ -23,9 +23,7 @@ from torushom.analysis import (
     conjecture_f_q,
     conjecture_partition_prediction,
     conjecture_weight_prediction,
-    coloring_count_prediction,
     far_vertex,
-    influence_ratio,
     occupation_comparison,
     theorem_conditional_vector,
     theorem_influence_ratio,
@@ -43,11 +41,8 @@ from torushom.constraint_graph import (
     preset,
 )
 from torushom.exact import (
-    coloring_weight,
     dual_route_records,
-    enumerate_colorings,
     exact_occupation_vector,
-    near_pure_one_defect_count,
     partition_function,
     standard_corpus,
 )
@@ -60,10 +55,17 @@ from torushom.sampler import (
     ChainConfig,
     classify,
     epsilon_estimate,
-    exact_not_ideal_probability,
     run_chain,
 )
 from torushom.torus import TorusGraph
+from references import (
+    coloring_count_prediction,
+    coloring_weight,
+    enumerate_colorings,
+    exact_not_ideal_probability,
+    influence_ratio,
+    near_pure_one_defect_count,
+)
 
 ones = WeightSet.ones
 

@@ -9,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torushom.analysis import (
-    ColoringCountPrediction,
     ComparisonRecord,
     ConjecturePrediction,
     antipode,
-    coloring_count_prediction,
     conditional_comparison,
     conjecture_L,
     conjecture_f_q,
@@ -23,7 +21,6 @@ from torushom.analysis import (
     equipartition_class,
     exact_occupation_vector,
     far_vertex,
-    influence_ratio,
     occupation_comparison,
     sup_distance,
     theorem_conditional_target,
@@ -48,8 +45,14 @@ from torushom.errors import (
     ZeroConditioning,
     ZeroDenominator,
 )
-from torushom.exact import partition_function, pure_coloring_weight
+from torushom.exact import partition_function
 from torushom.torus import TorusGraph
+from references import (
+    ColoringCountPrediction,
+    coloring_count_prediction,
+    influence_ratio,
+    pure_coloring_weight,
+)
 
 IND = preset("ind")
 K3 = preset("k3")

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from torushom import exact
-from torushom.analysis import influence_ratio
 from torushom.cli import (
     RunConfig,
     build_config,
@@ -22,6 +21,7 @@ from torushom.constraint_graph import WeightSet, preset
 from torushom.errors import ConfigError
 from torushom.sampler import ChainConfig, _batch_stderr, run_chain
 from torushom.torus import TorusGraph
+from references import influence_ratio
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -64,6 +64,9 @@ class TestRunConfig:
         assert parse_int("1e6", "steps") == 1_000_000
         assert parse_int("250", "steps") == 250
         assert parse_int(7, "steps") == 7
+        # exact, where a float would lose the low digits
+        assert parse_int("1e23", "steps") == 10**23
+        assert parse_int("12345678901234567.0", "steps") == 12345678901234567
         with pytest.raises(ConfigError):
             parse_int("1.5", "steps")
         with pytest.raises(ConfigError):

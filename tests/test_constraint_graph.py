@@ -9,7 +9,6 @@ from torushom.constraint_graph import (
     ConstraintGraph,
     MaximalPair,
     WeightSet,
-    all_adjacent,
     apply_perm_to_mask,
     automorphism_generators,
     automorphisms,
@@ -32,6 +31,7 @@ from torushom.constraint_graph import (
     widom_rowlinson_graph,
 )
 from torushom.errors import CapExceeded, EmptyConstraint, ParseError
+from references import all_adjacent
 
 IND = hard_core_graph()
 K3 = complete_graph(3)
@@ -314,6 +314,17 @@ class TestGraphValidation:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             ConstraintGraph(2, (0b10, 0b00))
+
+    def test_many_colors_checked_over_set_bits(self):
+        # h^2 pair checks would take minutes at 10^5 colors
+        h = 10**5
+        g = ConstraintGraph(h, (0,) * h)
+        assert g.h == h and not any(g.adj)
+        one_way = (1 << (h - 1),) + (0,) * (h - 1)
+        with pytest.raises(ValueError, match="not symmetric"):
+            ConstraintGraph(h, one_way)
+        with pytest.raises(ValueError, match="references colors"):
+            ConstraintGraph(h, (1 << h,) + (0,) * (h - 1))
 
     def test_cycle_path(self):
         c5 = cycle_graph(5)

@@ -1,14 +1,16 @@
-"""Every top-level function and class in src/ is reached from the program,
-and no src/ module imports a name it does not use.
+"""Every top-level function and class in src/, and every method of such a
+class, is reached from the program, and no src/ module imports a name it
+does not use.
 
 A definition is reached when code that is itself reached names it: the
 module-level statements of each src/ module, the `torushom` console entry
 point (`cli.main`), every file under bench/, and the body of every reached
-definition. Names are matched by identifier alone (a variable or attribute
-of the same name counts), so the check can miss dead code but never flags
-reached code. Tests do not count, except for the references below, which
-stay because tests compare against them or acceptance criteria compute
-with them.
+definition. A reached class brings its bases, decorators, class-level
+statements and dunder methods along; any other method is reached only by
+its own name. Names are matched by identifier alone (a variable or
+attribute of the same name counts), so the check can miss dead code but
+never flags reached code. Tests do not count: what only tests use belongs
+in tests/references.py.
 """
 
 import ast
@@ -18,18 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "torushom"
 BENCH = ROOT / "bench"
 ENTRY_POINT = "main"  # pyproject.toml: torushom = "torushom.cli:main"
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-TEST_REFERENCES = {
-    "all_adjacent": "the definition of an admissible pair the extremal scan is checked against",
-    "pure_coloring_weight": "(lambda_A lambda_B)^(n/2), the weight pure classes are compared with",
-    "check_global_bounds": "the eta^(n/2) bounds on |Hom| that criterion 1 checks",
-    "near_pure_one_defect_count": "a closed form the exact counts are checked against",
-    "exact_not_ideal_probability": "the enumeration twin of the not-ideal estimator (criterion 8)",
-    "ideal_edge_map": "the ideal edges of one coloring, which the hand examples read",
-    "influence_ratio": "the exact finite-torus influence ratio of criterion 9",
-    "coloring_count_prediction": "the q-coloring count prediction criterion 6 compares with",
-}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 
 def modules():
@@ -42,6 +34,28 @@ def names_in(node) -> set[str]:
         for n in ast.walk(node)
         if isinstance(n, (ast.Name, ast.Attribute))
     }
+
+
+def is_method(node: ast.AST) -> bool:
+    """A method that the class does not bring along: not a dunder."""
+    return isinstance(node, FUNCTIONS) and not (
+        node.name.startswith("__") and node.name.endswith("__")
+    )
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, list[ast.AST]]]:
+    """(name, the nodes it reaches) for each top-level function and class,
+    and for each method of a class."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            methods = [n for n in node.body if is_method(n)]
+            parts = node.bases + node.keywords + node.decorator_list
+            out.append((node.name, parts + [n for n in node.body if n not in methods]))
+            out += [(m.name, [m]) for m in methods]
+        elif isinstance(node, FUNCTIONS):
+            out.append((node.name, [node]))
+    return out
 
 
 def reached_from(start: set[str], defs: dict[str, list[ast.AST]]) -> set[str]:
@@ -61,10 +75,10 @@ def test_every_definition_is_reached():
     defs: dict[str, list[ast.AST]] = {}
     roots = {ENTRY_POINT}
     for tree in modules().values():
+        for name, nodes in definitions(tree):
+            defs.setdefault(name, []).extend(nodes)
         for node in tree.body:
-            if isinstance(node, DEFINITIONS):
-                defs.setdefault(node.name, []).append(node)
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            if not isinstance(node, (*DEFINITIONS, ast.Import, ast.ImportFrom)):
                 roots |= names_in(node)
     for path in sorted(BENCH.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -73,12 +87,8 @@ def test_every_definition_is_reached():
             a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
             for a in n.names
         }
-    program = reached_from(roots, defs)
-    unreached = sorted(set(defs) - reached_from(roots | set(TEST_REFERENCES), defs))
+    unreached = sorted(set(defs) - reached_from(roots, defs))
     assert not unreached, f"defined in src/ but reached by no program code: {unreached}"
-    # every test reference is still defined and still needs its entry
-    stale = sorted(n for n in TEST_REFERENCES if n not in defs or n in program)
-    assert not stale, f"test references to drop from the list: {stale}"
 
 
 def test_no_unused_import():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from torushom.analysis import influence_ratio
 from torushom.constraint_graph import (
     ConstraintGraph,
     MaximalPair,
@@ -24,15 +23,10 @@ from torushom.errors import (
 from torushom.exact import (
     DEFAULT_TRANSFER_BUDGET,
     brute_force_partition_function,
-    check_global_bounds,
-    coloring_weight,
     dual_route_records,
-    enumerate_colorings,
     exact_occupation_vector,
     is_valid_coloring,
-    near_pure_one_defect_count,
     partition_function,
-    pure_coloring_weight,
     standard_corpus,
     transfer_matrix_partition_function,
 )
@@ -40,6 +34,14 @@ from torushom import exact as exact_module
 from torushom.proof_quantities import cycle_count_g
 from torushom.sampler import ChainConfig, run_chain
 from torushom.torus import TorusGraph
+from references import (
+    check_global_bounds,
+    coloring_weight,
+    enumerate_colorings,
+    influence_ratio,
+    near_pure_one_defect_count,
+    pure_coloring_weight,
+)
 
 
 def ones(g):
@@ -263,6 +265,18 @@ class TestTransferMatrix:
         zb = brute_force_partition_function(C4, g, ones(g)).z
         zt = transfer_matrix_partition_function(C4, g, ones(g)).z
         assert zb == zt == 35
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_matches_brute_past_256_colors(self, m):
+        # a layer state's color 256 needs more than a byte
+        g = preset("k257")
+        t = TorusGraph(m, 1)
+        zb = brute_force_partition_function(t, g, ones(g)).z
+        zt = transfer_matrix_partition_function(t, g, ones(g)).z
+        assert zb == zt == 256**m + (-1) ** m * 256
+        assert exact_module._engine(t, g, ones(g)).states.dtype == np.uint16
+        k256 = preset("k256")
+        assert exact_module._engine(t, k256, ones(k256)).states.dtype == np.uint8
 
     def test_budget_is_on_layer_state_space(self):
         g = preset("k8")

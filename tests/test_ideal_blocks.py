@@ -21,7 +21,7 @@ from torushom.constraint_graph import (
     preset,
 )
 from torushom.errors import InvalidColoring
-from torushom.exact import coloring_weight, enumerate_colorings, partition_function
+from torushom.exact import partition_function
 from torushom.sampler import (
     ChainConfig,
     ChainStats,
@@ -30,11 +30,15 @@ from torushom.sampler import (
     _ideal_hits,
     classify,
     epsilon_estimate,
-    exact_not_ideal_probability,
-    ideal_edge_map,
     run_chain,
 )
 from torushom.torus import TorusGraph
+from references import (
+    coloring_weight,
+    enumerate_colorings,
+    exact_not_ideal_probability,
+    ideal_edge_map,
+)
 
 TORI = {
     "Q1": TorusGraph(2, 1),

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from torushom.constraint_graph import ConstraintGraph, WeightSet, blowup, preset
 from torushom.exact import brute_force_partition_function
 from torushom.torus import TorusGraph
+from references import decode, relabeled
 
 from test_exact import random_instances
 
@@ -46,7 +47,7 @@ _GRAY = (0, 1, 3, 2)
 def cube_image(t: TorusGraph, v: int) -> int:
     """Image in Q_{2d} of vertex v of Z_4^d: each coordinate becomes two bits."""
     out = 0
-    for x in t.decode(v):
+    for x in decode(t, v):
         out = out * 4 + _GRAY[x]
     return out
 
@@ -117,7 +118,7 @@ def test_invariant_under_color_relabelling(shape, data):
         return sum(1 << perm[k] for k in range(g.h) if mask >> k & 1)
 
     assert z(t, g, w, pins) == z(
-        t, g.relabeled(perm), WeightSet(tuple(w_perm)),
+        t, relabeled(g, perm), WeightSet(tuple(w_perm)),
         {v: move(mask) for v, mask in pins.items()},
     )
 
@@ -131,7 +132,7 @@ def test_invariant_under_torus_translation(shape, data):
     step = data.draw(st.tuples(*[st.integers(0, t.m - 1)] * t.d))
 
     def move(v):
-        return t.encode([(x + s) % t.m for x, s in zip(t.decode(v), step)])
+        return t.encode([(x + s) % t.m for x, s in zip(decode(t, v), step)])
 
     moved = {move(v): mask for v, mask in pins.items()}
     assert z(t, g, w, pins) == z(t, g, w, moved)

@@ -23,8 +23,6 @@ from torushom.constraint_graph import (
 )
 from torushom.errors import InvalidColoring, NoValidInitial
 from torushom.exact import (
-    coloring_weight,
-    enumerate_colorings,
     exact_occupation_vector,
     is_valid_coloring,
     partition_function,
@@ -36,14 +34,18 @@ from torushom.sampler import (
     chain_rng,
     classify,
     epsilon_estimate,
-    exact_not_ideal_probability,
-    ideal_edge_map,
     run_chain,
     _pure_initial,
     _pure_start,
     _resolve_initial,
 )
 from torushom.torus import TorusGraph
+from references import (
+    coloring_weight,
+    enumerate_colorings,
+    exact_not_ideal_probability,
+    ideal_edge_map,
+)
 
 
 IND = preset("ind")

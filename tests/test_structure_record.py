@@ -16,6 +16,7 @@ from torushom.constraint_graph import (
 )
 from torushom.errors import EmptyConstraint
 from torushom.torus import TorusGraph
+from references import relabeled
 
 WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 
@@ -94,7 +95,7 @@ def test_relabeled_or_reweighted_instance_gets_its_own_record(inst, data):
     k = data.draw(st.integers(0, g.h - 1))
     new = data.draw(st.sampled_from(WEIGHTS))
     reweighted = w.weights[:k] + (new,) + w.weights[k + 1:]
-    others = [(g.relabeled(perm), WeightSet(tuple(moved))), (g, WeightSet(reweighted))]
+    others = [(relabeled(g, perm), WeightSet(tuple(moved))), (g, WeightSet(reweighted))]
 
     first = instance_structure(g, w)
     for g2, w2 in others:
