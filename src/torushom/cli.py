@@ -404,6 +404,10 @@ def cmd_sample(cfg: RunConfig, meta: dict) -> dict:
     chain_cfg = ChainConfig(
         steps=steps, burn_in=cfg.burn_in, seed=cfg.seed, thin=thin
     )
+    try:
+        chain_cfg.require_samples()
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     stats = ChainStats()
     even, odd = t.side_table
     trace = []

@@ -28,7 +28,6 @@ from .constraint_graph import (
     WeightSet,
     common_neighborhood,
     instance_structure,
-    mask_members,
     mask_size,
 )
 from .errors import CapExceeded, TorushomError
@@ -87,18 +86,6 @@ class ExtremalIdentityReport:
     delta: int
     delta_is_exact: bool
     witnesses: tuple[ColorSetTuple, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "m": self.m,
-            "identity_checked": self.identity_checked,
-            "delta": self.delta,
-            "delta_is_exact": self.delta_is_exact,
-            "witnesses": [
-                [sorted(mask_members(s)) for s in wit] for wit in self.witnesses
-            ],
-        }
 
 
 def check_alternating_identity(g: ConstraintGraph, w: WeightSet, m: int) -> int:

@@ -66,9 +66,20 @@ class ChainConfig:
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
 
+    def require_samples(self) -> None:
+        """ValueError unless the chain yields at least one state."""
+        if (self.steps - self.burn_in) // self.thin == 0:
+            raise ValueError(
+                f"the chain yields no sample: steps - burn_in = "
+                f"{self.steps} - {self.burn_in} is below thin = {self.thin}"
+            )
+
 
 @dataclass
 class ChainStats:
+    """Totals over the runs given this object; a run adds its steps, forced
+    moves and color changes when its generator is exhausted or closed."""
+
     steps: int = 0
     forced_moves: int = 0
     color_changes: int = 0
@@ -250,6 +261,14 @@ def run_chain(
     two-palette start from the first maximal pair whose class on the pinned
     vertex's side holds the pinned color; any other string is a ValueError.
     `stats.start` records which start was used.
+
+    Each vertex keeps a neighbour code, the sum of (degree + 1)^c over its
+    neighbours' colors c, which names the multiset of colors around it. A
+    step finds the vertex's draw table under its code in a per-run dict
+    and draws by `_draw`'s rule, inlined; a color change a -> b adds
+    (degree + 1)^b - (degree + 1)^a to each neighbour's code. The totals
+    in `stats` are added once, when the generator is exhausted (every
+    step) or closed (the steps up to the last state yielded).
     """
     if cfg.pinned is not None:
         y, lcol = cfg.pinned
@@ -267,54 +286,60 @@ def run_chain(
     nbrs = t.neighbor_table
     adj = g.adj
     full = g.full_mask
+    # each vertex has fewer than `base` neighbours: a code names one multiset
+    base = t.degree + 1
+    powers = [base**c for c in range(g.h)]
 
     def stream() -> Iterator[Coloring]:
-        # The counters live in locals and reach `stats` at every yield and
-        # at the end, so a reader between items sees the running totals.
-        if stats is not None:
-            base = (stats.steps, stats.forced_moves, stats.color_changes)
+        code = [sum(powers[state[u]] for u in row) for row in nbrs]
+        by_code: dict[int, tuple] = {}  # code -> tables[candidate mask]
         forced = changes = 0
-        # adj[state[u]] for every vertex, kept in step with state
-        allowed = [adj[c] for c in state]
+        done = cfg.burn_in  # steps up to the last item yielded
         countdown = cfg.burn_in + thin  # steps to the next output
-        vbuf = ubuf = None
-        pos = _RNG_BUFFER
-        for step in range(1, steps + 1):
-            if pos == _RNG_BUFFER:
-                # memoryviews index to plain Python numbers, without a list
-                # of 2 * _RNG_BUFFER boxed values
+        left = steps
+        try:
+            while left:
+                # memoryviews iterate as plain Python numbers, without a
+                # list of 2 * _RNG_BUFFER boxed values
                 vbuf = memoryview(rng.integers(0, free_count, size=_RNG_BUFFER))
                 ubuf = memoryview(rng.random(_RNG_BUFFER))
-                pos = 0
-            v = vbuf[pos]
-            if v >= pinned_vertex:
-                v += 1
-            cand = full
-            for u in nbrs[v]:
-                cand &= allowed[u]
-            table = tables[cand]
-            if len(table[0]) == 1:
-                new = table[0][0]
-                forced += 1
-            else:
-                new = _draw(table, ubuf[pos])
-            pos += 1
-            if new != state[v]:
-                changes += 1
-                state[v] = new
-                allowed[v] = adj[new]
-            countdown -= 1
-            if not countdown:
-                countdown = thin
-                if stats is not None:
-                    stats.steps, stats.forced_moves, stats.color_changes = (
-                        base[0] + step, base[1] + forced, base[2] + changes
-                    )
-                yield tuple(state)
-        if stats is not None:
-            stats.steps, stats.forced_moves, stats.color_changes = (
-                base[0] + steps, base[1] + forced, base[2] + changes
-            )
+                k = min(left, _RNG_BUFFER)
+                left -= k
+                for v, u in zip(vbuf[:k], ubuf[:k]):
+                    if v >= pinned_vertex:
+                        v += 1
+                    try:
+                        table = by_code[code[v]]
+                    except KeyError:
+                        cand = full
+                        for x in nbrs[v]:
+                            cand &= adj[state[x]]
+                        table = by_code[code[v]] = tables[cand]
+                    colors, cum, total = table
+                    if len(colors) == 1:
+                        new = colors[0]
+                        forced += 1
+                    else:
+                        # _draw's rule, inlined
+                        new = colors[bisect_right(cum, u * total)]
+                    old = state[v]
+                    if new != old:
+                        changes += 1
+                        state[v] = new
+                        delta = powers[new] - powers[old]
+                        for x in nbrs[v]:
+                            code[x] += delta
+                    countdown -= 1
+                    if not countdown:
+                        countdown = thin
+                        done += thin
+                        yield tuple(state)
+            done = steps
+        finally:
+            if stats is not None:
+                stats.steps += done
+                stats.forced_moves += forced
+                stats.color_changes += changes
 
     return stream()
 
@@ -400,11 +425,7 @@ def epsilon_estimate(
     (same mean, lower variance). all_edges=False watches the single
     edge from the origin along the last coordinate instead.
     """
-    if (cfg.steps - cfg.burn_in) // cfg.thin == 0:
-        raise ValueError(
-            f"the chain yields no sample: steps - burn_in = "
-            f"{cfg.steps} - {cfg.burn_in} is below thin = {cfg.thin}"
-        )
+    cfg.require_samples()
     s = instance_structure(g, w)
     n_edges = t.num_edges
     edge0 = _edge_index(t, (0, t.shift(0, t.d, 1)))

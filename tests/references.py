@@ -4,8 +4,10 @@ None of this is reached by the `torushom` program, so it lives beside the
 tests rather than in `src/`: the definition of an admissible pair, plain
 enumeration of colorings and their weights, closed forms for pure and
 near-pure families, the eta^(n/2) bounds on |Hom|, the enumeration twin of
-the not-ideal estimator, the exact influence ratio and the q-coloring count
-prediction. pytest does not collect this module; tests import from it.
+the not-ideal estimator, the exact influence ratio, the q-coloring count
+prediction, the JSON form of an extremal-identity report, and the Glauber
+chain with its per-step palette AND. pytest does not collect this module;
+tests import from it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,18 @@ from torushom.exact import (
     exact_occupation_vector,
     partition_function,
 )
-from torushom.sampler import _blocks, _edge_index, _ideal_hits
+from torushom.proof_quantities import ExtremalIdentityReport
+from torushom.sampler import (
+    _RNG_BUFFER,
+    ChainConfig,
+    ChainStats,
+    _blocks,
+    _draw,
+    _edge_index,
+    _ideal_hits,
+    _resolve_initial,
+    chain_rng,
+)
 from torushom.torus import TorusGraph
 
 
@@ -181,6 +194,105 @@ def near_pure_one_defect_count(
         total += brute_force_partition_function(t, g, w, pins=pins).z
     assert total.denominator == 1
     return int(total)
+
+
+# ------------------------------------------------------ proof quantities
+
+def extremal_report_json(report: ExtremalIdentityReport) -> dict:
+    """The report as JSON data, each witness set as its sorted colors."""
+    return {
+        "eta": report.eta,
+        "m": report.m,
+        "identity_checked": report.identity_checked,
+        "delta": report.delta,
+        "delta_is_exact": report.delta_is_exact,
+        "witnesses": [
+            [sorted(mask_members(s)) for s in wit] for wit in report.witnesses
+        ],
+    }
+
+
+# ---------------------------------------------------------------- chain
+
+def reference_chain(
+    t: TorusGraph,
+    g: ConstraintGraph,
+    w: WeightSet,
+    cfg: ChainConfig,
+    initial="uniform-greedy",
+    *,
+    stats: ChainStats | None = None,
+) -> Iterator[Coloring]:
+    """The Glauber chain with the per-step palette AND: each step ANDs the
+    allowed masks of the picked vertex's neighbours, draws through `_draw`,
+    and writes the running totals to `stats` at every yield. `run_chain`
+    must yield the same states and leave the same totals."""
+    if cfg.pinned is not None:
+        y, lcol = cfg.pinned
+        if not (0 <= y < t.n) or not (0 <= lcol < g.h):
+            raise ValueError("pinned pair outside instance")
+    rng = chain_rng(cfg.seed)
+    state, start = _resolve_initial(t, g, w, initial, rng, cfg.pinned, stats)
+    if stats is not None:
+        stats.start = start
+    # the vertex a draw skips; n, which no draw reaches, when nothing is pinned
+    pinned_vertex = cfg.pinned[0] if cfg.pinned is not None else t.n
+    free_count = t.n - (1 if cfg.pinned is not None else 0)
+    steps, thin = cfg.steps, cfg.thin
+    tables = w.draw_tables
+    nbrs = t.neighbor_table
+    adj = g.adj
+    full = g.full_mask
+
+    def stream() -> Iterator[Coloring]:
+        # The counters live in locals and reach `stats` at every yield and
+        # at the end, so a reader between items sees the running totals.
+        if stats is not None:
+            base = (stats.steps, stats.forced_moves, stats.color_changes)
+        forced = changes = 0
+        # adj[state[u]] for every vertex, kept in step with state
+        allowed = [adj[c] for c in state]
+        countdown = cfg.burn_in + thin  # steps to the next output
+        vbuf = ubuf = None
+        pos = _RNG_BUFFER
+        for step in range(1, steps + 1):
+            if pos == _RNG_BUFFER:
+                # memoryviews index to plain Python numbers, without a list
+                # of 2 * _RNG_BUFFER boxed values
+                vbuf = memoryview(rng.integers(0, free_count, size=_RNG_BUFFER))
+                ubuf = memoryview(rng.random(_RNG_BUFFER))
+                pos = 0
+            v = vbuf[pos]
+            if v >= pinned_vertex:
+                v += 1
+            cand = full
+            for u in nbrs[v]:
+                cand &= allowed[u]
+            table = tables[cand]
+            if len(table[0]) == 1:
+                new = table[0][0]
+                forced += 1
+            else:
+                new = _draw(table, ubuf[pos])
+            pos += 1
+            if new != state[v]:
+                changes += 1
+                state[v] = new
+                allowed[v] = adj[new]
+            countdown -= 1
+            if not countdown:
+                countdown = thin
+                if stats is not None:
+                    stats.steps, stats.forced_moves, stats.color_changes = (
+                        base[0] + step, base[1] + forced, base[2] + changes
+                    )
+                yield tuple(state)
+        if stats is not None:
+            stats.steps, stats.forced_moves, stats.color_changes = (
+                base[0] + steps, base[1] + forced, base[2] + changes
+            )
+
+    return stream()
 
 
 # ---------------------------------------------------------- ideal edges

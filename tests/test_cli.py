@@ -318,6 +318,16 @@ class TestSampleCommand:
         assert err.startswith(f"config error: unknown initializer {initial!r}")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_chain_without_a_sample_is_a_config_error(self, capsys, tmp_path):
+        out = tmp_path / "doc.json"
+        argv = ["sample", "--h", "wr", "--m", "4", "--d", "2", "--steps",
+                "10", "--thin", "20", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the chain yields no sample")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_different_seed_changes_trace(self, tmp_path):
         base = ["sample", "--h", "k3", "--m", "2", "--d", "2",
                 "--steps", "500"]

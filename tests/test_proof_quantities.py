@@ -26,6 +26,7 @@ from torushom.proof_quantities import (
     tuple_neighborhood,
     verify_extremal_identities,
 )
+from references import extremal_report_json
 
 
 def naive_cycle_count(g, sets):
@@ -237,17 +238,17 @@ class TestGap:
 
     def test_json_shape(self):
         g = preset("ind")
-        d = verify_extremal_identities(g, WeightSet.ones(2), 2).to_json_dict()
+        d = extremal_report_json(verify_extremal_identities(g, WeightSet.ones(2), 2))
         assert set(d) == {
             "eta", "m", "identity_checked", "delta", "delta_is_exact", "witnesses",
         }
         assert d["witnesses"][0] == [[1], [1]]
 
 
-# SHA-256 of json.dumps(report.to_json_dict(), sort_keys=True), recorded
-# before g moved onto the shared product path (k5 at m=4 before the support
-# sweep moved onto the half-product table); they pin delta, exactness and
-# the witnesses in order. (k6, 2) was recorded again when the
+# SHA-256 of json.dumps(extremal_report_json(report), sort_keys=True),
+# recorded before g moved onto the shared product path (k5 at m=4 before
+# the support sweep moved onto the half-product table); they pin delta,
+# exactness and the witnesses in order. (k6, 2) was recorded again when the
 # branch-and-bound began to keep the lexicographically first ties: its old
 # digest pinned 32 ties taken in search order and then sorted, which missed
 # ({1,2},{0,3,4}) and others (see test_gap_and_witnesses_match_full_enumeration).
@@ -284,7 +285,7 @@ GAP_REPORT_DIGESTS = {
 def test_gap_report_lock(name, m):
     g = preset(name)
     rep = verify_extremal_identities(g, WeightSet.ones(g.h), m)
-    doc = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
+    doc = json.dumps(extremal_report_json(rep), sort_keys=True).encode()
     assert hashlib.sha256(doc).hexdigest() == GAP_REPORT_DIGESTS[(name, m)]
 
 

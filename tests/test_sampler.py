@@ -4,6 +4,7 @@ and the ideal-edge / phase-label machinery on hand-checked instances."""
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import islice, product, zip_longest
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from references import (
     enumerate_colorings,
     exact_not_ideal_probability,
     ideal_edge_map,
+    reference_chain,
 )
 
 
@@ -639,3 +641,101 @@ class TestClassifyAgainstUnionFind:
                     assert label.kind == ("exceptional" if want is None else "pure")
                     kinds[label.kind] += 1
         assert kinds["pure"] > 0
+
+
+# The neighbour-code kernel against the per-step palette AND it replaced.
+KERNEL_H = [
+    ("ind", "1,1"),
+    ("k3", "1,1,1"),
+    ("wr", "1,1,1"),
+    ("wr", "1,2,1"),
+    ("k4loop", "1,1,1,1"),
+    ("kq:6", "1,1,1,1,1,1"),
+]
+KERNEL_TORI = [(2, 1), (2, 3), (2, 4), (4, 2), (6, 2), (8, 2), (4, 3), (4, 4)]
+# 40,000 steps draw from two full RNG buffers and stop inside the third
+KERNEL_STEPS = 40_000
+# (burn_in, thin), thin 1 included
+KERNEL_SCHEDULES = [(0, 1), (1_000, 7), (5_000, 500), (39_990, 1)]
+KERNEL_RUNS = list(
+    product(("uniform-greedy", "pure", "explicit"), (False, True), KERNEL_SCHEDULES)
+)
+
+
+def _totals(stats):
+    return (
+        stats.start,
+        stats.restarts,
+        stats.steps,
+        stats.forced_moves,
+        stats.color_changes,
+    )
+
+
+def _kernel_instance(h, wt, m, d):
+    t, g, w = TorusGraph(m, d), preset(h), WeightSet.parse(wt)
+    # a valid coloring from a short chain: the explicit start, and the
+    # source of a pinned color every start admits
+    *_, explicit = reference_chain(t, g, w, ChainConfig(steps=500, seed=99))
+    return t, g, w, explicit
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize(
+        "case, h, wt, m, d",
+        [
+            (i, h, wt, m, d)
+            for i, ((h, wt), (m, d)) in enumerate(product(KERNEL_H, KERNEL_TORI))
+        ],
+        ids=[f"{h}[{wt}]-Z{m}^{d}" for (h, wt), (m, d) in product(KERNEL_H, KERNEL_TORI)],
+    )
+    def test_same_states_and_totals(self, case, h, wt, m, d):
+        t, g, w, explicit = _kernel_instance(h, wt, m, d)
+        # two runs a case; the 48 cases cover every run kind twice over
+        for initial, pinned, (burn_in, thin) in (
+            KERNEL_RUNS[(2 * case) % len(KERNEL_RUNS)],
+            KERNEL_RUNS[(2 * case + 1) % len(KERNEL_RUNS)],
+        ):
+            y = t.n - 1
+            cfg = ChainConfig(
+                steps=KERNEL_STEPS,
+                burn_in=burn_in,
+                seed=case,
+                thin=thin,
+                pinned=(y, explicit[y]) if pinned else None,
+            )
+            start = explicit if initial == "explicit" else initial
+            got, want = ChainStats(), ChainStats()
+            items = 0
+            for a, b in zip_longest(
+                run_chain(t, g, w, cfg, start, stats=got),
+                reference_chain(t, g, w, cfg, start, stats=want),
+            ):
+                assert a == b
+                items += 1
+            assert items == (KERNEL_STEPS - burn_in) // thin
+            assert _totals(got) == _totals(want)
+            assert got.steps == KERNEL_STEPS
+
+    @pytest.mark.parametrize("k", [1, 2, 37, 5_000])
+    def test_close_leaves_the_totals_at_the_last_item(self, k):
+        t, g, w = TorusGraph(4, 3), preset("wr"), WeightSet.parse("1,2,1")
+        cfg = ChainConfig(steps=KERNEL_STEPS, burn_in=300, seed=4, thin=7)
+        got, want = ChainStats(), ChainStats()
+        chain = run_chain(t, g, w, cfg, "pure", stats=got)
+        ref = reference_chain(t, g, w, cfg, "pure", stats=want)
+        assert list(islice(chain, k)) == list(islice(ref, k))
+        chain.close()
+        assert _totals(got) == _totals(want)
+        assert got.steps == 300 + 7 * k
+
+    def test_reused_stats_keep_adding(self):
+        t, g, w = TorusGraph(4, 2), preset("ind"), WeightSet.ones(2)
+        got, want = ChainStats(), ChainStats()
+        for seed, thin in ((1, 3), (2, 1)):
+            cfg = ChainConfig(steps=KERNEL_STEPS, seed=seed, thin=thin)
+            assert list(run_chain(t, g, w, cfg, stats=got)) == list(
+                reference_chain(t, g, w, cfg, stats=want)
+            )
+            assert _totals(got) == _totals(want)
+        assert got.steps == 2 * KERNEL_STEPS
