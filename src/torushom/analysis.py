@@ -5,8 +5,10 @@ weights alone: under approximate equipartition the phase classes carry
 equal mass, so an even vertex's color law tends to the class-uniform
 mixture (1/|M|) sum of lambda_k/lambda_A, and conditioning on a far
 vertex simply restricts which classes remain. The exact finite-torus
-side of every comparison comes from the counting module, so distances
-between the two are honest measurements, not simulations.
+side of every comparison, the law of f(x) with or without a pinned far
+vertex, is formed here from the counting module's pinned partition
+functions, so distances between the two are honest measurements, not
+simulations.
 
 Conditional targets follow the class-uniform reading: conditioning on
 color ell keeps every compatible class equally likely.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -30,11 +32,12 @@ from .constraint_graph import (
     common_neighborhood,
     complete_graph,
     instance_structure,
+    mask_from,
     orbit_closure,
     subset_weight,
 )
-from .errors import NotEquipartition, ZeroConditioning, ZeroDenominator
-from .exact import exact_occupation_vector
+from .errors import NotEquipartition, ZeroConditioning, ZeroConditioningEvent
+from . import exact
 from .torus import TorusGraph
 
 SAME_SIDE = "same-side"
@@ -200,17 +203,43 @@ def theorem_conditional_vector(
     )
 
 
-def theorem_influence_ratio(
-    g: ConstraintGraph, w: WeightSet, relation: str, k: int, ell: int
-) -> Fraction:
-    """Limit of the conditional-to-unconditional ratio at far vertices."""
-    base = theorem_occupation_target(g, w, EVEN, k)
-    if base == 0:
-        raise ZeroDenominator(f"occupation target of color {k} is zero")
-    return theorem_conditional_target(g, w, relation, k, ell) / base
-
-
 # ---------------------------------------------------- exact comparisons
+
+def exact_occupation_vector(
+    t: TorusGraph,
+    g: ConstraintGraph,
+    w: WeightSet,
+    x: int = 0,
+    condition: tuple[int, int] | None = None,
+) -> tuple[Fraction, ...]:
+    """Exact law of f(x), optionally given f(y)=l: the h pinned counts
+    Z(f(x)=k and condition), each divided by their sum.
+
+    The sum is the weight of the condition, so the law is exact and costs
+    h partition functions. Conditioning on a zero-weight event raises
+    ZeroConditioningEvent.
+    """
+    if not (0 <= x < t.n):
+        raise ValueError(f"vertex {x} outside torus")
+    given: dict[int, int] = {}
+    if condition is not None:
+        y, lcol = condition
+        if not (0 <= y < t.n) or not (0 <= lcol < g.h):
+            raise ValueError("conditioning pair outside instance")
+        given[y] = mask_from((lcol,))
+    # looked up on the module at each call, so a wrapper installed on
+    # exact.partition_function sees every pinned count
+    counts = [
+        exact.partition_function(
+            t, g, w, pins={**given, x: given.get(x, g.full_mask) & mask_from((k,))}
+        ).z
+        for k in range(g.h)
+    ]
+    total = sum(counts)
+    if total == 0:
+        raise ZeroConditioningEvent("conditioning event has weight zero")
+    return tuple(c / total for c in counts)
+
 
 def antipode(t: TorusGraph) -> int:
     """The vertex farthest from the origin: all coordinates m/2."""
@@ -278,54 +307,6 @@ class ComparisonRecord:
         }
 
 
-def conditional_comparison(
-    t: TorusGraph,
-    g: ConstraintGraph,
-    w: WeightSet,
-    relation: str,
-    ell: int,
-    *,
-    y: int | None = None,
-    target: Sequence | None = None,
-) -> ComparisonRecord:
-    """Exact conditional occupation at the origin vs the limit target.
-
-    y defaults to the farthest vertex on the side the relation implies;
-    an explicit target overrides the class-uniform one.
-    """
-    _check_relation(relation)
-    if y is None:
-        y = far_vertex(t, EVEN if relation == SAME_SIDE else ODD)
-    if target is None:
-        target = theorem_conditional_vector(g, w, relation, ell)
-    vec = exact_occupation_vector(t, g, w, 0, (y, ell))
-    return ComparisonRecord(
-        label=f"{relation} ell={ell} y={y} m={t.m} d={t.d}",
-        target=tuple(target),
-        exact=vec,
-        distance=sup_distance(vec, target),
-    )
-
-
-def occupation_comparison(
-    t: TorusGraph,
-    g: ConstraintGraph,
-    w: WeightSet,
-    *,
-    x: int = 0,
-    target: Sequence | None = None,
-) -> ComparisonRecord:
-    if target is None:
-        target = theorem_occupation_vector(g, w, EVEN)
-    vec = exact_occupation_vector(t, g, w, x)
-    return ComparisonRecord(
-        label=f"occupation x={x} m={t.m} d={t.d}",
-        target=tuple(target),
-        exact=vec,
-        distance=sup_distance(vec, target),
-    )
-
-
 # ------------------------------------------------ partition predictors
 
 def _exp_string(c: Fraction) -> str:
@@ -357,15 +338,10 @@ class ConjecturePrediction:
     base: Fraction
     half_volume: int
     correction_exponent: Fraction
-    prefactor_model: str = field(default="")
 
     def __post_init__(self):
         if self.correction_exponent < 0:
             raise ValueError("correction exponent must be nonnegative")
-        if not self.prefactor_model:
-            object.__setattr__(
-                self, "prefactor_model", _exp_string(self.correction_exponent)
-            )
 
     def leading_weight(self) -> Fraction:
         return self.base**self.half_volume

@@ -10,7 +10,6 @@ of the same configuration and seed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import datetime
 import functools
@@ -26,16 +25,18 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analysis import (
+    ComparisonRecord,
     antipode,
-    conditional_comparison,
     conjecture_f_q,
     conjecture_partition_prediction,
     consistency_L_vs_f,
     equipartition_class,
     equipartition_orbit,
+    exact_occupation_vector,
     far_vertex,
-    occupation_comparison,
-    theorem_influence_ratio,
+    sup_distance,
+    theorem_conditional_vector,
+    theorem_occupation_vector,
 )
 from .constraint_graph import (
     ConstraintGraph,
@@ -57,12 +58,10 @@ from .errors import (
     ParseError,
     TorushomError,
     ZeroConditioning,
-    ZeroDenominator,
 )
 from .exact import (
     brute_force_partition_function,
     engine_cache_counts,
-    exact_occupation_vector,
     partition_function,
     transfer_matrix_partition_function,
 )
@@ -70,6 +69,7 @@ from .sampler import ChainConfig, ChainStats, _batch_stderr, classify, run_chain
 from .torus import TorusGraph
 
 COMMANDS = ("analyze", "count", "sample", "influence", "conjecture", "corpus")
+_CSV_COMMANDS = frozenset({"influence", "conjecture"})
 
 _INT_FIELDS = frozenset({"m", "d", "steps", "burn_in", "thin", "seed", "max_d"})
 _BOOL_FIELDS = frozenset({"update"})
@@ -105,6 +105,10 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
+        if self.csv and self.command not in _CSV_COMMANDS:
+            raise ConfigError(
+                f"csv export is not available for the {self.command} command"
+            )
 
     def to_json_dict(self) -> dict:
         return {
@@ -476,36 +480,45 @@ def cmd_influence(cfg: RunConfig, meta: dict) -> dict:
         "relation": relation,
         "labels": list(g.labels),
     }
-    # Both laws of f(0), h pinned counts each; ratio_exact is read from them.
-    cond = occ = None
+    # The exact laws of f(0), h pinned counts each. A refused count ends
+    # the command unless a chain is asked for, which still runs.
     try:
-        rec = conditional_comparison(t, g, w, relation, ell, y=y)
-        out["conditional"], cond = rec.to_json_dict(), rec.exact
-        rec = occupation_comparison(t, g, w)
-        out["occupation"], occ = rec.to_json_dict(), rec.exact
+        occ = exact_occupation_vector(t, g, w)
+        cond = exact_occupation_vector(t, g, w, 0, (y, ell))
     except BudgetExceeded:
         if cfg.steps is None:
             raise
-        out["conditional"] = out["occupation"] = None
-    except (NotEquipartition, ZeroConditioning) as e:
-        out["conditional"] = out["occupation"] = None
-        out["target_note"] = str(e)
-        # No target, but the exact laws stand; the conditional one is
-        # needed only where p(f(0)=k) > 0.
-        with contextlib.suppress(BudgetExceeded):
-            occ = exact_occupation_vector(t, g, w)
-            if occ[k]:
-                cond = exact_occupation_vector(t, g, w, 0, (y, ell))
-    out["ratio_exact"] = frac_str(cond[k] / occ[k]) if cond and occ[k] else None
+        occ = cond = None
+    # Their limits, undefined without an equipartition condition.
     try:
-        out["ratio_target"] = frac_str(
-            theorem_influence_ratio(g, w, relation, k, ell)
-        )
-    except (NotEquipartition, ZeroConditioning, ZeroDenominator):
-        out["ratio_target"] = None
+        occ_t = theorem_occupation_vector(g, w)
+        cond_t = theorem_conditional_vector(g, w, relation, ell)
+    except (NotEquipartition, ZeroConditioning) as e:
+        occ_t = cond_t = None
+        out["target_note"] = str(e)
+    out["occupation"] = _block(f"occupation x=0 m={t.m} d={t.d}", occ, occ_t)
+    out["conditional"] = _block(
+        f"{relation} ell={ell} y={y} m={t.m} d={t.d}", cond, cond_t
+    )
+    out["ratio_exact"] = _ratio(cond, occ, k)
+    out["ratio_target"] = _ratio(cond_t, occ_t, k)
     if cfg.steps is not None:
         out["empirical"] = _empirical_conditional(t, g, w, cfg, y, ell, k, meta)
     return out
+
+
+def _block(label: str, exact, target) -> dict | None:
+    """An exact law next to its limit, or None when either is missing."""
+    if exact is None or target is None:
+        return None
+    return ComparisonRecord(
+        label, target, exact, distance=sup_distance(exact, target)
+    ).to_json_dict()
+
+
+def _ratio(cond, occ, k: int) -> str | None:
+    """cond[k] / occ[k] as text; None when a law is missing or occ[k] is 0."""
+    return frac_str(cond[k] / occ[k]) if occ and occ[k] else None
 
 
 def _empirical_conditional(
@@ -722,8 +735,7 @@ def _csv_export(cfg: RunConfig, result: dict) -> None:
                 return f"{num}/{den}" if den != "1" else num
             rows.append([label, cell(occ, "target"), cell(occ, "exact"),
                          cell(cond, "target"), cell(cond, "exact")])
-        write_csv(cfg.csv, header, rows)
-    elif cfg.command == "conjecture":
+    else:  # conjecture: RunConfig refuses csv for every other command
         header = ["d", "n", "prediction", "exact", "prediction_over_exact",
                   "prefactor_model"]
         rows = [
@@ -734,11 +746,7 @@ def _csv_export(cfg: RunConfig, result: dict) -> None:
              r["prefactor_model"]]
             for r in result["rows"]
         ]
-        write_csv(cfg.csv, header, rows)
-    else:
-        raise ConfigError(
-            f"csv export is not available for the {cfg.command} command"
-        )
+    write_csv(cfg.csv, header, rows)
 
 
 _SUMMARIES = {

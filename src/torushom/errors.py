@@ -38,10 +38,6 @@ class ZeroConditioning(TorushomError):
     """Conditioning color has zero limiting probability on its side."""
 
 
-class ZeroDenominator(TorushomError):
-    """Influence ratio requested with a zero unconditional probability."""
-
-
 class NoValidInitial(TorushomError):
     """Greedy chain initialization failed to find a valid coloring."""
 

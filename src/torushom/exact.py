@@ -27,8 +27,8 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .constraint_graph import ConstraintGraph, WeightSet, mask_from
-from .errors import BudgetExceeded, OracleMismatch, ZeroConditioningEvent
+from .constraint_graph import ConstraintGraph, WeightSet
+from .errors import BudgetExceeded, OracleMismatch
 from .torus import TorusGraph
 
 Coloring = tuple[int, ...]
@@ -617,40 +617,6 @@ def partition_function(
             t, g, w, budget=transfer_budget, pins=pins
         )
     return brute_force_partition_function(t, g, w, budget=brute_budget, pins=pins)
-
-
-def exact_occupation_vector(
-    t: TorusGraph,
-    g: ConstraintGraph,
-    w: WeightSet,
-    x: int = 0,
-    condition: tuple[int, int] | None = None,
-) -> tuple[Fraction, ...]:
-    """Exact law of f(x), optionally given f(y)=l: the h pinned counts
-    Z(f(x)=k and condition), each divided by their sum.
-
-    The sum is the weight of the condition, so the law is exact and costs
-    h partition functions. Conditioning on a zero-weight event raises
-    ZeroConditioningEvent.
-    """
-    if not (0 <= x < t.n):
-        raise ValueError(f"vertex {x} outside torus")
-    given: dict[int, int] = {}
-    if condition is not None:
-        y, lcol = condition
-        if not (0 <= y < t.n) or not (0 <= lcol < g.h):
-            raise ValueError("conditioning pair outside instance")
-        given[y] = mask_from((lcol,))
-    counts = [
-        partition_function(
-            t, g, w, pins={**given, x: given.get(x, g.full_mask) & mask_from((k,))}
-        ).z
-        for k in range(g.h)
-    ]
-    total = sum(counts)
-    if total == 0:
-        raise ZeroConditioningEvent("conditioning event has weight zero")
-    return tuple(c / total for c in counts)
 
 
 @dataclass(frozen=True)

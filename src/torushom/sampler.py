@@ -149,15 +149,27 @@ def _pure_initial(
     t: TorusGraph,
     g: ConstraintGraph,
     w: WeightSet,
-    pair: MaximalPair,
     rng: np.random.Generator,
     pinned: tuple[int, int] | None,
 ) -> list[int]:
-    tables = w.draw_tables
-    sides = (tables[pair.a], tables[pair.b])
-    state = [_draw(sides[p], rng.random()) for p in t.parity_table]
+    """Pure start from the first maximal pair whose class on the pinned
+    vertex's side holds the pinned color (the first pair when nothing is
+    pinned), with the pin's neighbourhood repaired greedily.
+
+    Every pure coloring is valid, so this fails only when H has no maximal
+    pair (EmptyConstraint) or no pair admits the pin (NoValidInitial).
+    """
+    pairs = instance_structure(g, w).pairs
     if pinned is not None:
         y, lcol = pinned
+        side = t.parity_table[y]
+        pairs = [p for p in pairs if ((p.b if side else p.a) >> lcol) & 1]
+        if not pairs:
+            raise NoValidInitial("no maximal pair admits the pin")
+    tables = w.draw_tables
+    sides = (tables[pairs[0].a], tables[pairs[0].b])
+    state = [_draw(sides[p], rng.random()) for p in t.parity_table]
+    if pinned is not None:
         state[y] = lcol
         # repair the neighborhood greedily if the pin broke it
         nbrs = t.neighbor_table
@@ -172,65 +184,25 @@ def _pure_initial(
     return state
 
 
-def _admitting_pair(
-    t: TorusGraph,
-    pairs: Sequence[MaximalPair],
-    pinned: tuple[int, int] | None,
-) -> MaximalPair | None:
-    """The first maximal pair whose class on the pinned vertex's side holds
-    the pinned color (the first pair when nothing is pinned), or None."""
-    for pair in pairs:
-        if pinned is None:
-            return pair
-        y, lcol = pinned
-        if ((pair.b if t.parity_table[y] else pair.a) >> lcol) & 1:
-            return pair
-    return None
-
-
-def _pure_start(
-    t: TorusGraph,
-    g: ConstraintGraph,
-    w: WeightSet,
-    rng: np.random.Generator,
-    pinned: tuple[int, int] | None,
-) -> list[int]:
-    """Pure start from the first maximal pair that admits the pin.
-
-    Every pure coloring is valid, so this fails only when H has no maximal
-    pair (EmptyConstraint) or no pair admits the pin (NoValidInitial).
-    """
-    pair = _admitting_pair(t, instance_structure(g, w).pairs, pinned)
-    if pair is None:
-        raise NoValidInitial("no maximal pair admits the pin")
-    return _pure_initial(t, g, w, pair, rng, pinned)
-
-
-def _resolve_initial(
-    t, g, w, initial, rng, pinned, stats: ChainStats | None = None
-) -> tuple[list[int], str]:
-    """The initial state and the kind of start that produced it; the
-    greedy restarts go to `stats.restarts`."""
-    if stats is not None:
-        stats.restarts = 0
+def _resolve_initial(t, g, w, initial, rng, pinned) -> tuple[list[int], str, int]:
+    """The initial state, the kind of start that produced it, and the
+    greedy fills that dead-ended before it."""
     if initial == "uniform-greedy":
         try:
             state, restarts = _greedy_initial(t, g, w, rng, pinned)
-            start = "greedy"
+            return state, "greedy", restarts
         except NoValidInitial:
-            try:
-                state = _pure_start(t, g, w, rng, pinned)
-            except (EmptyConstraint, NoValidInitial) as e:
-                raise NoValidInitial(
-                    f"greedy initialization failed {_GREEDY_RESTARTS} times "
-                    f"and no pure start was found: {e}"
-                ) from None
-            restarts, start = _GREEDY_RESTARTS, "pure-fallback"
-        if stats is not None:
-            stats.restarts = restarts
-        return state, start
+            pass
+        try:
+            state = _pure_initial(t, g, w, rng, pinned)
+        except (EmptyConstraint, NoValidInitial) as e:
+            raise NoValidInitial(
+                f"greedy initialization failed {_GREEDY_RESTARTS} times "
+                f"and no pure start was found: {e}"
+            ) from None
+        return state, "pure-fallback", _GREEDY_RESTARTS
     if initial == "pure":
-        return _pure_start(t, g, w, rng, pinned), "pure"
+        return _pure_initial(t, g, w, rng, pinned), "pure", 0
     if isinstance(initial, str):
         raise ValueError(
             f"unknown initializer {initial!r}: use uniform-greedy or pure"
@@ -240,7 +212,7 @@ def _resolve_initial(
     state = list(initial)
     if pinned is not None and state[pinned[0]] != pinned[1]:
         raise InvalidColoring("explicit initial coloring contradicts the pin")
-    return state, "explicit"
+    return state, "explicit", 0
 
 
 def run_chain(
@@ -275,9 +247,9 @@ def run_chain(
         if not (0 <= y < t.n) or not (0 <= lcol < g.h):
             raise ValueError("pinned pair outside instance")
     rng = chain_rng(cfg.seed)
-    state, start = _resolve_initial(t, g, w, initial, rng, cfg.pinned, stats)
+    state, start, restarts = _resolve_initial(t, g, w, initial, rng, cfg.pinned)
     if stats is not None:
-        stats.start = start
+        stats.start, stats.restarts = start, restarts
     # the vertex a draw skips; n, which no draw reaches, when nothing is pinned
     pinned_vertex = cfg.pinned[0] if cfg.pinned is not None else t.n
     free_count = t.n - (1 if cfg.pinned is not None else 0)

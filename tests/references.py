@@ -4,8 +4,8 @@ None of this is reached by the `torushom` program, so it lives beside the
 tests rather than in `src/`: the definition of an admissible pair, plain
 enumeration of colorings and their weights, closed forms for pure and
 near-pure families, the eta^(n/2) bounds on |Hom|, the enumeration twin of
-the not-ideal estimator, the exact influence ratio, the q-coloring count
-prediction, the JSON form of an extremal-identity report, and the Glauber
+the not-ideal estimator, the exact and limiting influence ratios, the
+exact-versus-limit comparison records, the q-coloring count prediction, the JSON form of an extremal-identity report, and the Glauber
 chain with its per-step palette AND. pytest does not collect this module;
 tests import from it.
 """
@@ -20,7 +20,22 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from torushom.analysis import _prefactor_string, conjecture_f_q
+from torushom.analysis import (
+    EVEN,
+    ODD,
+    SAME_SIDE,
+    ComparisonRecord,
+    _check_relation,
+    _prefactor_string,
+    conjecture_f_q,
+    exact_occupation_vector,
+    far_vertex,
+    sup_distance,
+    theorem_conditional_target,
+    theorem_conditional_vector,
+    theorem_occupation_target,
+    theorem_occupation_vector,
+)
 from torushom.constraint_graph import (
     ColorSet,
     ConstraintGraph,
@@ -30,14 +45,13 @@ from torushom.constraint_graph import (
     mask_members,
     subset_weight,
 )
-from torushom.errors import InvalidColoring, TorushomError, ZeroDenominator
+from torushom.errors import InvalidColoring, TorushomError
 from torushom.exact import (
     Coloring,
     Pins,
     _coloring_fault,
     _pin_masks,
     brute_force_partition_function,
-    exact_occupation_vector,
     partition_function,
 )
 from torushom.proof_quantities import ExtremalIdentityReport
@@ -232,9 +246,9 @@ def reference_chain(
         if not (0 <= y < t.n) or not (0 <= lcol < g.h):
             raise ValueError("pinned pair outside instance")
     rng = chain_rng(cfg.seed)
-    state, start = _resolve_initial(t, g, w, initial, rng, cfg.pinned, stats)
+    state, start, restarts = _resolve_initial(t, g, w, initial, rng, cfg.pinned)
     if stats is not None:
-        stats.start = start
+        stats.start, stats.restarts = start, restarts
     # the vertex a draw skips; n, which no draw reaches, when nothing is pinned
     pinned_vertex = cfg.pinned[0] if cfg.pinned is not None else t.n
     free_count = t.n - (1 if cfg.pinned is not None else 0)
@@ -330,6 +344,68 @@ def exact_not_ideal_probability(
 
 
 # ------------------------------------------------------------- analysis
+
+class ZeroDenominator(TorushomError):
+    """Influence ratio requested with a zero unconditional probability."""
+
+
+def theorem_influence_ratio(
+    g: ConstraintGraph, w: WeightSet, relation: str, k: int, ell: int
+) -> Fraction:
+    """Limit of the conditional-to-unconditional ratio at far vertices."""
+    base = theorem_occupation_target(g, w, EVEN, k)
+    if base == 0:
+        raise ZeroDenominator(f"occupation target of color {k} is zero")
+    return theorem_conditional_target(g, w, relation, k, ell) / base
+
+
+def conditional_comparison(
+    t: TorusGraph,
+    g: ConstraintGraph,
+    w: WeightSet,
+    relation: str,
+    ell: int,
+    *,
+    y: int | None = None,
+    target: Sequence | None = None,
+) -> ComparisonRecord:
+    """Exact conditional occupation at the origin vs the limit target.
+
+    y defaults to the farthest vertex on the side the relation implies;
+    an explicit target overrides the class-uniform one.
+    """
+    _check_relation(relation)
+    if y is None:
+        y = far_vertex(t, EVEN if relation == SAME_SIDE else ODD)
+    if target is None:
+        target = theorem_conditional_vector(g, w, relation, ell)
+    vec = exact_occupation_vector(t, g, w, 0, (y, ell))
+    return ComparisonRecord(
+        label=f"{relation} ell={ell} y={y} m={t.m} d={t.d}",
+        target=tuple(target),
+        exact=vec,
+        distance=sup_distance(vec, target),
+    )
+
+
+def occupation_comparison(
+    t: TorusGraph,
+    g: ConstraintGraph,
+    w: WeightSet,
+    *,
+    x: int = 0,
+    target: Sequence | None = None,
+) -> ComparisonRecord:
+    if target is None:
+        target = theorem_occupation_vector(g, w, EVEN)
+    vec = exact_occupation_vector(t, g, w, x)
+    return ComparisonRecord(
+        label=f"occupation x={x} m={t.m} d={t.d}",
+        target=tuple(target),
+        exact=vec,
+        distance=sup_distance(vec, target),
+    )
+
 
 def influence_ratio(
     t: TorusGraph,

@@ -21,7 +21,12 @@ from torushom.constraint_graph import WeightSet, preset
 from torushom.errors import ConfigError
 from torushom.sampler import ChainConfig, _batch_stderr, run_chain
 from torushom.torus import TorusGraph
-from references import influence_ratio
+from references import (
+    conditional_comparison,
+    influence_ratio,
+    occupation_comparison,
+    theorem_influence_ratio,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -482,6 +487,73 @@ class TestInfluenceCounts:
         assert Fraction(res["ratio_exact"]) == expected
 
 
+class TestInfluenceOnePath:
+    """`influence` forms each exact law once and each limit target once,
+    and a refused count or an impossible pin is reported the same way
+    whether or not the targets exist."""
+
+    def test_refused_count_without_targets_exits_3(self, tmp_path):
+        # ind+k3 has no equipartition target; its counts on Q_6 are refused
+        argv = ["influence", "--h", "ind+k3", "--m", "2", "--d", "6", "--l", "1"]
+        assert main(argv) == 3
+        code, res = run_json(tmp_path, argv + ["--steps", "2000"])
+        assert code == 0
+        assert "target_note" in res
+        assert res["occupation"] is None and res["conditional"] is None
+        assert res["ratio_exact"] is None and res["ratio_target"] is None
+        assert res["empirical"]["n_samples"] == 1800
+
+    @pytest.mark.parametrize("extra", [[], ["--k", "0"]])
+    def test_impossible_pin_color_exits_2(self, tmp_path, capsys, extra):
+        # color 2 has no neighbour, so no coloring of the torus uses it
+        path = tmp_path / "h.txt"
+        path.write_text("colors 3\ne 0 1\ne 1 1\n")
+        argv = ["influence", "--h", str(path), "--m", "2", "--d", "2", "--l", "2"]
+        assert main(argv + extra) == 2
+        assert "conditioning event has weight zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,d", [("wr", 3), ("ind+k3", 2)])
+    def test_2h_partition_functions(self, tmp_path, monkeypatch, spec, d):
+        calls = []
+        real = exact.partition_function
+
+        def counter(*args, **kwargs):
+            calls.append(kwargs.get("pins"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "partition_function", counter)
+        code, _ = run_json(
+            tmp_path,
+            ["influence", "--h", spec, "--m", "2", "--d", str(d), "--l", "1"],
+        )
+        assert code == 0
+        assert len(calls) == 2 * preset(spec).h
+
+    @pytest.mark.parametrize("m,d", [(2, 2), (2, 3), (4, 2)])
+    @pytest.mark.parametrize(
+        "spec,weights", [("ind", None), ("ind", "3/2,1"), ("k3", None), ("wr", None)]
+    )
+    def test_matches_the_reference_comparisons(self, tmp_path, spec, weights, m, d):
+        g, t = preset(spec), TorusGraph(m, d)
+        w = WeightSet.ones(g.h) if weights is None else WeightSet.parse(weights)
+        ell, k = 1, g.h - 1
+        argv = ["influence", "--h", spec, "--m", str(m), "--d", str(d),
+                "--x", "far-odd", "--l", g.labels[ell], "--k", g.labels[k]]
+        if weights is not None:
+            argv += ["--weights", weights]
+        code, res = run_json(tmp_path, argv)
+        assert code == 0
+        y, rel = res["pin_vertex"], res["relation"]
+        assert res["occupation"] == occupation_comparison(t, g, w).to_json_dict()
+        assert res["conditional"] == conditional_comparison(
+            t, g, w, rel, ell, y=y
+        ).to_json_dict()
+        assert Fraction(res["ratio_exact"]) == influence_ratio(t, g, w, 0, k, y, ell)
+        assert Fraction(res["ratio_target"]) == theorem_influence_ratio(
+            g, w, rel, k, ell
+        )
+
+
 class TestConjectureCommand:
     def test_coloring_table(self, tmp_path):
         code, res = run_json(tmp_path, ["conjecture", "--h", "k3", "--m", "2"])
@@ -520,6 +592,22 @@ class TestConjectureCommand:
 
     def test_csv_rejected_elsewhere(self, capsys):
         assert main(["count", "--h", "k3", "--csv", "/tmp/x.csv"]) == 2
+
+    def test_csv_refused_before_the_command_runs(self, tmp_path, capsys):
+        # the count alone is refused by its budget (exit 3)
+        argv = ["count", "--h", "k3", "--m", "2", "--d", "5", "--method", "transfer"]
+        assert main(argv) == 3
+        capsys.readouterr()
+        assert main(argv + ["--csv", str(tmp_path / "x.csv")]) == 2
+        assert "csv export is not available" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_csv_refused_from_a_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"csv={tmp_path / 'x.csv'}\nsteps=20\n")
+        assert main(["sample", "--h", "k3", "--config", str(cfg)]) == 2
+        with pytest.raises(ConfigError, match="csv export"):
+            RunConfig(command="analyze", csv="x.csv")
 
 
 class TestStructureCacheMeta:

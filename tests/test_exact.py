@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from torushom.analysis import exact_occupation_vector
 from torushom.constraint_graph import (
     ConstraintGraph,
     MaximalPair,
@@ -24,7 +25,6 @@ from torushom.exact import (
     DEFAULT_TRANSFER_BUDGET,
     brute_force_partition_function,
     dual_route_records,
-    exact_occupation_vector,
     is_valid_coloring,
     partition_function,
     standard_corpus,

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torushom.analysis import exact_occupation_vector
 from torushom.constraint_graph import (
     ConstraintGraph,
     MaximalPair,
@@ -23,11 +24,7 @@ from torushom.constraint_graph import (
     subset_weight,
 )
 from torushom.errors import InvalidColoring, NoValidInitial
-from torushom.exact import (
-    exact_occupation_vector,
-    is_valid_coloring,
-    partition_function,
-)
+from torushom.exact import is_valid_coloring, partition_function
 from torushom import sampler
 from torushom.sampler import (
     ChainConfig,
@@ -37,7 +34,6 @@ from torushom.sampler import (
     epsilon_estimate,
     run_chain,
     _pure_initial,
-    _pure_start,
     _resolve_initial,
 )
 from torushom.torus import TorusGraph
@@ -293,7 +289,7 @@ class TestInitializers:
         assert stats.start == "pure-fallback"
         assert f[y] == 2 and is_valid_coloring(t, K3, f)
         # The start itself is pure for a pair whose side holds the pin.
-        start = _pure_start(t, K3, WeightSet.ones(3), chain_rng(0), (y, 2))
+        start = _pure_initial(t, K3, WeightSet.ones(3), chain_rng(0), (y, 2))
         even, odd = t.side_table
         assert start[y] == 2
         assert any(
@@ -318,10 +314,14 @@ class TestInitializers:
         samples = list(run_chain(Q3, WR, w, cfg, initial="pure"))
         assert len(samples) == 5
 
-    def test_pure_initial_with_explicit_pair(self):
+    def test_pure_initial_uses_the_first_pair(self):
         w = WeightSet.ones(2)
         pair = MaximalPair(mask_from((1,)), mask_from((0, 1)))
-        start = _pure_initial(Q2, IND, w, pair, chain_rng(0), None)
+        assert instance_structure(IND, w).pairs[0] == pair
+        start = _pure_initial(Q2, IND, w, chain_rng(0), None)
+        even, odd = Q2.side_table
+        assert all((pair.a >> start[v]) & 1 for v in even)
+        assert all((pair.b >> start[v]) & 1 for v in odd)
         assert is_valid_coloring(Q2, IND, start)
         cfg = ChainConfig(steps=1, seed=0)
         (f,) = run_chain(Q2, IND, w, cfg, initial=start)
@@ -357,8 +357,8 @@ class TestInitializers:
         # on the odd side; the first pair that can is ({3}, {2, 4}), so the
         # pure start comes from it.
         pin = (1, 2)
-        state, start = _resolve_initial(Q2, g, w, "pure", chain_rng(0), pin)
-        assert start == "pure" and state[1] == 2
+        state, start, restarts = _resolve_initial(Q2, g, w, "pure", chain_rng(0), pin)
+        assert start == "pure" and restarts == 0 and state[1] == 2
         even, odd = Q2.side_table
         assert all(state[v] == 3 for v in even)
         assert all(state[v] in (2, 4) for v in odd)
@@ -371,9 +371,11 @@ class TestInitializers:
         # not change which pair the start uses.
         w = WeightSet.ones(2)
         first = instance_structure(IND, w).pairs[0]
-        pinned, _ = _resolve_initial(Q2, IND, w, "pure", chain_rng(3), (1, 0))
-        free = _pure_initial(Q2, IND, w, first, chain_rng(3), (1, 0))
-        assert pinned == free and pinned[1] == 0
+        pinned = _pure_initial(Q2, IND, w, chain_rng(3), (1, 0))
+        even, odd = Q2.side_table
+        assert pinned[1] == 0
+        assert all((first.a >> pinned[v]) & 1 for v in even)
+        assert all((first.b >> pinned[v]) & 1 for v in odd)
 
     def test_pure_start_with_no_admitting_pair_raises(self):
         # With out weighted 2, only the two hard-core pairs are maximal, and

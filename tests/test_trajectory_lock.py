@@ -7,6 +7,12 @@ runs `epsilon_estimate` on the same configuration. The digests below were
 recorded from the sampler as it stood before that change. Pure starts
 whose first maximal pair does not admit the pin are left out: those start
 from an admitting pair now, on purpose.
+
+The start lock digests, for three seeds, the first state of a one-step
+chain with the start it reports and its greedy restarts: greedy and pure
+starts on Z_4^2, the pure fallback on Z_8^3, and a pinned pure start whose
+first maximal pair does not admit the pin. Its digests were recorded
+before the pure start became one function.
 """
 
 import hashlib
@@ -19,6 +25,7 @@ from torushom.sampler import ChainConfig, ChainStats, classify, epsilon_estimate
 from torushom.torus import TorusGraph
 
 SEEDS = (0, 1, 2)
+Q2 = TorusGraph(2, 2)
 T42 = TorusGraph(4, 2)
 Z83 = TorusGraph(8, 3)
 
@@ -196,3 +203,46 @@ LOCKED = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trajectory_unchanged(name):
     assert case_digests(name) == LOCKED[name]
+
+
+# name -> (torus, preset, weights, initial, pin)
+START_CASES = {
+    "k3[1,1,1]-greedy": (T42, "k3", "1,1,1", "uniform-greedy", None),
+    "k3[1,1,1]-fallback": (Z83, "k3", "1,1,1", "uniform-greedy", None),
+    "k3[1,1,1]-fallback-pinned": (Z83, "k3", "1,1,1", "uniform-greedy", (1, 2)),
+    # ind+k3's first pair ({out}, {in, out}) cannot hold color 2 on the odd side
+    "ind+k3-pure-later-pair": (Q2, "ind+k3", "1,1,1,1,1", "pure", (1, 2)),
+}
+for _h, _wt in (("wr", "1,2,1"), ("ind", "3/2,1")):
+    START_CASES[f"{_h}[{_wt}]-greedy"] = (T42, _h, _wt, "uniform-greedy", None)
+    START_CASES[f"{_h}[{_wt}]-pure"] = (T42, _h, _wt, "pure", None)
+
+
+def start_digests(name: str) -> list[str]:
+    """The digest of [first state, start, restarts] for each seed."""
+    t, h, wt, initial, pin = START_CASES[name]
+    g, w = preset(h), WeightSet.parse(wt)
+    out = []
+    for seed in SEEDS:
+        stats = ChainStats()
+        cfg = ChainConfig(steps=1, seed=seed, pinned=pin)
+        (f,) = run_chain(t, g, w, cfg, initial, stats=stats)
+        out.append(_digest([list(f), stats.start, stats.restarts]))
+    return out
+
+
+START_LOCKED = {
+    "ind+k3-pure-later-pair": ["348b0dc2b494bc67", "348b0dc2b494bc67", "d7dbebf7faabaf56"],
+    "ind[3/2,1]-greedy": ["c08bb33c37c485b2", "16371308b8ca414d", "3cb90f1263ea535c"],
+    "ind[3/2,1]-pure": ["9f47059aa994971c", "22c8b1f0b1a2ea3e", "5efc9c91f7e16e6a"],
+    "k3[1,1,1]-fallback": ["64258eb6b52dc298", "06fa338b0f7cd627", "c972d7efca06cf21"],
+    "k3[1,1,1]-fallback-pinned": ["2b4d91dccc6b41d7", "24f1eab91b5c7936", "0ff479250a0f9b8e"],
+    "k3[1,1,1]-greedy": ["712d89d5177a4102", "9db6829f0d68165b", "472509c2cbf151cf"],
+    "wr[1,2,1]-greedy": ["b4057edfb7b39ee3", "ea906d60792bfeb0", "b18074ec735c865d"],
+    "wr[1,2,1]-pure": ["bfad0d6d53bb8e21", "426062a277af3edd", "3218fec3fce80d5c"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(START_CASES))
+def test_start_unchanged(name):
+    assert start_digests(name) == START_LOCKED[name]
