@@ -1,17 +1,20 @@
 """Limit-law targets, long-range influence, and partition-function predictors.
 
 The target vectors here are computed from the constraint graph and its
-weights alone: under approximate equipartition the phase classes carry
-equal mass, so an even vertex's color law tends to the class-uniform
-mixture (1/|M|) sum of lambda_k/lambda_A, and conditioning on a far
-vertex simply restricts which classes remain. The exact finite-torus
+weights alone, by one rule. Almost every coloring lies in one phase class
+(A,B), and under approximate equipartition the classes carry equal mass,
+so for the set S of classes still possible the law of f(x) at an even x
+tends to the class-uniform mixture
+
+    p(f(x) = k) -> (1/|S|) sum over (A,B) in S with k in A of lambda_k/lambda_A.
+
+The occupation law takes S = every maximal pair (the B classes for odd
+x); the law given f(y)=ell at a far y keeps the pairs that can show ell
+there, ell in A for even y and ell in B for odd y. The exact finite-torus
 side of every comparison, the law of f(x) with or without a pinned far
 vertex, is formed here from the counting module's pinned partition
 functions, so distances between the two are honest measurements, not
 simulations.
-
-Conditional targets follow the class-uniform reading: conditioning on
-color ell keeps every compatible class equally likely.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .constraint_graph import (
     complete_graph,
     instance_structure,
     mask_from,
+    mask_members,
     orbit_closure,
     subset_weight,
 )
@@ -134,73 +138,47 @@ def _check_relation(relation: str) -> None:
 
 # ----------------------------------------------------- theorem targets
 
-def _class_share(
-    g: ConstraintGraph, w: WeightSet, classes: Sequence[int], k: int
-) -> Fraction:
-    """Sum of lambda_k/lambda_C over the classes C (bitmasks) that hold k."""
+def _mixture(
+    g: ConstraintGraph, w: WeightSet, classes: Sequence[int]
+) -> tuple[Fraction, ...]:
+    """The class-uniform mixture over the classes C (bitmasks): entry k is
+    (1/|classes|) sum of lambda_k/lambda_C over the classes that hold k."""
     lam = instance_structure(g, w).class_weight
-    return sum((w[k] / lam[c] for c in classes if (c >> k) & 1), Fraction(0))
-
-
-def theorem_occupation_target(
-    g: ConstraintGraph, w: WeightSet, side: str, k: int
-) -> Fraction:
-    """Limit of p(f(x)=k) for x on the given side: the class-uniform
-    average of lambda_k/lambda over classes containing k."""
-    _check_side(side)
-    pairs = _equipartition_pairs(g, w)
-    classes = [pair.a if side == EVEN else pair.b for pair in pairs]
-    return _class_share(g, w, classes, k) / len(pairs)
+    out = [Fraction(0)] * g.h
+    for c in classes:
+        for k in mask_members(c):
+            out[k] += w[k] / lam[c]
+    return tuple(x / len(classes) for x in out)
 
 
 def theorem_occupation_vector(
     g: ConstraintGraph, w: WeightSet, side: str = EVEN
 ) -> tuple[Fraction, ...]:
-    return tuple(
-        theorem_occupation_target(g, w, side, k) for k in range(g.h)
-    )
-
-
-def _conditioning_pairs(
-    g: ConstraintGraph, w: WeightSet, relation: str, ell: int
-) -> tuple[MaximalPair, ...]:
-    """Classes compatible with seeing ell at the conditioning vertex.
-
-    The observed vertex sits on the even side for same-side relations
-    and on the odd side for cross-side ones; x is always even.
-    """
-    _check_relation(relation)
+    """Limit law of f(x) for x on the given side: the mixture over the
+    side's class of every maximal pair."""
+    _check_side(side)
     pairs = _equipartition_pairs(g, w)
-    if relation == SAME_SIDE:
-        kept = tuple(p for p in pairs if (p.a >> ell) & 1)
-    else:
-        kept = tuple(p for p in pairs if (p.b >> ell) & 1)
-    if not kept:
-        raise ZeroConditioning(
-            f"color {ell} never appears on the conditioning side"
-        )
-    return kept
-
-
-def theorem_conditional_target(
-    g: ConstraintGraph, w: WeightSet, relation: str, k: int, ell: int
-) -> Fraction:
-    """Limit of p(f(x)=k | f(y)=ell) for even x and far y.
-
-    Class-uniform over the classes compatible with the conditioning:
-    each surviving (A,B) contributes lambda_k/lambda_A when k is in A.
-    """
-    kept = _conditioning_pairs(g, w, relation, ell)
-    return _class_share(g, w, [pair.a for pair in kept], k) / len(kept)
+    return _mixture(g, w, [p.a if side == EVEN else p.b for p in pairs])
 
 
 def theorem_conditional_vector(
     g: ConstraintGraph, w: WeightSet, relation: str, ell: int
 ) -> tuple[Fraction, ...]:
-    return tuple(
-        theorem_conditional_target(g, w, relation, k, ell)
-        for k in range(g.h)
-    )
+    """Limit law of f(x) given f(y)=ell, for even x and far y: the mixture
+    over the A classes of the pairs that can show ell at y.
+
+    y sits on the even side for same-side relations and on the odd side
+    for cross-side ones, so ell must lie in A or in B respectively.
+    """
+    _check_relation(relation)
+    pairs = _equipartition_pairs(g, w)
+    at_y = 0 if relation == SAME_SIDE else 1  # y's class: A, or B
+    kept = [p.a for p in pairs if (p[at_y] >> ell) & 1]
+    if not kept:
+        raise ZeroConditioning(
+            f"color {ell} never appears on the conditioning side"
+        )
+    return _mixture(g, w, kept)
 
 
 # ---------------------------------------------------- exact comparisons
@@ -247,26 +225,19 @@ def antipode(t: TorusGraph) -> int:
 
 
 def far_vertex(t: TorusGraph, side: str) -> int:
-    """Farthest vertex from the origin within one parity class
-    (smallest index among ties)."""
+    """Farthest vertex from the origin within one parity class (smallest
+    index among ties): the antipode when d*m/2 has the side's parity, else
+    the antipode - m^(d-1).
+
+    The distance to x is sum_i min(x_i, m - x_i), which reaches d*m/2 only
+    at the antipode, of parity d*m/2; a vertex of the other parity is at
+    most d*m/2 - 1 away, with equality exactly when one antipode coordinate
+    moves one step, and moving the most significant one down is smallest.
+    """
     _check_side(side)
     want = 0 if side == EVEN else 1
-    dist = [-1] * t.n
-    dist[0] = 0
-    queue = [0]
-    while queue:
-        nxt = []
-        for v in queue:
-            for u in t.neighbors(v):
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        queue = nxt
-    best = None
-    for v in range(t.n):
-        if t.parity(v) == want and (best is None or dist[v] > dist[best]):
-            best = v
-    return best
+    far = antipode(t)
+    return far if (t.d * t.m // 2) % 2 == want else far - t.m ** (t.d - 1)
 
 
 def sup_distance(u: Sequence, v: Sequence):
@@ -283,8 +254,6 @@ class ComparisonRecord:
     label: str
     target: tuple
     exact: tuple | None = None
-    empirical: tuple | None = None
-    stderr: float | None = None
     distance: object = None
 
     def to_json_dict(self) -> dict:
@@ -299,10 +268,6 @@ class ComparisonRecord:
             "exact": None
             if self.exact is None
             else [num(x) for x in self.exact],
-            "empirical": None
-            if self.empirical is None
-            else list(self.empirical),
-            "stderr": self.stderr,
             "d_inf_distance": num(self.distance),
         }
 
@@ -364,21 +329,17 @@ def conjecture_L(
     if pair not in instance_structure(g, w).pairs:
         raise ValueError(f"{pair} is not a maximal pair of this instance")
     deg = t.degree
-    a, b = pair
-    la, lb = subset_weight(w, a), subset_weight(w, b)
-    first = Fraction(0)
-    for k in range(g.h):
-        if not (a >> k) & 1:
-            first += w[k] * subset_weight(
-                w, common_neighborhood(g, a | (1 << k))
-            ) ** deg
-    second = Fraction(0)
-    for ell in range(g.h):
-        if not (b >> ell) & 1:
-            second += w[ell] * subset_weight(
-                w, common_neighborhood(g, b | (1 << ell))
-            ) ** deg
-    return first / (2 * la * lb**deg) + second / (2 * lb * la**deg)
+
+    def half(a: int, b: int) -> Fraction:
+        # colors that could join class a, each weighted by the palette it
+        # leaves on b's side, over 2 * lambda_a * lambda_b^deg
+        joins = Fraction(0)
+        for k in mask_members(g.full_mask ^ a):
+            palette = common_neighborhood(g, a | (1 << k))
+            joins += w[k] * subset_weight(w, palette) ** deg
+        return joins / (2 * subset_weight(w, a) * subset_weight(w, b) ** deg)
+
+    return half(pair.a, pair.b) + half(pair.b, pair.a)
 
 
 def conjecture_weight_prediction(

@@ -579,10 +579,18 @@ def cmd_conjecture(cfg: RunConfig, meta: dict) -> dict:
     for d in range(1, cfg.max_d + 1):
         t = TorusGraph(cfg.m, d)
         pp = conjecture_partition_prediction(g, w, t)
+        try:
+            prediction = pp.total()
+        except OverflowError:
+            prediction = math.inf
+        if math.isinf(prediction):
+            raise BudgetExceeded(
+                f"the prediction at d={d} is too large for a float"
+            )
         row: dict = {
             "d": d,
             "n": t.n,
-            "prediction": pp.total(),
+            "prediction": prediction,
             "prefactor_model": pp.prefactor_model,
             "pair_count": len(pp.predictions),
             "correction_exponents": sorted(
@@ -591,7 +599,7 @@ def cmd_conjecture(cfg: RunConfig, meta: dict) -> dict:
         }
         try:
             row["exact"] = frac_str(partition_function(t, g, w).z)
-            row["prediction_over_exact"] = pp.total() / float(
+            row["prediction_over_exact"] = prediction / float(
                 Fraction(row["exact"])
             )
         except BudgetExceeded:

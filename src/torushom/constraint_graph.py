@@ -143,10 +143,6 @@ class WeightSet:
     def is_uniform(self) -> bool:
         return all(w == self.weights[0] for w in self.weights)
 
-    def scaled(self, c) -> "WeightSet":
-        c = Fraction(c)
-        return WeightSet(tuple(w * c for w in self.weights))
-
     def scale_denominator(self) -> int:
         """Smallest positive integer C with C*lambda_k integral for all k."""
         return math.lcm(*(w.denominator for w in self.weights))

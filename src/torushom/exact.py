@@ -556,6 +556,14 @@ def engine_cache_counts() -> tuple[int, int]:
     return info.hits, info.misses
 
 
+def _layer_states_exceed(
+    t: TorusGraph, g: ConstraintGraph, budget: int
+) -> bool:
+    """h^(n/m) > budget, without forming a power past the budget: for h >= 2
+    an exponent of budget.bit_length() already passes it, and 1^e is 1."""
+    return g.h ** min(t.n // t.m, budget.bit_length()) > budget
+
+
 def transfer_matrix_partition_function(
     t: TorusGraph,
     g: ConstraintGraph,
@@ -569,10 +577,9 @@ def transfer_matrix_partition_function(
     The budget is checked twice: against the h^(n/m) raw layer states before
     any is enumerated, and against the s^2 compatibility bits of the s valid
     ones before any is built."""
-    layer_size = t.n // t.m
-    if g.h**layer_size > budget:
+    if _layer_states_exceed(t, g, budget):
         raise BudgetExceeded(
-            f"transfer needs {g.h}^{layer_size} > {budget} raw layer states"
+            f"transfer needs {g.h}^{t.n // t.m} > {budget} raw layer states"
         )
     eng = _engine(t, g, w)
     s_count = len(eng.states)
@@ -612,7 +619,7 @@ def partition_function(
         )
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    if g.h ** (t.n // t.m) <= transfer_budget:
+    if not _layer_states_exceed(t, g, transfer_budget):
         return transfer_matrix_partition_function(
             t, g, w, budget=transfer_budget, pins=pins
         )

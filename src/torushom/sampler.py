@@ -348,19 +348,6 @@ def _ideal_hits(
     return keys.take(at) == key, at
 
 
-def _edge_index(t: TorusGraph, e: tuple[int, int]) -> int:
-    """The t.edge_table index of the edge e, given in either orientation;
-    ValueError if e is not a torus edge."""
-    u, v = e
-    if 0 <= u < t.n and 0 <= v < t.n:
-        if t.parity_table[u]:
-            u, v = v, u
-        row = t.neighbor_table[u]
-        if v in row:
-            return int(t.incidence_array[row.index(v), u])
-    raise ValueError(f"({e[0]},{e[1]}) is not a torus edge")
-
-
 def _blocks(t: TorusGraph, states: Iterable) -> Iterator[list]:
     """`states` in lists of as many rows as one `_ideal_hits` block holds."""
     rows = max(1, _BLOCK_ENTRIES // (t.n * t.degree))
@@ -387,36 +374,29 @@ def epsilon_estimate(
     w: WeightSet,
     cfg: ChainConfig,
     *,
-    all_edges: bool = True,
     initial="uniform-greedy",
 ) -> dict:
     """Monte-Carlo estimate of Pr(edge not ideal) with batch-means stderr.
 
-    By vertex-transitivity every edge has the same probability, so the
-    default averages the not-ideal indicator over all edges per sample
-    (same mean, lower variance). all_edges=False watches the single
-    edge from the origin along the last coordinate instead.
+    By vertex-transitivity every edge has the same probability, so each
+    sample contributes its share of not-ideal edges: the same mean as one
+    watched edge, with lower variance.
     """
     cfg.require_samples()
     s = instance_structure(g, w)
     n_edges = t.num_edges
-    edge0 = _edge_index(t, (0, t.shift(0, t.d, 1)))
     xs: list[float] = []
     # colors are below MAX_COLORS = 16: a byte each
     for block in _blocks(t, map(bytes, run_chain(t, g, w, cfg, initial))):
         states = np.frombuffer(b"".join(block), np.uint8).reshape(len(block), t.n)
         hit, _ = _ideal_hits(t, s, states)
-        if all_edges:
-            # the same float as (n_edges - ideal count) / n_edges in Python
-            xs.extend(((n_edges - hit.sum(axis=1)) / n_edges).tolist())
-        else:
-            xs.extend((~hit[:, edge0]).astype(float).tolist())
+        # the same float as (n_edges - ideal count) / n_edges in Python
+        xs.extend(((n_edges - hit.sum(axis=1)) / n_edges).tolist())
     mean = sum(xs) / len(xs)
     return {
         "p_not_ideal": mean,
         "stderr": _batch_stderr(xs),
         "n_samples": len(xs),
-        "mode": "all-edges" if all_edges else "single-edge",
     }
 
 

@@ -1,13 +1,15 @@
 """Reference definitions that tests compare the program against.
 
 None of this is reached by the `torushom` program, so it lives beside the
-tests rather than in `src/`: the definition of an admissible pair, plain
-enumeration of colorings and their weights, closed forms for pure and
-near-pure families, the eta^(n/2) bounds on |Hom|, the enumeration twin of
-the not-ideal estimator, the exact and limiting influence ratios, the
-exact-versus-limit comparison records, the q-coloring count prediction, the JSON form of an extremal-identity report, and the Glauber
-chain with its per-step palette AND. pytest does not collect this module;
-tests import from it.
+tests rather than in `src/`: the farthest vertex by breadth-first search,
+the definition of an admissible pair, plain enumeration of colorings and
+their weights, closed forms for pure and near-pure families, the
+eta^(n/2) bounds on |Hom|, the enumeration twin of the not-ideal
+estimator with its edge lookup, the per-color limit targets, the exact and
+limiting influence ratios, the exact-versus-limit comparison records, the
+q-coloring count prediction, the JSON form of an extremal-identity report,
+and the Glauber chain with its per-step palette AND. pytest does not
+collect this module; tests import from it.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from torushom.analysis import (
     SAME_SIDE,
     ComparisonRecord,
     _check_relation,
+    _check_side,
     _prefactor_string,
     conjecture_f_q,
     exact_occupation_vector,
     far_vertex,
     sup_distance,
-    theorem_conditional_target,
     theorem_conditional_vector,
-    theorem_occupation_target,
     theorem_occupation_vector,
 )
 from torushom.constraint_graph import (
@@ -61,7 +62,6 @@ from torushom.sampler import (
     ChainStats,
     _blocks,
     _draw,
-    _edge_index,
     _ideal_hits,
     _resolve_initial,
     chain_rng,
@@ -79,6 +79,42 @@ def decode(t: TorusGraph, v: int) -> tuple[int, ...]:
         out.append(v % t.m)
         v //= t.m
     return tuple(reversed(out))
+
+
+def far_vertex_bfs(t: TorusGraph, side: str) -> int:
+    """Farthest vertex from the origin within one parity class (smallest
+    index among ties), by breadth-first search over the whole torus."""
+    _check_side(side)
+    want = 0 if side == EVEN else 1
+    dist = [-1] * t.n
+    dist[0] = 0
+    queue = [0]
+    while queue:
+        nxt = []
+        for v in queue:
+            for u in t.neighbors(v):
+                if dist[u] < 0:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        queue = nxt
+    best = None
+    for v in range(t.n):
+        if t.parity(v) == want and (best is None or dist[v] > dist[best]):
+            best = v
+    return best
+
+
+def edge_index(t: TorusGraph, e: tuple[int, int]) -> int:
+    """The t.edge_table index of the edge e, given in either orientation;
+    ValueError if e is not a torus edge."""
+    u, v = e
+    if 0 <= u < t.n and 0 <= v < t.n:
+        if t.parity_table[u]:
+            u, v = v, u
+        row = t.neighbor_table[u]
+        if v in row:
+            return int(t.incidence_array[row.index(v), u])
+    raise ValueError(f"({e[0]},{e[1]}) is not a torus edge")
 
 
 # ---------------------------------------------------- constraint graphs
@@ -331,7 +367,7 @@ def exact_not_ideal_probability(
     edge: tuple[int, int] | None = None,
 ) -> Fraction:
     """Exact Gibbs probability that a fixed edge is not ideal, by enumeration."""
-    i = _edge_index(t, (0, t.shift(0, t.d, 1)) if edge is None else edge)
+    i = edge_index(t, (0, t.shift(0, t.d, 1)) if edge is None else edge)
     z = partition_function(t, g, w).z
     s = instance_structure(g, w)
     bad = Fraction(0)
@@ -344,6 +380,20 @@ def exact_not_ideal_probability(
 
 
 # ------------------------------------------------------------- analysis
+
+def theorem_occupation_target(
+    g: ConstraintGraph, w: WeightSet, side: str, k: int
+) -> Fraction:
+    """Limit of p(f(x)=k) for x on the given side."""
+    return theorem_occupation_vector(g, w, side)[k]
+
+
+def theorem_conditional_target(
+    g: ConstraintGraph, w: WeightSet, relation: str, k: int, ell: int
+) -> Fraction:
+    """Limit of p(f(x)=k | f(y)=ell) for even x and far y."""
+    return theorem_conditional_vector(g, w, relation, ell)[k]
+
 
 class ZeroDenominator(TorushomError):
     """Influence ratio requested with a zero unconditional probability."""

@@ -22,9 +22,7 @@ from torushom.analysis import (
     exact_occupation_vector,
     far_vertex,
     sup_distance,
-    theorem_conditional_target,
     theorem_conditional_vector,
-    theorem_occupation_target,
     theorem_occupation_vector,
 )
 from torushom.constraint_graph import (
@@ -46,10 +44,13 @@ from references import (
     ZeroDenominator,
     coloring_count_prediction,
     conditional_comparison,
+    far_vertex_bfs,
     influence_ratio,
     occupation_comparison,
     pure_coloring_weight,
+    theorem_conditional_target,
     theorem_influence_ratio,
+    theorem_occupation_target,
 )
 
 IND = preset("ind")
@@ -237,6 +238,19 @@ class TestExactComparisons:
         assert far_vertex(c4, "even") == 2
         assert far_vertex(c4, "odd") == 1
 
+    def test_far_vertex_matches_breadth_first_search(self):
+        # every torus with m in {2, 4, 6, 8} and at most 40,000 vertices
+        tori = [
+            TorusGraph(m, d)
+            for m in (2, 4, 6, 8)
+            for d in range(1, 16)
+            if m**d <= 40_000
+        ]
+        assert len(tori) == 15 + 7 + 5 + 5
+        for t in tori:
+            for side in ("even", "odd"):
+                assert far_vertex(t, side) == far_vertex_bfs(t, side), (t, side)
+
     def test_occupation_vector_sums_to_one(self):
         t = TorusGraph(2, 3)
         w = WeightSet.parse("1,2,1")
@@ -286,7 +300,7 @@ class TestExactComparisons:
         j = rec.to_json_dict()
         assert j["d_inf_distance"] == ["0", "1"]
         assert j["target"][0] == ["2", "3"]
-        assert j["empirical"] is None and j["stderr"] is None
+        assert list(j) == ["label", "target", "exact", "d_inf_distance"]
 
     def test_explicit_target_override(self):
         rec = conditional_comparison(

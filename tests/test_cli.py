@@ -3,11 +3,14 @@ determinism, CSV export, and the golden corpus runner."""
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import torushom
 from torushom import exact
 from torushom.cli import (
     RunConfig,
@@ -250,6 +253,23 @@ class TestCountCommand:
     def test_budget_exit_code(self, capsys):
         assert main(["count", "--h", "k8", "--m", "6", "--d", "3"]) == 3
         assert "budget error" in capsys.readouterr().err
+
+    def test_transfer_budget_refused_without_forming_the_power(self):
+        # 3^(2^39) raw layer states: a refusal that formed the power would
+        # not end within the timeout
+        src = str(Path(torushom.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        proc = subprocess.run(
+            [sys.executable, "-m", "torushom.cli", "count", "--h", "k3",
+             "--m", "2", "--d", "40", "--method", "transfer"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ,
+                 "PYTHONPATH": src + (os.pathsep + path if path else "")},
+        )
+        assert proc.returncode == 3
+        assert "transfer needs 3^549755813888 > " in proc.stderr
 
     def test_one_color_brute_on_large_torus_is_counted(self, tmp_path):
         # n = 2048 vertices: deeper than the interpreter's recursion limit,
@@ -574,6 +594,12 @@ class TestConjectureCommand:
         assert res["coloring_model"] is False
         assert "f_q" not in res["rows"][0]
         assert res["rows"][1]["prefactor_model"] == "2*sqrt(e)"
+
+    def test_prediction_past_float_range_is_refused(self, capsys):
+        # k3 at d=11 predicts about 6 * 2^1024, past the largest float
+        argv = ["conjecture", "--h", "k3", "--m", "2", "--max-d", "11"]
+        assert main(argv) == 3
+        assert "the prediction at d=11 is too large" in capsys.readouterr().err
 
     def test_table_summary(self, capsys):
         assert main(["conjecture", "--h", "k3", "--m", "2"]) == 0

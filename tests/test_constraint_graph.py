@@ -161,7 +161,8 @@ class TestExtremalPairs:
     def test_scale_invariance(self):
         w = WeightSet((Fraction(3, 2), Fraction(1), Fraction(1)))
         s = instance_structure(K3, w)
-        s2 = instance_structure(K3, w.scaled(Fraction(7, 5)))
+        scaled = WeightSet(tuple(x * Fraction(7, 5) for x in w.weights))
+        s2 = instance_structure(K3, scaled)
         assert s2.eta == s.eta * Fraction(7, 5) ** 2
         assert s2.pairs == s.pairs
 
@@ -390,7 +391,7 @@ def test_property_maximizers_are_neighborhood_pairs(g, data):
         assert common_neighborhood(g, b) == a
         assert subset_weight(w, a) * subset_weight(w, b) == s.eta
     # scaling leaves the pair set alone and squares eta
-    s3 = instance_structure(g, w.scaled(3))
+    s3 = instance_structure(g, WeightSet(tuple(x * 3 for x in w.weights)))
     assert s3.pairs == s.pairs and s3.eta == s.eta * 9
 
 

@@ -227,31 +227,27 @@ def block_rows(t):
 
 @pytest.mark.parametrize("torus", ["Q2", "Z4^3"])
 @pytest.mark.parametrize("extra", ["one sample", "one block", "one block and one"])
-@pytest.mark.parametrize("all_edges", [True, False])
-def test_estimate_matches_per_sample_values(torus, extra, all_edges):
+@pytest.mark.parametrize("pure_start", [True, False])
+def test_estimate_matches_per_sample_values(torus, extra, pure_start):
     # hard-core at fugacity 1: about a third of the edges are not ideal,
-    # so the single watched edge flips between samples
+    # so the not-ideal share changes between samples
     t = TORI[torus]
     g, w = instance("ind")
     samples = {"one sample": 1, "one block": block_rows(t),
                "one block and one": block_rows(t) + 1}[extra]
     cfg = ChainConfig(steps=samples * 20 + 5, burn_in=5, seed=11, thin=20)
-    edge0 = (0, t.shift(0, t.d, 1))
-    xs = []
-    for f in run_chain(t, g, w, cfg):
-        ideal = per_edge_ideal(t, g, w, f)
-        if all_edges:
-            xs.append((t.num_edges - len(ideal)) / t.num_edges)
-        else:
-            xs.append(float(edge0 not in ideal))
+    initial = "pure" if pure_start else "uniform-greedy"
+    xs = [
+        (t.num_edges - len(per_edge_ideal(t, g, w, f))) / t.num_edges
+        for f in run_chain(t, g, w, cfg, initial)
+    ]
     assert len(xs) == samples
     assert samples == 1 or len(set(xs)) > 1
-    got = epsilon_estimate(t, g, w, cfg, all_edges=all_edges)
+    got = epsilon_estimate(t, g, w, cfg, initial=initial)
     assert got == {
         "p_not_ideal": sum(xs) / len(xs),
         "stderr": _batch_stderr(xs),
         "n_samples": samples,
-        "mode": "all-edges" if all_edges else "single-edge",
     }
 
 

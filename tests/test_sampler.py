@@ -39,6 +39,7 @@ from torushom.sampler import (
 from torushom.torus import TorusGraph
 from references import (
     coloring_weight,
+    edge_index,
     enumerate_colorings,
     exact_not_ideal_probability,
     ideal_edge_map,
@@ -416,8 +417,8 @@ class TestIdealEdges:
         # either orientation names one edge_table entry, and the map keys
         # that edge (even endpoint, odd endpoint)
         w = WeightSet.ones(2)
-        i = sampler._edge_index(Q2, (1, 0))
-        assert i == sampler._edge_index(Q2, (0, 1))
+        i = edge_index(Q2, (1, 0))
+        assert i == edge_index(Q2, (0, 1))
         assert Q2.edge_table[i] == (0, 1)
         assert (0, 1) in ideal_edge_map(Q2, IND, w, (0, 1, 1, 1))
 
@@ -467,15 +468,14 @@ class TestEpsilonEstimate:
         cfg = ChainConfig(steps=60_000, burn_in=5_000, seed=5, thin=10)
         out = epsilon_estimate(Q2, IND, w, cfg)
         exact = float(Fraction(3, 7))
-        assert out["mode"] == "all-edges"
+        assert set(out) == {"p_not_ideal", "stderr", "n_samples"}
         assert out["n_samples"] == 5_500
         assert abs(out["p_not_ideal"] - exact) < max(4 * out["stderr"], 0.03)
 
-    def test_single_edge_mode(self):
+    def test_sample_count_follows_burn_in_and_thin(self):
         w = WeightSet.ones(2)
         cfg = ChainConfig(steps=4_000, burn_in=1_000, seed=6, thin=3)
-        out = epsilon_estimate(Q2, IND, w, cfg, all_edges=False)
-        assert out["mode"] == "single-edge"
+        out = epsilon_estimate(Q2, IND, w, cfg)
         assert out["n_samples"] == 1_000
         assert 0.0 <= out["p_not_ideal"] <= 1.0
 

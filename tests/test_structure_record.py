@@ -118,7 +118,7 @@ def test_equal_weight_sets_hash_alike_and_share_a_record(inst):
         WeightSet(tuple(w.weights)),
         WeightSet.parse(text),
         WeightSet(tuple(str(x) for x in w.weights)),
-        w.scaled(1),
+        WeightSet(tuple(x * 1 for x in w.weights)),
     ]
     first = instance_structure(g, w)
     for w2 in equal:
