@@ -587,6 +587,10 @@ def cmd_conjecture(cfg: RunConfig, meta: dict) -> dict:
             raise BudgetExceeded(
                 f"the prediction at d={d} is too large for a float"
             )
+        if prediction == 0.0:
+            raise BudgetExceeded(
+                f"the prediction at d={d} is too small for a float"
+            )
         row: dict = {
             "d": d,
             "n": t.n,

@@ -601,6 +601,13 @@ class TestConjectureCommand:
         assert main(argv) == 3
         assert "the prediction at d=11 is too large" in capsys.readouterr().err
 
+    def test_prediction_below_float_range_is_refused(self, capsys):
+        # weights 1/10 predict 2e-256 at d=8, and the float is 0.0 at d=9
+        argv = ["conjecture", "--h", "kq:2", "--weights", "1/10,1/10",
+                "--m", "2", "--max-d", "23"]
+        assert main(argv) == 3
+        assert "the prediction at d=9 is too small" in capsys.readouterr().err
+
     def test_table_summary(self, capsys):
         assert main(["conjecture", "--h", "k3", "--m", "2"]) == 0
         err = capsys.readouterr().err

@@ -139,6 +139,20 @@ def cycle_trace_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def family_sweeps(monkeypatch):
+    """The family of every table sweep the gap search runs, in call order."""
+    families = []
+    real = proof_quantities._family_sweep
+
+    def recorded(g, family, alt_forms, m):
+        families.append(list(family))
+        return real(g, family, alt_forms, m)
+
+    monkeypatch.setattr(proof_quantities, "_family_sweep", recorded)
+    return families
+
+
 class TestGap:
     def test_k3_gap_is_one_with_singleton_witness(self):
         g = preset("k3")
@@ -189,52 +203,36 @@ class TestGap:
         with pytest.raises(CapExceeded):
             verify_extremal_identities(g, WeightSet.ones(2), 10)
 
-    def test_support_enumeration_cap(self):
-        # |S(K_6)| = 20 balanced splits: 20^6 tuples at 10 products each > 2e6
-        g = preset("k6")
-        with pytest.raises(CapExceeded):
-            verify_extremal_identities(g, WeightSet.ones(6), 6)
-
     def test_tiny_work_cap_rejected_up_front(self):
         g = preset("k3")
         with pytest.raises(CapExceeded):
             verify_extremal_identities(g, WeightSet.ones(3), 2, work_cap=10)
 
-    def test_capped_branch_and_bound_reports_lower_bound(self):
-        g = preset("k4loop")
-        rep = verify_extremal_identities(g, WeightSet.ones(4), 4, work_cap=10)
-        assert not rep.delta_is_exact
-        assert 1 <= rep.delta <= 4**7
-
-    def test_capped_search_forms_at_most_cap_products(self, cycle_trace_calls):
-        # the support enumeration is charged 6^6 * 10 = 466,560 products;
-        # the branch-and-bound after it is stopped by the cap
-        m, cap = 6, 600_000
-        g = preset("k4")
-        rep = verify_extremal_identities(g, WeightSet.ones(4), m, work_cap=cap)
-        assert set(cycle_trace_calls) == {m}
-        assert len(cycle_trace_calls) * (m - 1) <= cap
-        assert not rep.delta_is_exact
-        assert 1 <= rep.delta <= 1792
-
-    @pytest.mark.parametrize("name,m,cap", [("k4", 4, 10_000), ("wr", 6, 3_000)])
-    def test_work_cap_bounds_products_in_branch_and_bound(
-        self, cycle_trace_calls, name, m, cap
+    @pytest.mark.parametrize(
+        "name,m,cap",
+        [("k4loop", 4, 10), ("k4", 4, 10_000), ("wr", 6, 3_000), ("k4", 6, 600_000)],
+    )
+    def test_cap_between_support_and_family_refuses_before_family_sweep(
+        self, family_sweeps, name, m, cap
     ):
+        # |S|^m <= cap < |F|^m: the support is swept, F is refused unswept
         g = preset(name)
-        rep = verify_extremal_identities(g, WeightSet.ones(g.h), m, work_cap=cap)
-        assert len(cycle_trace_calls) * (m - 1) <= cap
-        assert not rep.delta_is_exact and rep.delta >= 1
+        with pytest.raises(CapExceeded, match="tuples"):
+            verify_extremal_identities(g, WeightSet.ones(g.h), m, work_cap=cap)
+        support = [p.a for p in instance_structure(g, WeightSet.ones(g.h)).pairs]
+        assert family_sweeps == [support]
 
-    def test_default_cap_refuses_cycle5_at_m6_before_searching(
-        self, cycle_trace_calls
+    @pytest.mark.parametrize("name", ["k5", "k6"])
+    def test_default_cap_refuses_at_m6_before_searching(
+        self, cycle_trace_calls, family_sweeps, name
     ):
-        # 10 support sets: 10^6 tuples at 10 products each is past 2e6
-        g = preset("cycle:5")
-        with pytest.raises(CapExceeded):
-            verify_extremal_identities(g, WeightSet.ones(5), 6)
-        # only the identity check ran: two g per maximal pair
-        assert len(cycle_trace_calls) == 2 * 10
+        # 20 support sets: 20^6 tuples is past 2^24
+        g = preset(name)
+        with pytest.raises(CapExceeded, match=r"20\^6 tuples"):
+            verify_extremal_identities(g, WeightSet.ones(g.h), 6)
+        # only the identity check ran: two g per maximal pair, no sweep
+        assert len(cycle_trace_calls) == 2 * 20
+        assert family_sweeps == []
 
     def test_json_shape(self):
         g = preset("ind")
@@ -287,6 +285,35 @@ def test_gap_report_lock(name, m):
     rep = verify_extremal_identities(g, WeightSet.ones(g.h), m)
     doc = json.dumps(extremal_report_json(rep), sort_keys=True).encode()
     assert hashlib.sha256(doc).hexdigest() == GAP_REPORT_DIGESTS[(name, m)]
+
+
+# Instances the work cap of the branch-and-bound search left inexact or
+# refused: the exact delta, and the lower bound that search reported.
+PAST_OLD_CAP = {
+    ("k4", 6): (1792, 1024),
+    ("k6", 4): (1539, 729),
+    ("cycle:5", 6): (24, None),
+    ("ind+k3", 6): (24, None),
+}
+# SHA-256 as in GAP_REPORT_DIGESTS, recorded with the family sweep.
+PAST_OLD_CAP_DIGESTS = {
+    ("k4", 6): "6269f3d077b3875a19cb5adc6065c666c9fd75b6b7a8a059d038b1bc4b97260b",
+    ("k6", 4): "ba04307e1c188b3368a8efaabedb7c531467af019700f4f56483719d05c3d6de",
+    ("cycle:5", 6): "1bc75b12f34ff252710076df6ca3a0fb56ab51c337f55f706fae03f923926a4a",
+    ("ind+k3", 6): "727cfed33fa09e57d93c35dcf194ca2198da92cca5546f8c6957b63a3c6e9462",
+}
+
+
+@pytest.mark.parametrize("name,m", sorted(PAST_OLD_CAP), ids=lambda v: str(v))
+def test_exact_gap_past_old_cap(name, m):
+    delta, lower = PAST_OLD_CAP[(name, m)]
+    g = preset(name)
+    rep = verify_extremal_identities(g, WeightSet.ones(g.h), m)
+    assert rep.delta_is_exact and rep.delta == delta
+    assert lower is None or rep.delta >= lower
+    assert len(rep.witnesses) == proof_quantities._WITNESS_CAP
+    doc = json.dumps(extremal_report_json(rep), sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == PAST_OLD_CAP_DIGESTS[(name, m)]
 
 
 def naive_neighborhood(g, s):
@@ -359,28 +386,54 @@ def test_product_bound_dominates(gt):
     assert cycle_count_g(g, tup) <= math.prod(mask_size(s) for s in tup)
 
 
-def per_tuple_sweep(g, support, alt_forms, m):
-    """The support sweep as one g(T) g(nT) per tuple, in `product` order."""
-    best, wits, swept = None, [], 0
-    for tup in product(support, repeat=m):
+@st.composite
+def small_graph_and_m(draw):
+    """A graph with an edge or loop on h <= 4 colors at m = 2, or on h <= 3
+    colors at m = 4, small enough to enumerate every tuple of color sets."""
+    m = draw(st.sampled_from([2, 4]))
+    h = draw(st.integers(min_value=1, max_value=4 if m == 2 else 3))
+    adj = [0] * h
+    for i in range(h):
+        for j in range(i, h):
+            if draw(st.booleans()):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    assume(any(adj))
+    return ConstraintGraph(h, tuple(adj)), m
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graph_and_m())
+def test_gap_report_matches_full_enumeration_on_random_graphs(gm):
+    # tuples off the support included: the F sweep must find every one
+    # reaching the threshold, and its witnesses in `product` order
+    g, m = gm
+    rep = verify_extremal_identities(g, WeightSet.ones(g.h), m)
+    assert rep.delta_is_exact
+    assert (rep.eta, rep.delta, list(rep.witnesses)) == naive_gap_report(g, m)
+
+
+def per_tuple_sweep(g, family, alt_forms, m):
+    """The table sweep as one g(T) g(nT) per tuple, in `product` order."""
+    best, wits = None, []
+    for tup in product(family, repeat=m):
         if tup in alt_forms:
             continue
-        swept += 1
         val = cycle_count_g(g, tup) * cycle_count_g(g, tuple_neighborhood(g, tup))
         if best is None or val > best:
             best, wits = val, [tup]
         elif val == best and len(wits) < proof_quantities._WITNESS_CAP:
             wits.append(tup)
-    return best, wits, swept
+    return best, wits
 
 
-SWEEP_WORK_CAP = 20_000
+SWEEP_TUPLE_CAP = 2_000
 
 
 @st.composite
 def sweep_case(draw):
     """A graph on h <= 5 colors, an m whose support sweep fits
-    SWEEP_WORK_CAP, and a block of whole table rows that splits the
+    SWEEP_TUPLE_CAP, and a block of whole table rows that splits the
     |S|^(m/2) rows into at least 3 blocks."""
     h = draw(st.integers(min_value=1, max_value=5))
     adj = [0] * h
@@ -393,17 +446,21 @@ def sweep_case(draw):
     g = ConstraintGraph(h, tuple(adj))
     pairs = instance_structure(g, WeightSet.ones(h)).pairs
     s = len({p.a for p in pairs})
-    ms = [
-        m
-        for m in (2, 4, 6)
-        if s**m * 2 * (m - 1) <= SWEEP_WORK_CAP and s ** (m // 2) >= 3
-    ]
+    ms = [m for m in (2, 4, 6) if s**m <= SWEEP_TUPLE_CAP and s ** (m // 2) >= 3]
     assume(ms)
     m = draw(st.sampled_from(ms))
     half = s ** (m // 2)
     rows = draw(st.integers(min_value=1, max_value=max(1, (half - 1) // 2)))
     assert -(-half // rows) >= 3
     return g, m, rows * half
+
+
+def capped_report(g, w, m):
+    """The report under SWEEP_TUPLE_CAP, or CapExceeded if a sweep passes it."""
+    try:
+        return verify_extremal_identities(g, w, m, work_cap=SWEEP_TUPLE_CAP)
+    except CapExceeded:
+        return CapExceeded
 
 
 @settings(max_examples=60, deadline=None)
@@ -416,11 +473,12 @@ def test_table_sweep_matches_per_tuple_loop(case):
     alt_forms = {alternating_tuple(p.a, p.b, m) for p in pairs}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(proof_quantities, "_BLOCK_ENTRIES", block)
-        got = proof_quantities._support_sweep(g, support, alt_forms, m)
-        rep = verify_extremal_identities(g, w, m, work_cap=SWEEP_WORK_CAP)
+        got = proof_quantities._family_sweep(g, support, alt_forms, m)
+        rep = capped_report(g, w, m)
     assert got == per_tuple_sweep(g, support, alt_forms, m)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(proof_quantities, "_support_sweep", per_tuple_sweep)
-        ref = verify_extremal_identities(g, w, m, work_cap=SWEEP_WORK_CAP)
-    # delta, exactness and the witnesses in order, among the other fields
+        mp.setattr(proof_quantities, "_family_sweep", per_tuple_sweep)
+        ref = capped_report(g, w, m)
+    # delta, exactness and the witnesses in order, among the other fields;
+    # a case whose family passes the cap is refused on both sides
     assert rep == ref
