@@ -208,19 +208,36 @@ class TestGap:
         with pytest.raises(CapExceeded):
             verify_extremal_identities(g, WeightSet.ones(3), 2, work_cap=10)
 
-    @pytest.mark.parametrize(
-        "name,m,cap",
-        [("k4loop", 4, 10), ("k4", 4, 10_000), ("wr", 6, 3_000), ("k4", 6, 600_000)],
-    )
-    def test_cap_between_support_and_family_refuses_before_family_sweep(
-        self, family_sweeps, name, m, cap
-    ):
-        # |S|^m <= cap < |F|^m: the support is swept, F is refused unswept
+    # The four tests below keep the names they had when the cap stopped a
+    # branch-and-bound part-way and left only a lower bound on delta. The cap
+    # now counts tuples, one product g(T)g(nT) each: a run with
+    # |S|^m <= cap < |F|^m sweeps the support and refuses F unswept, so no
+    # capped run reports an inexact delta.
+
+    @staticmethod
+    def _refused_after_support_sweep(family_sweeps, name, m, cap):
         g = preset(name)
         with pytest.raises(CapExceeded, match="tuples"):
             verify_extremal_identities(g, WeightSet.ones(g.h), m, work_cap=cap)
         support = [p.a for p in instance_structure(g, WeightSet.ones(g.h)).pairs]
         assert family_sweeps == [support]
+        assert len(support) ** m <= cap
+
+    def test_capped_branch_and_bound_reports_lower_bound(self, family_sweeps):
+        self._refused_after_support_sweep(family_sweeps, "k4loop", 4, 10)
+        # uncapped, the delta the old capped run only bounded is exact
+        rep = verify_extremal_identities(preset("k4loop"), WeightSet.ones(4), 4)
+        assert rep.delta_is_exact and rep.delta == 4**7
+
+    def test_capped_search_forms_at_most_cap_products(self, family_sweeps):
+        # 6^6 = 46,656 support tuples fit under 600,000; |F|^6 does not
+        self._refused_after_support_sweep(family_sweeps, "k4", 6, 600_000)
+
+    @pytest.mark.parametrize("name,m,cap", [("k4", 4, 10_000), ("wr", 6, 3_000)])
+    def test_work_cap_bounds_products_in_branch_and_bound(
+        self, family_sweeps, name, m, cap
+    ):
+        self._refused_after_support_sweep(family_sweeps, name, m, cap)
 
     @pytest.mark.parametrize("name", ["k5", "k6"])
     def test_default_cap_refuses_at_m6_before_searching(
