@@ -308,11 +308,8 @@ class ConjecturePrediction:
         if self.correction_exponent < 0:
             raise ValueError("correction exponent must be nonnegative")
 
-    def leading_weight(self) -> Fraction:
-        return self.base**self.half_volume
-
     def value(self) -> float:
-        return float(self.leading_weight()) * math.exp(
+        return float(self.base) ** self.half_volume * math.exp(
             float(self.correction_exponent)
         )
 

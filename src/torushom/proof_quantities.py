@@ -8,11 +8,13 @@ other tuple falls short by an integer gap, and the minimum gap delta is
 what a counting argument needs to be at least 1. Everything here is
 exact integer arithmetic at all-1 weights; weighted instances route
 through the blow-up construction instead. g is the trace of the product
-of the factors diag(1_{A_i}) Adj(H), taken by `exact._cycle_trace` on
-int64 below 2^62 and modulo primes past it. The gap search takes every g
-over the tuples of a family of color sets at once, on int64, from a table
-of half-products, a block at a time: first over the support, then over
-the sets whose product bound can still reach the support's best.
+of the factors diag(1_{A_i}) Adj(H). The gap search takes every g over
+the tuples of a family of color sets at once, on int64, from a table of
+half-products, a block at a time: first over the support, then over the
+sets whose product bound can still reach the support's best. The support
+table holds every alternating tuple, so the identity is read from it
+before those entries are masked. Every product g(T) g(nT) is at most
+h^(2m), so h^(2m) < 2^62 keeps the table exact.
 """
 
 from __future__ import annotations
@@ -24,18 +26,18 @@ import numpy as np
 
 from .constraint_graph import (
     ConstraintGraph,
+    MaximalPair,
     WeightSet,
     common_neighborhood,
     instance_structure,
     mask_size,
 )
 from .errors import CapExceeded, TorushomError
-from .exact import _bit_rows, _cycle_trace
+from .exact import _bit_rows
 
 # A tuple of color sets, one bitmask per cyclic position.
 ColorSetTuple = tuple[int, ...]
 
-DEFAULT_M_CAP = 8
 # Tuples one table sweep of the gap search may cover.
 DEFAULT_WORK_CAP = 1 << 24
 _WITNESS_CAP = 32
@@ -52,23 +54,6 @@ def _factor(g: ConstraintGraph, s: int) -> np.ndarray:
     """diag(1_A) Adj(H) for A = s on int64, whose 0/1 entries are residues."""
     rows = [g.adj[x] if s >> x & 1 else 0 for x in range(g.h)]
     return _bit_rows(rows, g.h).astype(np.int64)
-
-
-def cycle_count_g(g: ConstraintGraph, sets: ColorSetTuple) -> int:
-    """Closed chains (x_0, ..., x_{m-1}), x_i in A_i, consecutive pairs adjacent.
-
-    Computed as trace(prod_i diag(1_{A_i}) Adj(H)). For m=2 this counts
-    each adjacent pair once: the 0/1 entries are idempotent under the
-    closure, so a 2-column is an edge, not a doubled cycle.
-    """
-    m = len(sets)
-    _validate_tuple_length(m)
-    return _cycle_trace(lambda _: [_factor(g, s) for s in sets], g.h**m, g.h)
-
-
-def tuple_neighborhood(g: ConstraintGraph, sets: ColorSetTuple) -> ColorSetTuple:
-    """Componentwise common neighborhood of a color-set tuple."""
-    return tuple(common_neighborhood(g, s) for s in sets)
 
 
 def alternating_tuple(a: int, b: int, m: int) -> ColorSetTuple:
@@ -88,26 +73,6 @@ class ExtremalIdentityReport:
     witnesses: tuple[ColorSetTuple, ...]
 
 
-def check_alternating_identity(g: ConstraintGraph, w: WeightSet, m: int) -> int:
-    """Verify g(alt) * g(n alt) = eta^m on every maximal pair; return the count.
-
-    A violation raises TorushomError: it would falsify the structure
-    theory itself, not indicate caller error.
-    """
-    if not (w.is_uniform() and w[0] == 1):
-        raise ValueError("extremal identities are stated at all-1 weights")
-    _validate_tuple_length(m)
-    s = instance_structure(g, w)
-    assert s.eta.denominator == 1
-    eta_m = int(s.eta) ** m
-    for p in s.pairs:
-        alt = alternating_tuple(p.a, p.b, m)
-        prod_val = cycle_count_g(g, alt) * cycle_count_g(g, tuple_neighborhood(g, alt))
-        if prod_val != eta_m:
-            raise TorushomError(f"identity violated on pair {p}: {prod_val} != {eta_m}")
-    return len(s.pairs)
-
-
 def _half_products(factors: np.ndarray, k: int) -> np.ndarray:
     """Every ordered product of k matrices from the stack `factors`, as a
     stack in `itertools.product` order: the first factor varies slowest."""
@@ -122,6 +87,7 @@ def _family_sweep(
     family: list[int],
     alt_forms: set[ColorSetTuple],
     m: int,
+    eta_m: int,
 ) -> tuple[int | None, list[ColorSetTuple]]:
     """Largest g(T) g(nT) over the non-alternating tuples T of family sets.
 
@@ -133,11 +99,10 @@ def _family_sweep(
     matrix product of a block of left halves with all right halves gives
     g on whole rows of the |F|^(m/2) x |F|^(m/2) table, once for A and
     once for n(A). Blocks are scanned in order and hold at most
-    max(_BLOCK_ENTRIES, |F|^(m/2)) entries each; the alternating forms are
-    masked by index. The sweep runs on int64, which holds
-    g(T) g(nT) <= h^(2m) under the caps on h and m.
+    max(_BLOCK_ENTRIES, |F|^(m/2)) entries each. Each alternating form's
+    entry must equal eta^m, or TorushomError is raised; then it is masked
+    by index. The caller keeps h^(2m) < 2^62, so int64 holds every entry.
     """
-    assert g.h ** (2 * m) <= 12**16 < 2**62, "h <= 12 and m <= 8 keep int64 exact"
     s, k = len(family), m // 2
     half = s**k
 
@@ -163,6 +128,11 @@ def _family_sweep(
         base = r0 * half
         end = base + len(vals)
         for i in skip[bisect_left(skip, base) : bisect_left(skip, end)]:
+            if vals[i - base] != eta_m:
+                pair = MaximalPair(family[i // place[0]], family[i // place[1] % s])
+                raise TorushomError(
+                    f"identity violated on pair {pair}: {vals[i - base]} != {eta_m}"
+                )
             vals[i - base] = -1
         top = max(vals)
         if top < max(best, 0):
@@ -187,7 +157,9 @@ def verify_extremal_identities(
     """Check the exact product identity on maximal pairs and compute the gap.
 
     For every maximal pair (A,B), the alternating tuple satisfies
-    g(alt) * g(n alt) = eta^m exactly; a violation raises TorushomError
+    g(alt) * g(n alt) = eta^m exactly. Each sweep reads that product from
+    its table, and the first sweep covers every pair, so
+    `identity_checked` is the pair count; a violation raises TorushomError
     since it would falsify the structure theory, not the caller. delta is
     the minimum of eta^m - g(T) * g(nT) over tuples T not of alternating
     maximal form, found exactly by table sweeps (`_family_sweep`). The
@@ -197,19 +169,18 @@ def verify_extremal_identities(
     b(A) <= eta and g(T) g(nT) <= prod_i b(A_i), so every tuple reaching
     tau lies in F^m for F = {A : b(A) eta^(m-1) >= tau}, which the second
     sweep covers in ascending mask order; the witnesses are the
-    lexicographically first _WITNESS_CAP ties. Without top_S, a best below tau lowers tau to it
-    and the wider F is swept once more. `work_cap` bounds the tuples of
-    each sweep: one with |family|^m > work_cap is refused up front.
+    lexicographically first _WITNESS_CAP ties. Without top_S, a best
+    below tau lowers tau to it and the wider F is swept once more.
+    `work_cap` bounds the tuples of each sweep: one with
+    |family|^m > work_cap is refused up front. So is any (H, m) with
+    h^(2m) >= 2^62, past which the int64 table could wrap.
     """
     if not (w.is_uniform() and w[0] == 1):
         raise ValueError("extremal identities are stated at all-1 weights")
     _validate_tuple_length(m)
-    if m > DEFAULT_M_CAP:
-        raise CapExceeded(f"tuple length {m} exceeds cap {DEFAULT_M_CAP}")
-    if g.h > 12:
-        raise CapExceeded(f"{g.h} colors exceeds the subset-table cap")
+    if g.h ** (2 * m) >= 1 << 62:
+        raise CapExceeded(f"gap table entries up to {g.h}^{2 * m} pass int64")
 
-    checked = check_alternating_identity(g, w, m)
     record = instance_structure(g, w)
     eta = int(record.eta)
     alt_forms = {alternating_tuple(p.a, p.b, m) for p in record.pairs}
@@ -219,7 +190,7 @@ def verify_extremal_identities(
             raise CapExceeded(
                 f"gap search needs {len(family)}^{m} tuples > {work_cap}"
             )
-        return _family_sweep(g, family, alt_forms, m)
+        return _family_sweep(g, family, alt_forms, m, eta**m)
 
     # the pairs hold each A once, ascending
     support = [p.a for p in record.pairs]
@@ -242,7 +213,7 @@ def verify_extremal_identities(
     return ExtremalIdentityReport(
         eta=eta,
         m=m,
-        identity_checked=checked,
+        identity_checked=len(record.pairs),
         delta=delta,
         delta_is_exact=True,
         witnesses=tuple(wits),

@@ -7,8 +7,9 @@ their weights, closed forms for pure and near-pure families, the
 eta^(n/2) bounds on |Hom|, the enumeration twin of the not-ideal
 estimator with its edge lookup, the per-color limit targets, the exact and
 limiting influence ratios, the exact-versus-limit comparison records, the
-q-coloring count prediction, the JSON form of an extremal-identity report,
-and the Glauber chain with its per-step palette AND. pytest does not
+q-coloring count prediction, the closed-chain count g of one color-set
+tuple with the per-pair alternating identity it checks, the JSON form of an
+extremal-identity report, and the Glauber chain with its per-step palette AND. pytest does not
 collect this module; tests import from it.
 """
 
@@ -42,6 +43,7 @@ from torushom.constraint_graph import (
     ConstraintGraph,
     MaximalPair,
     WeightSet,
+    common_neighborhood,
     instance_structure,
     mask_members,
     subset_weight,
@@ -51,11 +53,18 @@ from torushom.exact import (
     Coloring,
     Pins,
     _coloring_fault,
+    _cycle_trace,
     _pin_masks,
     brute_force_partition_function,
     partition_function,
 )
-from torushom.proof_quantities import ExtremalIdentityReport
+from torushom.proof_quantities import (
+    ColorSetTuple,
+    ExtremalIdentityReport,
+    _factor,
+    _validate_tuple_length,
+    alternating_tuple,
+)
 from torushom.sampler import (
     _RNG_BUFFER,
     ChainConfig,
@@ -247,6 +256,43 @@ def near_pure_one_defect_count(
 
 
 # ------------------------------------------------------ proof quantities
+
+def cycle_count_g(g: ConstraintGraph, sets: ColorSetTuple) -> int:
+    """Closed chains (x_0, ..., x_{m-1}), x_i in A_i, consecutive pairs adjacent.
+
+    Computed as trace(prod_i diag(1_{A_i}) Adj(H)). For m=2 this counts
+    each adjacent pair once: the 0/1 entries are idempotent under the
+    closure, so a 2-column is an edge, not a doubled cycle.
+    """
+    m = len(sets)
+    _validate_tuple_length(m)
+    return _cycle_trace(lambda _: [_factor(g, s) for s in sets], g.h**m, g.h)
+
+
+def tuple_neighborhood(g: ConstraintGraph, sets: ColorSetTuple) -> ColorSetTuple:
+    """Componentwise common neighborhood of a color-set tuple."""
+    return tuple(common_neighborhood(g, s) for s in sets)
+
+
+def check_alternating_identity(g: ConstraintGraph, w: WeightSet, m: int) -> int:
+    """Verify g(alt) * g(n alt) = eta^m on every maximal pair; return the count.
+
+    A violation raises TorushomError: it would falsify the structure
+    theory itself, not indicate caller error.
+    """
+    if not (w.is_uniform() and w[0] == 1):
+        raise ValueError("extremal identities are stated at all-1 weights")
+    _validate_tuple_length(m)
+    s = instance_structure(g, w)
+    assert s.eta.denominator == 1
+    eta_m = int(s.eta) ** m
+    for p in s.pairs:
+        alt = alternating_tuple(p.a, p.b, m)
+        prod_val = cycle_count_g(g, alt) * cycle_count_g(g, tuple_neighborhood(g, alt))
+        if prod_val != eta_m:
+            raise TorushomError(f"identity violated on pair {p}: {prod_val} != {eta_m}")
+    return len(s.pairs)
+
 
 def extremal_report_json(report: ExtremalIdentityReport) -> dict:
     """The report as JSON data, each witness set as its sorted colors."""

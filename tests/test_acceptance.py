@@ -45,7 +45,6 @@ from torushom.exact import (
     standard_corpus,
 )
 from torushom.proof_quantities import (
-    check_alternating_identity,
     identity_corpus,
     verify_extremal_identities,
 )
@@ -57,6 +56,7 @@ from torushom.sampler import (
 )
 from torushom.torus import TorusGraph
 from references import (
+    check_alternating_identity,
     coloring_count_prediction,
     coloring_weight,
     conditional_comparison,

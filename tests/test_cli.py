@@ -608,6 +608,23 @@ class TestConjectureCommand:
         assert main(argv) == 3
         assert "the prediction at d=9 is too small" in capsys.readouterr().err
 
+    def test_prediction_past_float_range_refused_without_forming_the_power(self):
+        # base 1 + 10^-6 stays in float range to d=29; an exact power of it
+        # with 2^(d-1) factors would not end within the timeout
+        src = str(Path(torushom.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        proc = subprocess.run(
+            [sys.executable, "-m", "torushom.cli", "conjecture", "--h", "ind",
+             "--weights", "1/1000000,1", "--m", "2", "--max-d", "40"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ,
+                 "PYTHONPATH": src + (os.pathsep + path if path else "")},
+        )
+        assert proc.returncode == 3
+        assert "the prediction at d=30 is too large" in proc.stderr
+
     def test_table_summary(self, capsys):
         assert main(["conjecture", "--h", "k3", "--m", "2"]) == 0
         err = capsys.readouterr().err

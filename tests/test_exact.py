@@ -31,12 +31,12 @@ from torushom.exact import (
     transfer_matrix_partition_function,
 )
 from torushom import exact as exact_module
-from torushom.proof_quantities import cycle_count_g
 from torushom.sampler import ChainConfig, run_chain
 from torushom.torus import TorusGraph
 from references import (
     check_global_bounds,
     coloring_weight,
+    cycle_count_g,
     enumerate_colorings,
     influence_ratio,
     near_pure_one_defect_count,

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import math
+import re
 from itertools import product
 
 import pytest
@@ -17,16 +19,18 @@ from torushom.constraint_graph import (
     preset,
 )
 from torushom import proof_quantities
-from torushom.errors import CapExceeded
+from torushom.errors import CapExceeded, TorushomError
 from torushom.proof_quantities import (
     alternating_tuple,
-    check_alternating_identity,
-    cycle_count_g,
     identity_corpus,
-    tuple_neighborhood,
     verify_extremal_identities,
 )
-from references import extremal_report_json
+from references import (
+    check_alternating_identity,
+    cycle_count_g,
+    extremal_report_json,
+    tuple_neighborhood,
+)
 
 
 def naive_cycle_count(g, sets):
@@ -101,42 +105,46 @@ class TestTupleNeighborhood:
 
 
 class TestAlternatingIdentity:
+    # The gap search reads g(alt) g(n alt) off its support table, so
+    # identity_checked counts the maximal pairs it found equal to eta^m.
     @pytest.mark.parametrize(
         "name,g", identity_corpus(), ids=[n for n, _ in identity_corpus()]
     )
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_identity_across_corpus(self, name, g, m):
-        assert check_alternating_identity(g, WeightSet.ones(g.h), m) >= 1
+        w = WeightSet.ones(g.h)
+        pairs = instance_structure(g, w).pairs
+        if name in ("k5", "k6") and m == 6:
+            # 20^6 support tuples are past the work cap: the reference checks
+            assert check_alternating_identity(g, w, m) == len(pairs)
+            return
+        assert verify_extremal_identities(g, w, m).identity_checked == len(pairs) >= 1
 
     def test_identity_count_matches_pair_count(self):
         g = preset("k3")
-        assert check_alternating_identity(g, WeightSet.ones(3), 2) == 6
+        assert verify_extremal_identities(g, WeightSet.ones(3), 2).identity_checked == 6
         g = preset("k4loop")
-        assert check_alternating_identity(g, WeightSet.ones(4), 4) == 1
+        assert verify_extremal_identities(g, WeightSet.ones(4), 4).identity_checked == 1
 
     def test_weighted_input_rejected(self):
         g = preset("ind")
         with pytest.raises(ValueError):
-            check_alternating_identity(g, WeightSet.parse("2,1"), 2)
+            verify_extremal_identities(g, WeightSet.parse("2,1"), 2)
 
     def test_odd_m_rejected(self):
         g = preset("ind")
         with pytest.raises(ValueError):
-            check_alternating_identity(g, WeightSet.ones(2), 3)
+            verify_extremal_identities(g, WeightSet.ones(2), 3)
 
-
-@pytest.fixture
-def cycle_trace_calls(monkeypatch):
-    """Factor count of every product trace the module forms, in call order."""
-    calls = []
-    real = proof_quantities._cycle_trace
-
-    def counted(factors, bound, dim):
-        calls.append(len(factors(None)))
-        return real(factors, bound, dim)
-
-    monkeypatch.setattr(proof_quantities, "_cycle_trace", counted)
-    return calls
+    def test_wrong_eta_fails_the_identity_in_the_sweep(self, monkeypatch):
+        g = preset("k3")
+        real = instance_structure(g, WeightSet.ones(3))
+        wrong = dataclasses.replace(real, eta=real.eta + 1)
+        monkeypatch.setattr(proof_quantities, "instance_structure", lambda *_: wrong)
+        first = real.pairs[0]
+        msg = re.escape(f"identity violated on pair {first}: 16 != 81")
+        with pytest.raises(TorushomError, match=msg):
+            verify_extremal_identities(g, WeightSet.ones(3), 4)
 
 
 @pytest.fixture
@@ -145,9 +153,9 @@ def family_sweeps(monkeypatch):
     families = []
     real = proof_quantities._family_sweep
 
-    def recorded(g, family, alt_forms, m):
+    def recorded(g, family, alt_forms, m, eta_m):
         families.append(list(family))
-        return real(g, family, alt_forms, m)
+        return real(g, family, alt_forms, m, eta_m)
 
     monkeypatch.setattr(proof_quantities, "_family_sweep", recorded)
     return families
@@ -199,9 +207,12 @@ class TestGap:
         assert rep.delta >= 1
 
     def test_m_cap(self):
-        g = preset("ind")
-        with pytest.raises(CapExceeded):
-            verify_extremal_identities(g, WeightSet.ones(2), 10)
+        # the one cap on m is h^(2m) < 2^62, which keeps the int64 table exact
+        g = preset("k16")
+        with pytest.raises(CapExceeded, match=r"16\^16 pass int64"):
+            verify_extremal_identities(g, WeightSet.ones(16), 8)
+        rep = verify_extremal_identities(preset("ind"), WeightSet.ones(2), 10)
+        assert rep.delta == 384 and rep.identity_checked == 2
 
     def test_tiny_work_cap_rejected_up_front(self):
         g = preset("k3")
@@ -240,15 +251,12 @@ class TestGap:
         self._refused_after_support_sweep(family_sweeps, name, m, cap)
 
     @pytest.mark.parametrize("name", ["k5", "k6"])
-    def test_default_cap_refuses_at_m6_before_searching(
-        self, cycle_trace_calls, family_sweeps, name
-    ):
+    def test_default_cap_refuses_at_m6_before_searching(self, family_sweeps, name):
         # 20 support sets: 20^6 tuples is past 2^24
         g = preset(name)
         with pytest.raises(CapExceeded, match=r"20\^6 tuples"):
             verify_extremal_identities(g, WeightSet.ones(g.h), 6)
-        # only the identity check ran: two g per maximal pair, no sweep
-        assert len(cycle_trace_calls) == 2 * 20
+        # no sweep ran, so no g was formed
         assert family_sweeps == []
 
     def test_json_shape(self):
@@ -430,13 +438,15 @@ def test_gap_report_matches_full_enumeration_on_random_graphs(gm):
     assert (rep.eta, rep.delta, list(rep.witnesses)) == naive_gap_report(g, m)
 
 
-def per_tuple_sweep(g, family, alt_forms, m):
+def per_tuple_sweep(g, family, alt_forms, m, eta_m):
     """The table sweep as one g(T) g(nT) per tuple, in `product` order."""
     best, wits = None, []
     for tup in product(family, repeat=m):
-        if tup in alt_forms:
-            continue
         val = cycle_count_g(g, tup) * cycle_count_g(g, tuple_neighborhood(g, tup))
+        if tup in alt_forms:
+            if val != eta_m:
+                raise TorushomError(f"identity violated on {tup}: {val} != {eta_m}")
+            continue
         if best is None or val > best:
             best, wits = val, [tup]
         elif val == best and len(wits) < proof_quantities._WITNESS_CAP:
@@ -485,14 +495,16 @@ def capped_report(g, w, m):
 def test_table_sweep_matches_per_tuple_loop(case):
     g, m, block = case
     w = WeightSet.ones(g.h)
-    pairs = instance_structure(g, w).pairs
+    record = instance_structure(g, w)
+    pairs = record.pairs
     support = sorted({p.a for p in pairs})
     alt_forms = {alternating_tuple(p.a, p.b, m) for p in pairs}
+    eta_m = int(record.eta) ** m
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(proof_quantities, "_BLOCK_ENTRIES", block)
-        got = proof_quantities._family_sweep(g, support, alt_forms, m)
+        got = proof_quantities._family_sweep(g, support, alt_forms, m, eta_m)
         rep = capped_report(g, w, m)
-    assert got == per_tuple_sweep(g, support, alt_forms, m)
+    assert got == per_tuple_sweep(g, support, alt_forms, m, eta_m)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(proof_quantities, "_family_sweep", per_tuple_sweep)
         ref = capped_report(g, w, m)
