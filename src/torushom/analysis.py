@@ -194,7 +194,7 @@ def exact_occupation_vector(
     Z(f(x)=k and condition), each divided by their sum.
 
     The sum is the weight of the condition, so the law is exact and costs
-    h partition functions. Conditioning on a zero-weight event raises
+    h pinned transfer-matrix counts. Conditioning on a zero-weight event raises
     ZeroConditioningEvent.
     """
     if not (0 <= x < t.n):
@@ -206,9 +206,9 @@ def exact_occupation_vector(
             raise ValueError("conditioning pair outside instance")
         given[y] = mask_from((lcol,))
     # looked up on the module at each call, so a wrapper installed on
-    # exact.partition_function sees every pinned count
+    # exact.transfer_matrix_partition_function sees every pinned count
     counts = [
-        exact.partition_function(
+        exact.transfer_matrix_partition_function(
             t, g, w, pins={**given, x: given.get(x, g.full_mask) & mask_from((k,))}
         ).z
         for k in range(g.h)

@@ -41,7 +41,6 @@ from .analysis import (
 from .constraint_graph import (
     ConstraintGraph,
     WeightSet,
-    blowup,
     check_blowup_pair_bijection,
     instance_structure,
     load,
@@ -62,7 +61,6 @@ from .errors import (
 from .exact import (
     brute_force_partition_function,
     engine_cache_counts,
-    partition_function,
     transfer_matrix_partition_function,
 )
 from .sampler import ChainConfig, ChainStats, _batch_stderr, classify, run_chain
@@ -328,7 +326,7 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 def cmd_analyze(cfg: RunConfig, meta: dict) -> dict:
     g, w = resolve_instance(cfg)
     s = instance_structure(g, w)
-    bl = blowup(g, w)
+    scale_c, block_sizes = w.integer_scaled()
     result = {
         "colors": g.h,
         "labels": list(g.labels),
@@ -341,9 +339,9 @@ def cmd_analyze(cfg: RunConfig, meta: dict) -> dict:
         ),
         "equipartition": equipartition_class(g, w),
         "blowup": {
-            "scale_c": bl.scale_c,
-            "vertices": bl.graph.h,
-            "block_sizes": list(bl.block_sizes()),
+            "scale_c": scale_c,
+            "vertices": sum(block_sizes),
+            "block_sizes": list(block_sizes),
             "pair_bijection_ok": check_blowup_pair_bijection(g, w),
         },
     }
@@ -367,7 +365,7 @@ def _analyze_summary(result: dict) -> str:
 def cmd_count(cfg: RunConfig, meta: dict) -> dict:
     g, w = resolve_instance(cfg)
     t = resolve_torus(cfg)
-    if cfg.method not in ("brute", "transfer", "both", "auto"):
+    if cfg.method not in ("brute", "transfer", "both"):
         raise ConfigError(f"unknown counting method {cfg.method!r}")
     out: dict = {"m": t.m, "d": t.d, "n": t.n, "method": cfg.method}
     if cfg.method == "both":
@@ -383,7 +381,8 @@ def cmd_count(cfg: RunConfig, meta: dict) -> dict:
             )
         out["z"] = frac_str(zb.z)
     else:
-        res = partition_function(t, g, w, method=cfg.method)
+        res = {"brute": brute_force_partition_function,
+               "transfer": transfer_matrix_partition_function}[cfg.method](t, g, w)
         meta["count"] = {res.method: _count_path(res)}
         out["z"] = frac_str(res.z)
         out["instance"] = res.instance
@@ -602,7 +601,7 @@ def cmd_conjecture(cfg: RunConfig, meta: dict) -> dict:
             ),
         }
         try:
-            row["exact"] = frac_str(partition_function(t, g, w).z)
+            row["exact"] = frac_str(transfer_matrix_partition_function(t, g, w).z)
             row["prediction_over_exact"] = prediction / float(
                 Fraction(row["exact"])
             )
@@ -797,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact partition function")
     common(p)
-    p.add_argument("--method", choices=["brute", "transfer", "both", "auto"])
+    p.add_argument("--method", choices=["brute", "transfer", "both"])
 
     p = sub.add_parser("sample", help="single-site chain with phase trace")
     common(p)

@@ -184,9 +184,6 @@ class Blowup:
             out |= self.blocks[k]
         return out
 
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(mask_size(b) for b in self.blocks)
-
 
 def common_neighborhood(g: ConstraintGraph, a: ColorSet) -> ColorSet:
     """n(a): colors adjacent to everything in a; n(empty) = all colors."""
@@ -339,8 +336,12 @@ def blowup(g: ConstraintGraph, w: WeightSet) -> Blowup:
 
 def check_blowup_pair_bijection(g: ConstraintGraph, w: WeightSet) -> bool:
     """Recompute the extremal structure on the blow-up (all-1 weights) and
-    verify eta scales by C^2 and maximal pairs are exactly the lifted ones."""
+    verify eta scales by C^2 and maximal pairs are exactly the lifted ones.
+    A blow-up past MAX_COLORS is refused before it is built."""
     s = instance_structure(g, w)
+    size = sum(s.int_weights)
+    if size > MAX_COLORS:
+        raise CapExceeded(f"subset scan capped at {MAX_COLORS} colors, got {size}")
     bu = blowup(g, w)
     bs = instance_structure(bu.graph, WeightSet.ones(bu.graph.h))
     if bs.eta != s.eta * bu.scale_c**2:

@@ -6,13 +6,15 @@ frontier (the swept vertices that still have an unswept neighbor) and
 eliminates each vertex once its last neighbor is swept, and a layered
 transfer matrix. They share numpy and the modular arithmetic below but not
 the decomposition (vertex elimination against layer transfer), which is
-what makes their exact agreement a meaningful cross-check. Everything here
-is exact: a count whose bound stays below 2^62 runs on int64, and past it
-modulo primes on float64, every value an integer below 2^53, where float64
-is exact; `_crt` assembles it from enough primes to pass the bound, and one
-spare prime must agree. Unpinned transfer counts at m >= 4 always run
-modulo primes p = 1 (mod m), whose m-th roots of unity split trace(T^m)
-into momentum sectors, one per character of the layer's translation group.
+what makes their exact agreement a meaningful cross-check. Callers name
+their route, and each refuses (BudgetExceeded) at the first array that
+would pass its budget, before forming it. Everything here is exact: a count
+whose bound stays below 2^62 runs on int64, and past it modulo primes on
+float64, every value an integer below 2^53, where float64 is exact; `_crt`
+assembles it from enough primes to pass the bound, and one spare prime must
+agree. Unpinned transfer counts at m >= 4 always run modulo primes
+p = 1 (mod m), whose m-th roots of unity split trace(T^m) into momentum
+sectors, one per character of the layer's translation group.
 """
 
 from __future__ import annotations
@@ -324,24 +326,29 @@ def _power_trace_mod(mats: np.ndarray, m: int, p: int) -> int:
     return int(diag.astype(np.int64).sum()) % p
 
 
-def _layer_states(t: TorusGraph, g: ConstraintGraph) -> np.ndarray:
+def _layer_states(t: TorusGraph, g: ConstraintGraph, budget: int) -> np.ndarray:
     """The valid colorings of one layer of t (the torus Z_m^(d-1), or one
     vertex when d = 1), one row per coloring in lexicographic order: a
     sweep over the layer's vertices that extends every row by each color
     its lower neighbors allow. Colors are uint8 up to 256 colors, and the
-    smallest unsigned type that holds h - 1 beyond."""
+    smallest unsigned type that holds h - 1 beyond. Before vertex v it is
+    refused when rows * h * (v + 1) passes the budget: those cells bound the
+    candidate table, its index arrays and the next table of rows."""
     adj = _bit_rows(g.adj, g.h).astype(bool)
-    if t.d == 1:
-        lower: list[list[int]] = [[]]
-    else:
-        layer = TorusGraph(t.m, t.d - 1)
-        lower = [[u for u in layer.neighbors(v) if u < v] for v in range(layer.n)]
+    layer = TorusGraph(t.m, t.d - 1) if t.d > 1 else None
+    positions = t.n // t.m
     dtype = np.min_scalar_type(g.h - 1)
     states = np.zeros((1, 0), dtype=dtype)
-    for nbrs in lower:
+    for v in range(positions):
+        if len(states) * g.h * (v + 1) > budget:
+            raise BudgetExceeded(
+                f"transfer's layer sweep needs {len(states)}*{g.h}*{v + 1} > "
+                f"{budget} cells at layer vertex {v} of {positions}"
+            )
         cand = np.ones((len(states), g.h), dtype=bool)
-        for u in nbrs:
-            cand &= adj[states[:, u]]
+        for u in layer.neighbors(v) if layer else ():
+            if u < v:
+                cand &= adj[states[:, u]]
         rows, colors = np.nonzero(cand)
         states = np.column_stack((states[rows], colors.astype(dtype)))
     return states
@@ -397,10 +404,17 @@ class _TransferEngine:
     of `compat` packs those j into bits. For m=2 the two layers are joined by a single
     matching, so the inter-layer feasibility is applied exactly once
     rather than squared. Unpinned counts at m >= 4 go through the orbits
-    of the states under the layer's translations (`sectors`).
+    of the states under the layer's translations (`sectors`); an engine
+    built `masked` serves pinned counts at m >= 4, row-masked products of T.
+    The constructor refuses, before it forms them, every array past the
+    budget: the layer sweep's tables (`_layer_states`), the s^2
+    compatibility bits of the s states, and for a masked engine the
+    (m - 1) * s^2 entries of the m - 1 dense s x s products per residue.
     """
 
-    def __init__(self, t: TorusGraph, g: ConstraintGraph, w: WeightSet):
+    def __init__(
+        self, t: TorusGraph, g: ConstraintGraph, w: WeightSet, budget: int, masked: bool
+    ):
         self.t = t
         self.g = g
         self.scale, wint = w.integer_scaled()
@@ -409,7 +423,18 @@ class _TransferEngine:
         vals, base = sorted(set(wint)), t.n // t.m + 1
         if base ** len(vals) >= 2**63:
             raise BudgetExceeded(f"state weight keys need {base}^{len(vals)} >= 2^63")
-        self.states = _layer_states(t, g)
+        self.states = _layer_states(t, g, budget)
+        s_count = len(self.states)
+        if s_count**2 > budget:
+            raise BudgetExceeded(
+                f"transfer needs {s_count}^2 > {budget} compatibility bits "
+                f"for its {s_count} layer states"
+            )
+        if masked and (t.m - 1) * s_count**2 > budget:
+            raise BudgetExceeded(
+                f"pinned transfer needs {t.m - 1}*{s_count}^2 > {budget} "
+                f"product entries for its {s_count} layer states"
+            )
         radix = np.array([base ** vals.index(x) for x in wint], dtype=np.int64)
         key = radix[self.states].sum(axis=1)
         _, first, key_of = np.unique(key, return_index=True, return_inverse=True)
@@ -546,22 +571,16 @@ class _TransferEngine:
 
 
 @lru_cache(maxsize=None)
-def _engine(t: TorusGraph, g: ConstraintGraph, w: WeightSet) -> _TransferEngine:
-    return _TransferEngine(t, g, w)
+def _engine(
+    t: TorusGraph, g: ConstraintGraph, w: WeightSet, budget: int, masked: bool
+) -> _TransferEngine:
+    return _TransferEngine(t, g, w, budget, masked)
 
 
 def engine_cache_counts() -> tuple[int, int]:
     """(hits, misses) of the transfer-engine cache since the process started."""
     info = _engine.cache_info()
     return info.hits, info.misses
-
-
-def _layer_states_exceed(
-    t: TorusGraph, g: ConstraintGraph, budget: int
-) -> bool:
-    """h^(n/m) > budget, without forming a power past the budget: for h >= 2
-    an exponent of budget.bit_length() already passes it, and 1^e is 1."""
-    return g.h ** min(t.n // t.m, budget.bit_length()) > budget
 
 
 def transfer_matrix_partition_function(
@@ -574,20 +593,11 @@ def transfer_matrix_partition_function(
 ) -> PartitionFunctionResult:
     """Transfer-matrix route: layer states, bitset compatibility, cyclic trace.
 
-    The budget is checked twice: against the h^(n/m) raw layer states before
-    any is enumerated, and against the s^2 compatibility bits of the s valid
-    ones before any is built."""
-    if _layer_states_exceed(t, g, budget):
-        raise BudgetExceeded(
-            f"transfer needs {g.h}^{t.n // t.m} > {budget} raw layer states"
-        )
-    eng = _engine(t, g, w)
-    s_count = len(eng.states)
-    if s_count**2 > budget:
-        raise BudgetExceeded(
-            f"transfer needs {s_count}^2 > {budget} compatibility bits "
-            f"for its {s_count} layer states"
-        )
+    Every refusal is made by the engine before it forms the array that would
+    pass the budget (`_TransferEngine`), so no refused engine is cached;
+    pinned counts at m >= 4 use an engine that also charges the masked
+    products."""
+    eng = _engine(t, g, w, budget, bool(pins) and t.m > 2)
     z_int, route, arithmetic = eng.z_int(eng.layer_allowed(pins))
     return PartitionFunctionResult(
         z=Fraction(z_int, eng.scale**t.n),
@@ -598,32 +608,6 @@ def transfer_matrix_partition_function(
         layer_states=len(eng.states),
         search_states=None,
     )
-
-
-def partition_function(
-    t: TorusGraph,
-    g: ConstraintGraph,
-    w: WeightSet,
-    *,
-    method: str = "auto",
-    pins: Pins | None = None,
-    brute_budget: int = DEFAULT_BRUTE_BUDGET,
-    transfer_budget: int = DEFAULT_TRANSFER_BUDGET,
-) -> PartitionFunctionResult:
-    """Dispatch to a route; "auto" prefers transfer, falls back to brute."""
-    if method == "brute":
-        return brute_force_partition_function(t, g, w, budget=brute_budget, pins=pins)
-    if method == "transfer":
-        return transfer_matrix_partition_function(
-            t, g, w, budget=transfer_budget, pins=pins
-        )
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    if not _layer_states_exceed(t, g, transfer_budget):
-        return transfer_matrix_partition_function(
-            t, g, w, budget=transfer_budget, pins=pins
-        )
-    return brute_force_partition_function(t, g, w, budget=brute_budget, pins=pins)
 
 
 @dataclass(frozen=True)

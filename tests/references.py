@@ -2,8 +2,8 @@
 
 None of this is reached by the `torushom` program, so it lives beside the
 tests rather than in `src/`: the farthest vertex by breadth-first search,
-the definition of an admissible pair, plain enumeration of colorings and
-their weights, closed forms for pure and near-pure families, the
+the definition of an admissible pair, the block sizes of a blow-up, plain
+enumeration of colorings and their weights, closed forms for pure and near-pure families, the
 eta^(n/2) bounds on |Hom|, the enumeration twin of the not-ideal
 estimator with its edge lookup, the per-color limit targets, the exact and
 limiting influence ratios, the exact-versus-limit comparison records, the
@@ -39,6 +39,7 @@ from torushom.analysis import (
     theorem_occupation_vector,
 )
 from torushom.constraint_graph import (
+    Blowup,
     ColorSet,
     ConstraintGraph,
     MaximalPair,
@@ -46,6 +47,7 @@ from torushom.constraint_graph import (
     common_neighborhood,
     instance_structure,
     mask_members,
+    mask_size,
     subset_weight,
 )
 from torushom.errors import InvalidColoring, TorushomError
@@ -56,7 +58,7 @@ from torushom.exact import (
     _cycle_trace,
     _pin_masks,
     brute_force_partition_function,
-    partition_function,
+    transfer_matrix_partition_function,
 )
 from torushom.proof_quantities import (
     ColorSetTuple,
@@ -142,6 +144,11 @@ def relabeled(g: ConstraintGraph, perm: Sequence[int]) -> ConstraintGraph:
     return ConstraintGraph(g.h, tuple(adj), tuple(labels))
 
 
+def block_sizes(bu: Blowup) -> tuple[int, ...]:
+    """The number of clones of each original color in a blow-up."""
+    return tuple(mask_size(b) for b in bu.blocks)
+
+
 def all_adjacent(g: ConstraintGraph, a: ColorSet, b: ColorSet) -> bool:
     """True iff every color of a is adjacent to every color of b
     (vacuously true when either side is empty)."""
@@ -212,7 +219,7 @@ def check_global_bounds(t: TorusGraph, g: ConstraintGraph, w: WeightSet) -> dict
     """
     if not (w.is_uniform() and w[0] == 1):
         raise ValueError("global bounds are stated for all-1 weights")
-    z = partition_function(t, g, w).z
+    z = transfer_matrix_partition_function(t, g, w).z
     eta = instance_structure(g, w).eta
     lower = eta ** (t.n // 2)
     if z < lower:
@@ -414,7 +421,7 @@ def exact_not_ideal_probability(
 ) -> Fraction:
     """Exact Gibbs probability that a fixed edge is not ideal, by enumeration."""
     i = edge_index(t, (0, t.shift(0, t.d, 1)) if edge is None else edge)
-    z = partition_function(t, g, w).z
+    z = transfer_matrix_partition_function(t, g, w).z
     s = instance_structure(g, w)
     bad = Fraction(0)
     for block in _blocks(t, enumerate_colorings(t, g)):

@@ -41,8 +41,8 @@ from torushom.constraint_graph import (
 )
 from torushom.exact import (
     dual_route_records,
-    partition_function,
     standard_corpus,
+    transfer_matrix_partition_function,
 )
 from torushom.proof_quantities import (
     identity_corpus,
@@ -56,6 +56,7 @@ from torushom.sampler import (
 )
 from torushom.torus import TorusGraph
 from references import (
+    block_sizes,
     check_alternating_identity,
     coloring_count_prediction,
     coloring_weight,
@@ -114,7 +115,7 @@ def test_criterion_02_blowup_correspondence():
     # looped hub adjacent to two leaves, hub weight 3/2
     hub = ConstraintGraph(3, (0b111, 0b001, 0b001), ("1", "2", "3"))
     bl = blowup(hub, WeightSet.parse("3/2,1,1"))
-    ok_hub = bl.scale_c == 2 and bl.block_sizes() == (3, 2, 2)
+    ok_hub = bl.scale_c == 2 and block_sizes(bl) == (3, 2, 2)
 
     seen = set()
     checked = 0
@@ -133,7 +134,7 @@ def test_criterion_02_blowup_correspondence():
         2,
         "blow-up reduction",
         ok_hub and ok_bijection,
-        f"hub C={bl.scale_c} blocks={bl.block_sizes()} "
+        f"hub C={bl.scale_c} blocks={block_sizes(bl)} "
         f"pair bijections checked={checked}",
         started,
         5.0,
@@ -325,7 +326,7 @@ def _chain_tv(t, g, w, seed):
     for state in run_chain(t, g, w, cfg):
         counts[state] += 1
     total = sum(counts.values())
-    z = partition_function(t, g, w).z
+    z = transfer_matrix_partition_function(t, g, w).z
     law = {
         f: coloring_weight(t, g, w, f) / z for f in enumerate_colorings(t, g)
     }

@@ -37,7 +37,7 @@ from torushom.constraint_graph import (
     preset,
 )
 from torushom.errors import NotEquipartition, ZeroConditioning
-from torushom.exact import partition_function
+from torushom.exact import transfer_matrix_partition_function
 from torushom.torus import TorusGraph
 from references import (
     ColoringCountPrediction,
@@ -377,7 +377,7 @@ class TestPredictions:
         pp = conjecture_partition_prediction(g, w, t)
         assert pp.prefactor_model == "1"
         assert pp.total() == 65536
-        assert pp.total() == float(partition_function(t, g, w).z)
+        assert pp.total() == float(transfer_matrix_partition_function(t, g, w).z)
 
     @pytest.mark.parametrize(
         "name, h, weights",
@@ -431,7 +431,7 @@ class TestColoringCountConjecture:
             assert cp.value() == 2
             t = TorusGraph(2, d)
             g = preset("kq:2")
-            assert partition_function(t, g, WeightSet.ones(2)).z == 2
+            assert transfer_matrix_partition_function(t, g, WeightSet.ones(2)).z == 2
 
     def test_three_colorings_prefactor(self):
         cp = coloring_count_prediction(3, 4)
@@ -447,7 +447,7 @@ class TestColoringCountConjecture:
         assert cp.value() == pytest.approx(96 * math.e)
         t = TorusGraph(2, 2)
         g = preset("kq:4")
-        assert partition_function(t, g, WeightSet.ones(4)).z == 84
+        assert transfer_matrix_partition_function(t, g, WeightSet.ones(4)).z == 84
 
     def test_five_colorings_model_string(self):
         cp = coloring_count_prediction(5, 3)

@@ -3,6 +3,7 @@ determinism, CSV export, and the golden corpus runner."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -40,6 +41,20 @@ def run_json(tmp_path, argv):
     code = main(argv + ["--out", str(out)])
     doc = json.loads(out.read_text()) if out.exists() else None
     return code, (doc["result"] if doc else None)
+
+
+def run_subprocess(argv):
+    """Run the CLI module in a new interpreter with a 60 s timeout, so a
+    refusal that first built what it refuses fails the test."""
+    src = str(Path(torushom.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return subprocess.run(
+        [sys.executable, "-m", "torushom.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")},
+    )
 
 
 class TestRunConfig:
@@ -132,6 +147,12 @@ class TestAnalyzeCommand:
         # past MAX_COLORS the subset scan refuses before it starts
         assert main(["analyze", "--h", "k17"]) == 3
         assert "budget error" in capsys.readouterr().err
+
+    def test_blowup_past_the_cap_refused_before_it_is_built(self):
+        # 1,000,001 clones would need 10^12 adjacency bits
+        proc = run_subprocess(["analyze", "--h", "ind", "--weights", "1000000,1"])
+        assert proc.returncode == 3
+        assert "subset scan capped at 16 colors, got 1000001" in proc.stderr
 
     def test_orbit_step_in_meta(self, tmp_path):
         out = tmp_path / "doc.json"
@@ -241,7 +262,7 @@ class TestCountCommand:
     def test_single_route_path_in_meta(self, tmp_path):
         out = tmp_path / "doc.json"
         argv = ["count", "--h", "ind", "--m", "4", "--d", "2",
-                "--method", "auto", "--out", str(out)]
+                "--method", "transfer", "--out", str(out)]
         assert main(argv) == 0
         doc = json.loads(out.read_text())
         assert doc["meta"]["count"] == {
@@ -255,21 +276,16 @@ class TestCountCommand:
         assert "budget error" in capsys.readouterr().err
 
     def test_transfer_budget_refused_without_forming_the_power(self):
-        # 3^(2^39) raw layer states: a refusal that formed the power would
-        # not end within the timeout
-        src = str(Path(torushom.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        proc = subprocess.run(
-            [sys.executable, "-m", "torushom.cli", "count", "--h", "k3",
-             "--m", "2", "--d", "40", "--method", "transfer"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ,
-                 "PYTHONPATH": src + (os.pathsep + path if path else "")},
+        # a Q_39 layer has 2^39 positions: the layer sweep is refused after
+        # a few dozen of them, before it lists the rest
+        proc = run_subprocess(
+            ["count", "--h", "k3", "--m", "2", "--d", "40", "--method", "transfer"]
         )
         assert proc.returncode == 3
-        assert "transfer needs 3^549755813888 > " in proc.stderr
+        assert re.search(
+            r"transfer's layer sweep needs \d+\*3\*\d+ > 10000000 cells "
+            r"at layer vertex \d+ of 549755813888", proc.stderr
+        )
 
     def test_one_color_brute_on_large_torus_is_counted(self, tmp_path):
         # n = 2048 vertices: deeper than the interpreter's recursion limit,
@@ -465,13 +481,13 @@ class TestInfluenceCounts:
 
     def test_forms_2h_pinned_counts(self, tmp_path, monkeypatch):
         pins = []
-        real = exact.partition_function
+        real = exact.transfer_matrix_partition_function
 
         def spy(*args, **kwargs):
             pins.append(kwargs.get("pins"))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(exact, "partition_function", spy)
+        monkeypatch.setattr(exact, "transfer_matrix_partition_function", spy)
         code, res = run_json(
             tmp_path,
             ["influence", "--h", "wr", "--m", "6", "--d", "2",
@@ -535,13 +551,13 @@ class TestInfluenceOnePath:
     @pytest.mark.parametrize("spec,d", [("wr", 3), ("ind+k3", 2)])
     def test_2h_partition_functions(self, tmp_path, monkeypatch, spec, d):
         calls = []
-        real = exact.partition_function
+        real = exact.transfer_matrix_partition_function
 
         def counter(*args, **kwargs):
             calls.append(kwargs.get("pins"))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(exact, "partition_function", counter)
+        monkeypatch.setattr(exact, "transfer_matrix_partition_function", counter)
         code, _ = run_json(
             tmp_path,
             ["influence", "--h", spec, "--m", "2", "--d", str(d), "--l", "1"],
@@ -611,16 +627,9 @@ class TestConjectureCommand:
     def test_prediction_past_float_range_refused_without_forming_the_power(self):
         # base 1 + 10^-6 stays in float range to d=29; an exact power of it
         # with 2^(d-1) factors would not end within the timeout
-        src = str(Path(torushom.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        proc = subprocess.run(
-            [sys.executable, "-m", "torushom.cli", "conjecture", "--h", "ind",
-             "--weights", "1/1000000,1", "--m", "2", "--max-d", "40"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ,
-                 "PYTHONPATH": src + (os.pathsep + path if path else "")},
+        proc = run_subprocess(
+            ["conjecture", "--h", "ind", "--weights", "1/1000000,1", "--m", "2",
+             "--max-d", "40"]
         )
         assert proc.returncode == 3
         assert "the prediction at d=30 is too large" in proc.stderr
@@ -645,7 +654,7 @@ class TestConjectureCommand:
 
     def test_csv_refused_before_the_command_runs(self, tmp_path, capsys):
         # the count alone is refused by its budget (exit 3)
-        argv = ["count", "--h", "k3", "--m", "2", "--d", "5", "--method", "transfer"]
+        argv = ["count", "--h", "k3", "--m", "2", "--d", "6", "--method", "transfer"]
         assert main(argv) == 3
         capsys.readouterr()
         assert main(argv + ["--csv", str(tmp_path / "x.csv")]) == 2

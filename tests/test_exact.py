@@ -26,7 +26,6 @@ from torushom.exact import (
     brute_force_partition_function,
     dual_route_records,
     is_valid_coloring,
-    partition_function,
     standard_corpus,
     transfer_matrix_partition_function,
 )
@@ -274,9 +273,11 @@ class TestTransferMatrix:
         zb = brute_force_partition_function(t, g, ones(g)).z
         zt = transfer_matrix_partition_function(t, g, ones(g)).z
         assert zb == zt == 256**m + (-1) ** m * 256
-        assert exact_module._engine(t, g, ones(g)).states.dtype == np.uint16
-        k256 = preset("k256")
-        assert exact_module._engine(t, k256, ones(k256)).states.dtype == np.uint8
+        engine = lambda h: exact_module._engine(
+            t, h, ones(h), DEFAULT_TRANSFER_BUDGET, False
+        )
+        assert engine(g).states.dtype == np.uint16
+        assert engine(preset("k256")).states.dtype == np.uint8
 
     def test_budget_is_on_layer_state_space(self):
         g = preset("k8")
@@ -314,7 +315,8 @@ class TestTransferMatrix:
 
     def test_weight_keys_past_int64_are_refused_before_any_state(self):
         # 16 distinct weights over the 16 positions of a Z_4^3 layer need
-        # keys up to 17^16 > 2^63; 16^16 raw states pass a budget of 10^20
+        # keys up to 17^16 > 2^63; the layer sweep would pass 10^20 cells
+        # only after hours
         g = preset("k16")
         w = WeightSet.parse(",".join(str(k) for k in range(1, 17)))
         with pytest.raises(BudgetExceeded, match="17\\^16"):
@@ -369,6 +371,53 @@ class TestTransferMatrix:
                 TorusGraph(2, 6), g, ones(g), budget=10**10
             )
 
+    def test_k3_on_q5_counts_its_2970_valid_layer_states(self):
+        # 3^16 raw layer states, of which only 2,970 are proper colorings
+        g = preset("k3")
+        res = transfer_matrix_partition_function(TorusGraph(2, 5), g, ones(g))
+        assert res.z == 1185282
+        assert (res.route, res.layer_states) == ("bitset", 2970)
+
+    def test_k3_on_z4_cubed_is_counted_by_sectors(self):
+        g = preset("k3")
+        res = transfer_matrix_partition_function(TorusGraph(4, 3), g, ones(g))
+        assert res.z == 100301050602
+        assert (res.route, res.layer_states) == ("sectors", 2970)
+
+    @pytest.mark.parametrize(
+        "spec, m, d, charge",
+        [("k3", 4, 3, "3\\*2970\\^2"), ("ind", 16, 2, "15\\*2207\\^2")],
+    )
+    def test_masked_charge_refuses_pinned_counts(self, spec, m, d, charge):
+        # the unpinned count of the same instance stays within the budget
+        g = preset(spec)
+        with pytest.raises(BudgetExceeded, match=f"pinned transfer needs {charge} "):
+            transfer_matrix_partition_function(
+                TorusGraph(m, d), g, ones(g), pins={0: 1}
+            )
+
+    def test_masked_charge_admits_wr_on_z8_squared(self):
+        # 7 * 1155^2 = 9,338,175 product entries, within 10^7
+        t, g = TorusGraph(8, 2), preset("wr")
+        res = transfer_matrix_partition_function(t, g, ones(g), pins={0: g.full_mask})
+        assert res.z == 2146443144974317720907
+        assert (res.route, res.arithmetic) == ("masked", "modular")
+
+    @pytest.mark.parametrize(
+        "t, spec, budget, pins",
+        [
+            (TorusGraph(2, 40), "k3", DEFAULT_TRANSFER_BUDGET, None),  # layer sweep
+            (TorusGraph(2, 5), "k3", 2970**2 - 1, None),  # compatibility bits
+            (TorusGraph(4, 3), "k3", DEFAULT_TRANSFER_BUDGET, {0: 1}),  # masked
+        ],
+    )
+    def test_refused_engine_is_not_cached(self, t, spec, budget, pins):
+        g = preset(spec)
+        before = exact_module._engine.cache_info().currsize
+        with pytest.raises(BudgetExceeded):
+            transfer_matrix_partition_function(t, g, ones(g), budget=budget, pins=pins)
+        assert exact_module._engine.cache_info().currsize == before
+
 
 # Every m >= 4 corpus instance, and two whose pinned counts pass 2^62.
 PINNED_CASES = [
@@ -396,7 +445,7 @@ class TestSectors:
     def test_orbits_and_sectors_partition_the_states(self, spec, m, d, orbits):
         g = preset(spec)
         t = TorusGraph(m, d)
-        eng = exact_module._engine(t, g, ones(g))
+        eng = exact_module._engine(t, g, ones(g), DEFAULT_TRANSFER_BUDGET, False)
         sec = eng.sectors
         s, group = len(eng.states), m ** (d - 1)
         sizes = np.bincount(sec.orbit)
@@ -526,13 +575,13 @@ class TestDualRoute:
 
     def test_disjoint_union_law_small(self):
         g = preset("ind+k3")
-        z = partition_function(C4, g, ones(g)).z
+        z = transfer_matrix_partition_function(C4, g, ones(g)).z
         assert z == 7 + 18
 
     def test_disjoint_union_law_looped(self):
         g = preset("k4loop+k8")
-        z_union = partition_function(Q3, g, ones(g)).z
-        z_k8 = partition_function(Q3, preset("k8"), WeightSet.ones(8)).z
+        z_union = transfer_matrix_partition_function(Q3, g, ones(g)).z
+        z_k8 = transfer_matrix_partition_function(Q3, preset("k8"), WeightSet.ones(8)).z
         assert z_union == 65536 + z_k8
 
 
@@ -554,7 +603,7 @@ class TestEnumeration:
         g = preset("wr")
         w = WeightSet.parse("1,3,2")
         total = sum(coloring_weight(C4, g, w, f) for f in enumerate_colorings(C4, g))
-        assert total == partition_function(C4, g, w).z
+        assert total == transfer_matrix_partition_function(C4, g, w).z
 
 
 class TestExactMarginal:
@@ -611,12 +660,9 @@ class TestExactMarginal:
         g = preset("wr")
         w = WeightSet.parse("1,2,1")
         laws = []
-        for method in ("brute", "transfer"):
+        for route in (brute_force_partition_function, transfer_matrix_partition_function):
             counts = [
-                partition_function(
-                    Q3, g, w, method=method,
-                    pins={0: mask_from((0,)), 5: mask_from((k,))},
-                ).z
+                route(Q3, g, w, pins={0: mask_from((0,)), 5: mask_from((k,))}).z
                 for k in range(g.h)
             ]
             laws.append(tuple(c / sum(counts) for c in counts))
@@ -697,23 +743,6 @@ class TestNearPureFamily:
         pair = MaximalPair(g.full_mask, g.full_mask)
         with pytest.raises(ValueError):
             near_pure_one_defect_count(C4, g, pair)
-
-
-class TestAutoDispatch:
-    def test_auto_prefers_transfer(self):
-        g = preset("k3")
-        assert partition_function(C4, g, ones(g)).method == "transfer"
-
-    def test_auto_falls_back_to_brute(self):
-        g = preset("k3")
-        res = partition_function(C4, g, ones(g), transfer_budget=2)
-        assert res.method == "brute"
-        assert res.z == 18
-
-    def test_unknown_method(self):
-        g = preset("k3")
-        with pytest.raises(ValueError):
-            partition_function(C4, g, ones(g), method="guess")
 
 
 @st.composite

@@ -21,7 +21,7 @@ from torushom.constraint_graph import (
     preset,
 )
 from torushom.errors import InvalidColoring
-from torushom.exact import partition_function
+from torushom.exact import transfer_matrix_partition_function
 from torushom.sampler import (
     ChainConfig,
     ChainStats,
@@ -215,7 +215,7 @@ def test_exact_not_ideal_matches_the_per_coloring_sum(torus, spec, weights):
         for f in enumerate_colorings(t, g)
         if edge not in per_edge_ideal(t, g, w, f)
     )
-    want = Fraction(bad) / partition_function(t, g, w).z
+    want = Fraction(bad) / transfer_matrix_partition_function(t, g, w).z
     assert 0 < want < 1
     assert exact_not_ideal_probability(t, g, w, edge) == want
     assert exact_not_ideal_probability(t, g, w, edge[::-1]) == want

@@ -24,7 +24,7 @@ from torushom.constraint_graph import (
     subset_weight,
 )
 from torushom.errors import InvalidColoring, NoValidInitial
-from torushom.exact import is_valid_coloring, partition_function
+from torushom.exact import is_valid_coloring, transfer_matrix_partition_function
 from torushom import sampler
 from torushom.sampler import (
     ChainConfig,
@@ -65,7 +65,7 @@ def empirical_law(t, g, w, cfg, **kw):
 
 
 def tv_to_exact(t, g, w, counts, n, pins=None):
-    z = partition_function(t, g, w, pins=pins).z
+    z = transfer_matrix_partition_function(t, g, w, pins=pins).z
     tv = Fraction(0)
     for f in enumerate_colorings(t, g, pins=pins):
         p = coloring_weight(t, g, w, f) / z
@@ -200,7 +200,7 @@ class TestDetailedBalance:
     @pytest.mark.parametrize("wtext", ["1,1", "3/2,1", "1/3,2"])
     def test_exact_reversibility(self, wtext):
         w = WeightSet.parse(wtext)
-        z = partition_function(Q2, IND, w).z
+        z = transfer_matrix_partition_function(Q2, IND, w).z
         states = list(enumerate_colorings(Q2, IND))
         prob = {f: coloring_weight(Q2, IND, w, f) / z for f in states}
         kernels = {f: self.kernel(Q2, IND, w, f) for f in states}
