@@ -122,12 +122,6 @@ def _coloring_fault(
     return None
 
 
-def is_valid_coloring(t: TorusGraph, g: ConstraintGraph, f: Sequence) -> bool:
-    """True when every entry is a color and every torus edge lands on an
-    edge of the constraint graph."""
-    return _coloring_fault(t, g, f) is None
-
-
 def _pin_masks(t: TorusGraph, g: ConstraintGraph, pins: Pins | None) -> list[int]:
     masks = [g.full_mask] * t.n
     if pins:
@@ -404,19 +398,19 @@ class _TransferEngine:
     of `compat` packs those j into bits. For m=2 the two layers are joined by a single
     matching, so the inter-layer feasibility is applied exactly once
     rather than squared. Unpinned counts at m >= 4 go through the orbits
-    of the states under the layer's translations (`sectors`); an engine
-    built `masked` serves pinned counts at m >= 4, row-masked products of T.
-    The constructor refuses, before it forms them, every array past the
-    budget: the layer sweep's tables (`_layer_states`), the s^2
-    compatibility bits of the s states, and for a masked engine the
-    (m - 1) * s^2 entries of the m - 1 dense s x s products per residue.
+    of the states under the layer's translations (`sectors`); pinned
+    counts at m >= 4 take row-masked products of T.
+    Each array past the budget is refused where it would be formed, before
+    it is: the layer sweep's tables in the constructor, the s^2 bits of
+    `compat` (m = 2 and pinned counts), the (m - 1) * s^2 entries of a
+    pinned count's dense products per residue in `z_int`, and the orbits * s
+    rows and |G| * orbits^2 counts of the sectors in `_sector_sum`.
     """
 
-    def __init__(
-        self, t: TorusGraph, g: ConstraintGraph, w: WeightSet, budget: int, masked: bool
-    ):
+    def __init__(self, t: TorusGraph, g: ConstraintGraph, w: WeightSet, budget: int):
         self.t = t
         self.g = g
+        self.budget = budget
         self.scale, wint = w.integer_scaled()
         # A state's weight depends only on its key: digit j, in base positions
         # + 1, counts its positions whose color has the distinct weight vals[j].
@@ -424,17 +418,6 @@ class _TransferEngine:
         if base ** len(vals) >= 2**63:
             raise BudgetExceeded(f"state weight keys need {base}^{len(vals)} >= 2^63")
         self.states = _layer_states(t, g, budget)
-        s_count = len(self.states)
-        if s_count**2 > budget:
-            raise BudgetExceeded(
-                f"transfer needs {s_count}^2 > {budget} compatibility bits "
-                f"for its {s_count} layer states"
-            )
-        if masked and (t.m - 1) * s_count**2 > budget:
-            raise BudgetExceeded(
-                f"pinned transfer needs {t.m - 1}*{s_count}^2 > {budget} "
-                f"product entries for its {s_count} layer states"
-            )
         radix = np.array([base ** vals.index(x) for x in wint], dtype=np.int64)
         key = radix[self.states].sum(axis=1)
         _, first, key_of = np.unique(key, return_index=True, return_inverse=True)
@@ -464,6 +447,12 @@ class _TransferEngine:
     @cached_property
     def compat(self) -> np.ndarray:
         """Bit j of row i (little-endian) is set when state j may follow i."""
+        s_count = len(self.states)
+        if s_count**2 > self.budget:
+            raise BudgetExceeded(
+                f"transfer needs {s_count}^2 > {self.budget} compatibility bits "
+                f"for its {s_count} layer states"
+            )
         return self._compat_rows(slice(None))
 
     @cached_property
@@ -494,6 +483,11 @@ class _TransferEngine:
             return self._pair_sum(allowed), "bitset", "int"
         if allowed is None:
             return self._sector_sum(bound), "sectors", "modular"
+        if (self.t.m - 1) * s_count**2 > self.budget:
+            raise BudgetExceeded(
+                f"pinned transfer needs {self.t.m - 1}*{s_count}^2 > {self.budget} "
+                f"product entries for its {s_count} layer states"
+            )
         bits = np.unpackbits(self.compat, axis=1, count=s_count, bitorder="little")
 
         def factors(p: int | None) -> Iterator[np.ndarray]:
@@ -538,6 +532,11 @@ class _TransferEngine:
             return 0
         sec = self.sectors
         n, group = len(sec.reps), len(sec.kdot)
+        if n * s_count + group * n**2 > self.budget:
+            raise BudgetExceeded(
+                f"transfer's sectors need {n}*{s_count} + {group}*{n}^2 > "
+                f"{self.budget} cells for the {n} orbits of its {s_count} layer states"
+            )
         # counts[a, O, O']: states y of O' with shift a that may follow O's rep
         o, y = np.nonzero(np.unpackbits(
             self._compat_rows(sec.reps), axis=1, count=s_count, bitorder="little"
@@ -570,11 +569,12 @@ class _TransferEngine:
         return _power_trace_mod(mats, self.t.m, p)
 
 
-@lru_cache(maxsize=None)
+# Room for the 31 engines of `standard_corpus()` and the counts that reuse them.
+@lru_cache(maxsize=36)
 def _engine(
-    t: TorusGraph, g: ConstraintGraph, w: WeightSet, budget: int, masked: bool
+    t: TorusGraph, g: ConstraintGraph, w: WeightSet, budget: int
 ) -> _TransferEngine:
-    return _TransferEngine(t, g, w, budget, masked)
+    return _TransferEngine(t, g, w, budget)
 
 
 def engine_cache_counts() -> tuple[int, int]:
@@ -594,10 +594,9 @@ def transfer_matrix_partition_function(
     """Transfer-matrix route: layer states, bitset compatibility, cyclic trace.
 
     Every refusal is made by the engine before it forms the array that would
-    pass the budget (`_TransferEngine`), so no refused engine is cached;
-    pinned counts at m >= 4 use an engine that also charges the masked
-    products."""
-    eng = _engine(t, g, w, budget, bool(pins) and t.m > 2)
+    pass the budget (`_TransferEngine`): a refusal by the layer sweep caches
+    no engine, and a refusal by a route keeps its engine's layer states."""
+    eng = _engine(t, g, w, budget)
     z_int, route, arithmetic = eng.z_int(eng.layer_allowed(pins))
     return PartitionFunctionResult(
         z=Fraction(z_int, eng.scale**t.n),

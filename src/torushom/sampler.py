@@ -31,7 +31,7 @@ from .constraint_graph import (
     mask_members,
 )
 from .errors import EmptyConstraint, InvalidColoring, NoValidInitial
-from .exact import Coloring, is_valid_coloring
+from .exact import Coloring, _coloring_fault
 from .torus import TorusGraph, giant_component
 
 _GREEDY_RESTARTS = 100
@@ -207,8 +207,9 @@ def _resolve_initial(t, g, w, initial, rng, pinned) -> tuple[list[int], str, int
         raise ValueError(
             f"unknown initializer {initial!r}: use uniform-greedy or pure"
         )
-    if not is_valid_coloring(t, g, initial):
-        raise InvalidColoring("explicit initial coloring is not valid")
+    fault = _coloring_fault(t, g, initial)
+    if fault is not None:
+        raise InvalidColoring(f"explicit initial coloring is not valid: {fault}")
     state = list(initial)
     if pinned is not None and state[pinned[0]] != pinned[1]:
         raise InvalidColoring("explicit initial coloring contradicts the pin")

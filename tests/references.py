@@ -173,6 +173,12 @@ def coloring_weight(
     return math.prod((w[k] for k in f), start=Fraction(1))
 
 
+def is_valid_coloring(t: TorusGraph, g: ConstraintGraph, f: Sequence) -> bool:
+    """True when every entry is a color and every torus edge lands on an
+    edge of the constraint graph."""
+    return _coloring_fault(t, g, f) is None
+
+
 def enumerate_colorings(
     t: TorusGraph, g: ConstraintGraph, pins: Pins | None = None
 ) -> Iterator[Coloring]:

@@ -25,7 +25,6 @@ from torushom.exact import (
     DEFAULT_TRANSFER_BUDGET,
     brute_force_partition_function,
     dual_route_records,
-    is_valid_coloring,
     standard_corpus,
     transfer_matrix_partition_function,
 )
@@ -38,6 +37,7 @@ from references import (
     cycle_count_g,
     enumerate_colorings,
     influence_ratio,
+    is_valid_coloring,
     near_pure_one_defect_count,
     pure_coloring_weight,
 )
@@ -273,9 +273,7 @@ class TestTransferMatrix:
         zb = brute_force_partition_function(t, g, ones(g)).z
         zt = transfer_matrix_partition_function(t, g, ones(g)).z
         assert zb == zt == 256**m + (-1) ** m * 256
-        engine = lambda h: exact_module._engine(
-            t, h, ones(h), DEFAULT_TRANSFER_BUDGET, False
-        )
+        engine = lambda h: exact_module._engine(t, h, ones(h), DEFAULT_TRANSFER_BUDGET)
         assert engine(g).states.dtype == np.uint16
         assert engine(preset("k256")).states.dtype == np.uint8
 
@@ -413,10 +411,65 @@ class TestTransferMatrix:
     )
     def test_refused_engine_is_not_cached(self, t, spec, budget, pins):
         g = preset(spec)
-        before = exact_module._engine.cache_info().currsize
         with pytest.raises(BudgetExceeded):
             transfer_matrix_partition_function(t, g, ones(g), budget=budget, pins=pins)
-        assert exact_module._engine.cache_info().currsize == before
+        lookup = lambda: exact_module._engine(t, g, ones(g), budget)
+        hits = exact_module._engine.cache_info().hits
+        if t.d == 40:
+            # the layer sweep refuses in the constructor: nothing is cached
+            with pytest.raises(BudgetExceeded):
+                lookup()
+            assert exact_module._engine.cache_info().hits == hits
+        else:
+            # the route refuses: the engine stays cached, and its compatibility
+            # bits were never formed
+            assert "compat" not in vars(lookup())
+            assert exact_module._engine.cache_info().hits == hits + 1
+
+    def test_sector_charge_refuses_k4_on_z8_squared(self, monkeypatch):
+        # 834 orbits of 6,564 layer states: 834*6564 + 8*834^2 > 10^7 cells,
+        # refused before the representatives' rows are unpacked
+        def no_rows(*_):
+            raise AssertionError("compatibility rows were built")
+
+        monkeypatch.setattr(exact_module._TransferEngine, "_compat_rows", no_rows)
+        g = preset("k4")
+        with pytest.raises(BudgetExceeded, match="834\\*6564 \\+ 8\\*834\\^2 > "):
+            transfer_matrix_partition_function(TorusGraph(8, 2), g, ones(g))
+
+    @pytest.mark.parametrize(
+        "spec, m, d, z, states",
+        [
+            ("cycle:5", 4, 3, 167168417670, 4950),
+            ("ind+k3", 4, 3, 120069882745, 3713),
+            ("kq:5", 6, 2, 2788302915518903360, 4100),
+        ],
+    )
+    def test_sectors_count_past_s_squared_bits(self, spec, m, d, z, states):
+        # s^2 passes 10^7, but the sector route forms only the orbits'
+        # rows and the per-sector counts
+        g = preset(spec)
+        res = transfer_matrix_partition_function(TorusGraph(m, d), g, ones(g))
+        assert res.z == z
+        assert (res.route, res.layer_states) == ("sectors", states)
+        assert states**2 > DEFAULT_TRANSFER_BUDGET
+
+    def test_pinned_and_unpinned_counts_share_one_engine(self):
+        t, g, w = TorusGraph(4, 2), preset("wr"), WeightSet.parse("1,5,7")
+        misses = exact_module.engine_cache_counts()[1]
+        whole = transfer_matrix_partition_function(t, g, w)
+        pinned = transfer_matrix_partition_function(t, g, w, pins={0: g.full_mask})
+        assert (whole.route, pinned.route) == ("sectors", "masked")
+        assert whole.z == pinned.z
+        assert exact_module.engine_cache_counts()[1] == misses + 1
+
+    def test_engine_cache_is_bounded(self):
+        # each engine of k3 on Q_5 holds 2,970 states and 1.1 MB of bits
+        g, t = preset("k3"), TorusGraph(2, 5)
+        bound = exact_module._engine.cache_info().maxsize
+        for k in range(1, 41):
+            transfer_matrix_partition_function(t, g, WeightSet.parse(f"1,1,{k}"))
+        assert exact_module._engine.cache_info().currsize <= bound < 40
 
 
 # Every m >= 4 corpus instance, and two whose pinned counts pass 2^62.
@@ -445,7 +498,7 @@ class TestSectors:
     def test_orbits_and_sectors_partition_the_states(self, spec, m, d, orbits):
         g = preset(spec)
         t = TorusGraph(m, d)
-        eng = exact_module._engine(t, g, ones(g), DEFAULT_TRANSFER_BUDGET, False)
+        eng = exact_module._engine(t, g, ones(g), DEFAULT_TRANSFER_BUDGET)
         sec = eng.sectors
         s, group = len(eng.states), m ** (d - 1)
         sizes = np.bincount(sec.orbit)

@@ -6,6 +6,9 @@ vertex orders, so its frontiers and the frontier arrays it sums differ. The maps
 between the instances (a Gray-code isomorphism, the Widom-Rowlinson /
 hard-core bijection, the blow-up, color relabellings and torus
 translations) move pins and weights; the transfer route is not used.
+The last property, that a count into a disjoint union of targets is the
+sum of the counts into its parts, needs no second route: it is checked on
+the transfer route, and against brute force where the torus is small.
 """
 
 from fractions import Fraction
@@ -13,8 +16,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torushom.constraint_graph import ConstraintGraph, WeightSet, blowup, preset
-from torushom.exact import brute_force_partition_function
+from torushom.constraint_graph import (
+    ConstraintGraph,
+    WeightSet,
+    blowup,
+    disjoint_union,
+    preset,
+)
+from torushom.exact import (
+    brute_force_partition_function,
+    transfer_matrix_partition_function,
+)
 from torushom.torus import TorusGraph
 from references import decode, relabeled
 
@@ -136,3 +148,39 @@ def test_invariant_under_torus_translation(shape, data):
 
     moved = {move(v): mask for v, mask in pins.items()}
     assert z(t, g, w, pins) == z(t, g, w, moved)
+
+
+def z_transfer(t, g, w, pins=None):
+    return transfer_matrix_partition_function(t, g, w, pins=pins).z
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    random_instances(max_h=3),
+    random_instances(max_h=3),
+    st.sampled_from([(2, 1), (2, 2), (2, 3), (4, 1), (6, 1)]),
+    st.data(),
+)
+def test_disjoint_union_adds_counts(gw1, gw2, shape, data):
+    # The torus is connected, so a coloring into H1 + H2 lands in one part:
+    # Z(H1 + H2) = Z(H1) + Z(H2), with each pin split between the parts.
+    (g1, w1), (g2, w2) = gw1, gw2
+    t = TorusGraph(*shape)
+    g, w = disjoint_union(g1, g2), WeightSet(w1.weights + w2.weights)
+    pins = data.draw(pin_sets(t, g))
+    low = {v: mask & g1.full_mask for v, mask in pins.items()}
+    high = {v: mask >> g1.h for v, mask in pins.items()}
+    whole = z_transfer(t, g, w, pins)
+    assert whole == z_transfer(t, g1, w1, low) + z_transfer(t, g2, w2, high)
+    assert whole == z(t, g, w, pins)
+
+
+def test_disjoint_union_adds_counts_on_z4_cubed():
+    # past brute force: 19,768,832,143 independent sets and
+    # 100,301,050,602 proper 3-colorings of Z_4^3 = Q_6
+    t = TorusGraph(4, 3)
+    ind, k3, both = (preset(s) for s in ("ind", "k3", "ind+k3"))
+    z_ind = z_transfer(t, ind, WeightSet.ones(2))
+    z_k3 = z_transfer(t, k3, WeightSet.ones(3))
+    assert (z_ind, z_k3) == (19768832143, 100301050602)
+    assert z_transfer(t, both, WeightSet.ones(5)) == z_ind + z_k3 == 120069882745

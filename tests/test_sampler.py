@@ -24,7 +24,7 @@ from torushom.constraint_graph import (
     subset_weight,
 )
 from torushom.errors import InvalidColoring, NoValidInitial
-from torushom.exact import is_valid_coloring, transfer_matrix_partition_function
+from torushom.exact import transfer_matrix_partition_function
 from torushom import sampler
 from torushom.sampler import (
     ChainConfig,
@@ -43,6 +43,7 @@ from references import (
     enumerate_colorings,
     exact_not_ideal_probability,
     ideal_edge_map,
+    is_valid_coloring,
     reference_chain,
 )
 
@@ -345,6 +346,12 @@ class TestInitializers:
                     Q2, IND, WeightSet.ones(2), ChainConfig(steps=1), (0, 0, 0, 0)
                 )
             )
+
+    def test_explicit_invalid_initial_names_its_fault(self):
+        # the refusal carries the reason the coloring check found
+        msg = r"is not valid: edge \(0,1\) maps to non-adjacent colors \(0,0\)$"
+        with pytest.raises(InvalidColoring, match=msg):
+            list(run_chain(Q2, K3, WeightSet.ones(3), ChainConfig(steps=1), (0, 0, 1, 2)))
 
     def test_explicit_initial_contradicting_pin_rejected(self):
         cfg = ChainConfig(steps=2, pinned=(0, 1))
