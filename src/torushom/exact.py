@@ -59,22 +59,19 @@ def _cycle_trace(factors: Callable, bound: int, dim: int) -> int:
     factors with entries, partial sums and trace at most `bound`: on int64
     from `factors(None)` below 2^62, else from residues `factors(p)` modulo
     the primes of `_crt`, drawn one at a time; it closes as a Frobenius sum."""
-    if bound < _INT64_SAFE:
-        it = iter(factors(None))
+
+    def trace(p: int | None) -> int:
+        mod = (lambda x: x) if p is None else (lambda x: _reduce(x, p))
+        dtype = np.int64 if p is None else np.float64
+        it = (f.astype(dtype, copy=False) for f in factors(p))
         prod, last = next(it), next(it)
         for f in it:
-            prod, last = prod @ last, f
-        return int(np.vdot(prod, last.T))
+            prod, last = mod(prod @ last), f
+        # modulo p, a row sums dim terms below p^2, so it is exact
+        z = int(mod((prod * last.T).sum(axis=1)).sum())
+        return z if p is None else z % p
 
-    def residue(p: int) -> int:
-        it = (f.astype(np.float64) for f in factors(p))
-        prod, last = next(it), next(it)
-        for f in it:
-            prod, last = _reduce(prod @ last, p), f
-        # a row sums dim terms below p^2, so it is exact
-        return int(_reduce((prod * last.T).sum(axis=1), p).sum()) % p
-
-    return _crt(lambda primes: [residue(p) for p in primes], bound, 1, dim)
+    return trace(None) if bound < _INT64_SAFE else _crt(trace, bound, 1, dim)
 
 
 @dataclass(frozen=True)
@@ -151,19 +148,23 @@ def brute_force_partition_function(
     adjacency of H against the axis of each lower neighbor, and sums out
     every vertex whose last neighbor is v. Every partial sum is at most
     (sum of weights)^n: below 2^62 the sweep runs on int64 ("int64"), and
-    past it once on float64 residues, with one lane per prime of `_crt`
-    ("modular").
+    past it on float64 modulo one prime of `_crt` at a time ("modular").
 
-    The budget bounds the sweep's real work, sum_v h^(|F_v| + 1): the
-    array at vertex v holds h^(|F_v| + 1) entries. The sum is taken from
-    the frontier sizes, vertex by vertex, before any array is built, and
-    the run is refused at the first vertex where it passes the budget, so
-    refusal is deterministic, costs at most that many vertices, and no
+    The budget bounds the sweep's real work, passes * sum_v h^(|F_v| + 1):
+    the array at vertex v holds h^(|F_v| + 1) entries, and past 2^62 each
+    prime, the spare and the 0/1 pass below take a pass. The sum is taken
+    from the frontier sizes, vertex by vertex, before any array is built,
+    and the run is refused at the first vertex where it passes the budget,
+    so refusal is deterministic, costs at most that many vertices, and no
     array is larger than the budget. `search_states` reports the nonzero
     frontier entries met before vertices 0..n-2, which with positive
-    weights are the frontier colorings some valid prefix reaches.
+    weights are the frontier colorings some valid prefix reaches: past
+    2^62, one pass at unit weights with partial sums clamped to 1.
     """
     n, h = t.n, g.h
+    scale, wint = w.integer_scaled()
+    bound = sum(wint) ** n
+    passes = 1 if bound < _INT64_SAFE else len(_primes(bound, 1, 1)) + 2
     nbrs: list[tuple[int, ...]] = []
     # done[v]: the vertices whose axis is summed out once v is colored;
     # every u <= v is filed by the time v is reached.
@@ -172,52 +173,46 @@ def brute_force_partition_function(
     for v in range(n):
         nbrs.append(t.neighbors(v))
         done.setdefault(max(v, *nbrs[v]), []).append(v)
-        steps += h ** (frontier + 1)
+        steps += passes * h ** (frontier + 1)
         if steps > budget:
             raise BudgetExceeded(
                 f"brute force needs more than {budget} frontier steps: "
-                f"sum_v h^(|F_v|+1) passes it at vertex {v} of {n}"
+                f"{passes} pass(es) of sum_v h^(|F_v|+1) exceed it "
+                f"at vertex {v} of {n}"
             )
         frontier += 1 - len(done.get(v, ()))
-    scale, wint = w.integer_scaled()
-    bound = sum(wint) ** n
-    masks = _bit_rows(_pin_masks(t, g, pins), h)[:, None]
+    masks = _bit_rows(_pin_masks(t, g, pins), h)
     adj = _bit_rows(g.adj, h)[:, None, :]
-    states = 0
 
-    def sweep(primes: list[int] | None) -> list[int]:
-        """Z on int64, or Z modulo each prime with a leading lane per prime."""
-        nonlocal states
-        if primes is None:
-            lead, lane_w, mod = (), np.array(wint, dtype=np.int64), lambda x: x
-        else:
-            lane_w = np.array([[x % p for x in wint] for p in primes], np.float64)
-            lead, p = (len(primes),), np.array(primes, dtype=np.float64)[:, None]
-            mod = lambda x: _reduce(x, p)
-        vertex_w, adj_w = (masks * lane_w)[..., None, :], adj.astype(lane_w.dtype)
+    def sweep(lane_w: np.ndarray, mod: Callable) -> tuple[int, int]:
+        """(Z, nonzero frontier entries met) over one lane of weights, every
+        partial sum taken through mod."""
+        vertex_w, adj_w = masks * lane_w, adj.astype(lane_w.dtype)
         axes: list[int] = []  # frontier vertices, ascending: the state's axes
-        state = np.ones((*lead, 1), dtype=lane_w.dtype)
+        state, nonzero = np.ones(1, dtype=lane_w.dtype), 0
         for v in range(n):
             if v < n - 1:
-                # nonzero modulo some prime, as their product passes the bound
-                states += int(np.count_nonzero(state.any(axis=0) if lead else state))
-            state = mod((state[..., None] * vertex_w[v]).reshape(*lead, -1))
+                nonzero += int(np.count_nonzero(state))
+            state = mod((state[:, None] * vertex_w[v]).reshape(-1))
             axes.append(v)
             for u in {u for u in nbrs[v] if u < v}:
                 i = bisect_left(axes, u)
-                view = state.reshape(*lead, h**i, h, -1, h)
+                view = state.reshape(h**i, h, -1, h)
                 np.multiply(view, adj_w, out=view)
             for u in done.get(v, ()):
                 i = bisect_left(axes, u)
-                state = state.reshape(*lead, h**i, h, -1).sum(axis=-2)
-                state = mod(state.reshape(*lead, -1))
+                state = mod(state.reshape(h**i, h, -1).sum(axis=1).reshape(-1))
                 del axes[i]
-        return [int(x) for x in state.reshape(-1)]
+        return int(state[0]), nonzero
 
     if bound < _INT64_SAFE:
-        arithmetic, z = "int64", sweep(None)[0]
+        arithmetic = "int64"
+        z, states = sweep(np.array(wint, dtype=np.int64), lambda x: x)
     else:
-        arithmetic, z = "modular", _crt(sweep, bound, 1, 1)
+        arithmetic = "modular"
+        _, states = sweep(np.ones(h, dtype=np.int64), lambda x: np.minimum(x, 1, out=x))
+        lane = lambda p: np.array([x % p for x in wint], dtype=np.float64)
+        z = _crt(lambda p: sweep(lane(p), lambda x: _reduce(x, p))[0], bound, 1, 1)
     return PartitionFunctionResult(
         z=Fraction(z, scale**n),
         method="brute",
@@ -273,18 +268,25 @@ def _root_of_unity(m: int, p: int) -> int:
     return omega
 
 
-def _crt(residues: Callable, bound: int, m: int, dim: int) -> int:
-    """The integer 0 <= z <= bound whose residues modulo the primes
-    `_prime(m, dim, i)`, taken until their product passes the bound, are
-    `residues(primes)`. CRT assembles z; the residue at one spare prime,
-    passed last, must agree, or OracleMismatch is raised."""
+def _primes(bound: int, m: int, dim: int) -> list[int]:
+    """`_prime(m, dim, i)` for i = 0, 1, ... until their product passes bound."""
     used, modulus = [], 1
     while modulus <= bound:
         used.append(_prime(m, dim, len(used)))
         modulus *= used[-1]
+    return used
+
+
+def _crt(residue: Callable[[int], int], bound: int, m: int, dim: int) -> int:
+    """The integer 0 <= z <= bound whose residue modulo each prime of
+    `_primes(bound, m, dim)` is `residue(p)`, called one prime at a time.
+    CRT assembles z; the residue at one spare prime, taken last, must agree,
+    or OracleMismatch is raised."""
+    used = _primes(bound, m, dim)
+    modulus = math.prod(used)
+    z = sum(residue(p) * (q := modulus // p) * pow(q, -1, p) for p in used) % modulus
     spare = _prime(m, dim, len(used))
-    *rs, check = residues([*used, spare])
-    z = sum(r * (q := modulus // p) * pow(q, -1, p) for r, p in zip(rs, used)) % modulus
+    check = residue(spare)
     if z % spare != check:
         raise OracleMismatch(
             f"count {z} is {z % spare} modulo the spare prime {spare}, "
@@ -293,11 +295,10 @@ def _crt(residues: Callable, bound: int, m: int, dim: int) -> int:
     return z
 
 
-def _reduce(x: np.ndarray, p) -> np.ndarray:
-    """x mod p in place, for float64 integers 0 <= x < 2^53 and a prime p (or
-    primes broadcasting against x). The rounded quotient is within 2^-53 * x/p
-    < 1/p of x/p, which is an integer or at least 1/p below the next one, so
-    its floor is exact."""
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for float64 integers 0 <= x < 2^53 and a prime p.
+    The rounded quotient is within 2^-53 * x/p < 1/p of x/p, which is an
+    integer or at least 1/p below the next one, so its floor is exact."""
     q = x / p
     np.floor(q, out=q)
     q *= p
@@ -545,8 +546,8 @@ class _TransferEngine:
             (sec.shift[y] * n + o) * n + sec.orbit[y], minlength=group * n * n
         ).reshape(group, n, n).astype(np.float64)
         # a product entry sums n terms below p^2, a character sum |O'| <= |G|
-        residues = lambda primes: [self._sector_residue(sec, counts, p) for p in primes]
-        return _crt(residues, bound, self.t.m, max(n, group))
+        residue = lambda p: self._sector_residue(sec, counts, p)
+        return _crt(residue, bound, self.t.m, max(n, group))
 
     def _sector_residue(self, sec: _Sectors, counts: np.ndarray, p: int) -> int:
         """Sum over k of trace(M_k^m) mod p; a sector's matrix keeps the full

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -157,6 +158,16 @@ class TestBruteForce:
             brute_force_partition_function(C4, g, ones(g), budget=65)
         assert brute_force_partition_function(C4, g, ones(g), budget=66).z == 18
 
+    def test_budget_charges_every_modular_pass(self):
+        # one int64 sweep of ind on Z_4^2 takes 3,486 steps; (10^9 + 1)^16
+        # takes 19 primes, so the 0/1 pass, the primes and the spare make 21
+        g, t = preset("ind"), TorusGraph(4, 2)
+        heavy = WeightSet.parse("1000000000,1")
+        for w, passes in ((ones(g), 1), (heavy, 21)):
+            with pytest.raises(BudgetExceeded, match=rf"{passes} pass\(es\)"):
+                brute_force_partition_function(t, g, w, budget=passes * 3486 - 1)
+            brute_force_partition_function(t, g, w, budget=passes * 3486)
+
     def test_budget_counts_the_sweep_not_the_raw_states(self):
         # ind on Q_5 has 2^32 raw states but a sweep of about 1.4e6 entries
         g = preset("ind")
@@ -233,6 +244,24 @@ class TestBruteArithmetic:
             route, "int" if route == "bitset" else "modular"
         )
         assert tr.z == expected
+
+    def test_modular_sweep_holds_one_prime_at_a_time(self):
+        # Past 2^62 the sweep runs modulo one prime at a time, so it holds no
+        # more than the int64 sweep at unit weights, whatever the prime count.
+        g, t = preset("wr"), TorusGraph(4, 2)
+
+        def traced_peak(weights):
+            tracemalloc.start()
+            try:
+                res = brute_force_partition_function(t, g, WeightSet.parse(weights))
+                return res.arithmetic, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        unit, unit_peak = traced_peak("1,1,1")
+        heavy, heavy_peak = traced_peak("1,1000000000,1")
+        assert (unit, heavy) == ("int64", "modular")
+        assert heavy_peak <= 2 * unit_peak
 
     @pytest.mark.parametrize(
         "weights, arithmetic", [("1,2,3,209", "int64"), ("1,2,3,210", "modular")]
@@ -517,11 +546,11 @@ class TestSectors:
         # every count past int64 reaches its residues through one CRT helper
         crt = exact_module._crt
 
-        def off_by_one_on_the_first(residues, bound, m, dim):
-            def wrong(primes):
-                got = list(residues(primes))
-                got[0] = (got[0] + 1) % primes[0]
-                return got
+        def off_by_one_on_the_first(residue, bound, m, dim):
+            first = exact_module._prime(m, dim, 0)
+
+            def wrong(p):
+                return (residue(p) + (p == first)) % p
 
             return crt(wrong, bound, m, dim)
 

@@ -1,14 +1,16 @@
-"""Metamorphic properties of the brute-force count.
+"""Metamorphic properties of the counting routes.
 
-Each property counts two instances that must have the same partition
-function (up to a known factor) but that the search meets in different
-vertex orders, so its frontiers and the frontier arrays it sums differ. The maps
-between the instances (a Gray-code isomorphism, the Widom-Rowlinson /
-hard-core bijection, the blow-up, color relabellings and torus
-translations) move pins and weights; the transfer route is not used.
-The last property, that a count into a disjoint union of targets is the
-sum of the counts into its parts, needs no second route: it is checked on
-the transfer route, and against brute force where the torus is small.
+Most properties count, by brute force, two instances that must have the
+same partition function (up to a known factor) but that the search meets
+in different vertex orders, so its frontiers and the frontier arrays it
+sums differ. The maps between the instances (a Gray-code isomorphism, the
+Widom-Rowlinson / hard-core bijection, the blow-up, color relabellings and
+torus translations) move pins and weights. Two properties need no second
+route and run on the transfer route: the Gray-code isomorphism, whose two
+sides the transfer route meets at m = 4 (sectors or masked products modulo
+primes) and at m = 2 (popcounts on Python ints), and the count into a
+disjoint union of targets, the sum of the counts into its parts, also
+checked against brute force where the torus is small.
 """
 
 from fractions import Fraction
@@ -84,6 +86,27 @@ def test_z4_torus_counts_as_hypercube(d, data):
     pins = data.draw(pin_sets(t, g))
     mapped = {cube_image(t, v): mask for v, mask in pins.items()}
     assert z(t, g, w, pins) == z(q, g, w, mapped)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2]), st.data())
+def test_z4_torus_counts_as_hypercube_on_transfer(d, data):
+    # Z_4^d counts by sectors, or pinned by masked products, modulo primes
+    # once the bound passes 2^62; Q_2d counts by popcounts on Python ints.
+    # Weights up to 10^9 check both CRT callers against a route with no
+    # modular arithmetic.
+    t, q = TorusGraph(4, d), TorusGraph(2, 2 * d)
+    g, _ = data.draw(random_instances(max_h=3))
+    w = WeightSet(tuple(Fraction(data.draw(st.integers(1, 10**9))) for _ in range(g.h)))
+    pins = data.draw(pin_sets(t, g))
+    mapped = {cube_image(t, v): mask for v, mask in pins.items()}
+    # 3^8 layer states of Q_4 need 3^16 compatibility bits
+    torus, cube = (
+        transfer_matrix_partition_function(x, g, w, pins=p, budget=10**8)
+        for x, p in ((t, pins), (q, mapped))
+    )
+    assert (torus.method, cube.route) == ("transfer", "bitset")
+    assert torus.z == cube.z
 
 
 @settings(max_examples=20, deadline=None)
