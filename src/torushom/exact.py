@@ -62,14 +62,12 @@ def _cycle_trace(factors: Callable, bound: int, dim: int) -> int:
 
     def trace(p: int | None) -> int:
         mod = (lambda x: x) if p is None else (lambda x: _reduce(x, p))
-        dtype = np.int64 if p is None else np.float64
-        it = (f.astype(dtype, copy=False) for f in factors(p))
+        it = (f if p is None else f.astype(np.float64) for f in factors(p))
         prod, last = next(it), next(it)
         for f in it:
             prod, last = mod(prod @ last), f
         # modulo p, a row sums dim terms below p^2, so it is exact
-        z = int(mod((prod * last.T).sum(axis=1)).sum())
-        return z if p is None else z % p
+        return int(mod((prod * last.T).sum(axis=1)).sum())
 
     return trace(None) if bound < _INT64_SAFE else _crt(trace, bound, 1, dim)
 
@@ -156,15 +154,24 @@ def brute_force_partition_function(
     from the frontier sizes, vertex by vertex, before any array is built,
     and the run is refused at the first vertex where it passes the budget,
     so refusal is deterministic, costs at most that many vertices, and no
-    array is larger than the budget. `search_states` reports the nonzero
+    array is larger than the budget. On a torus where even a floor on the
+    passes from bit lengths passes it, the refusal comes on that floor,
+    before (sum of weights)^n is formed. `search_states` reports the nonzero
     frontier entries met before vertices 0..n-2, which with positive
     weights are the frontier colorings some valid prefix reaches: past
     2^62, one pass at unit weights with partial sums clamped to 1.
     """
     n, h = t.n, g.h
     scale, wint = w.integer_scaled()
-    bound = sum(wint) ** n
-    passes = 1 if bound < _INT64_SAFE else len(_primes(bound, 1, 1)) + 2
+    total = sum(wint)
+    # total^n >= 2^((b - 1) n), b = total.bit_length(), and every prime is
+    # below 2^31, so this floor on the passes is 1 below 2^62 and needs no
+    # power; while it alone passes the budget at h steps a vertex, the sweep
+    # is refused on it below, before the power is formed.
+    passes = max(1, (total.bit_length() - 1) * n // 31)
+    if passes * h * n <= budget:
+        bound = total**n
+        passes = 1 if bound < _INT64_SAFE else len(_primes(bound, 1, 1)) + 2
     nbrs: list[tuple[int, ...]] = []
     # done[v]: the vertices whose axis is summed out once v is colored;
     # every u <= v is filed by the time v is reached.
@@ -278,15 +285,15 @@ def _primes(bound: int, m: int, dim: int) -> list[int]:
 
 
 def _crt(residue: Callable[[int], int], bound: int, m: int, dim: int) -> int:
-    """The integer 0 <= z <= bound whose residue modulo each prime of
-    `_primes(bound, m, dim)` is `residue(p)`, called one prime at a time.
+    """The integer 0 <= z <= bound that is `residue(p)` modulo each prime of
+    `_primes(bound, m, dim)`, called one prime at a time.
     CRT assembles z; the residue at one spare prime, taken last, must agree,
     or OracleMismatch is raised."""
     used = _primes(bound, m, dim)
     modulus = math.prod(used)
     z = sum(residue(p) * (q := modulus // p) * pow(q, -1, p) for p in used) % modulus
     spare = _prime(m, dim, len(used))
-    check = residue(spare)
+    check = residue(spare) % spare
     if z % spare != check:
         raise OracleMismatch(
             f"count {z} is {z % spare} modulo the spare prime {spare}, "

@@ -168,6 +168,18 @@ class TestBruteForce:
                 brute_force_partition_function(t, g, w, budget=passes * 3486 - 1)
             brute_force_partition_function(t, g, w, budget=passes * 3486)
 
+    @pytest.mark.parametrize(
+        "m, d, weights",
+        [(2, 40, "1,1,1"), (2, 40, "1,1000000000,1"), (10**7, 1, "1,1000000000,1")],
+    )
+    def test_large_torus_is_refused_before_its_bound_is_formed(self, m, d, weights):
+        # (sum of weights)^n has from 1.7e12 to 3e8 bits here; a floor on
+        # the passes from bit lengths refuses the sweep without forming it
+        with pytest.raises(BudgetExceeded, match=rf"at vertex [01] of {m**d}$"):
+            brute_force_partition_function(
+                TorusGraph(m, d), preset("k3"), WeightSet.parse(weights)
+            )
+
     def test_budget_counts_the_sweep_not_the_raw_states(self):
         # ind on Q_5 has 2^32 raw states but a sweep of about 1.4e6 entries
         g = preset("ind")
