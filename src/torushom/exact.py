@@ -42,8 +42,6 @@ DEFAULT_TRANSFER_BUDGET = 10**7
 
 # Above this, int64 products could overflow; count modulo primes instead.
 _INT64_SAFE = 2**62
-# Columns of the character sums the sector route forms per product.
-_CHAR_BLOCK = 4096
 
 
 def _bit_rows(masks: Sequence[int], n: int) -> np.ndarray:
@@ -420,15 +418,15 @@ class _TransferEngine:
         self.g = g
         self.budget = budget
         self.scale, wint = w.integer_scaled()
-        # A state's weight depends only on its key: digit j, in base positions
-        # + 1, counts its positions whose color has the distinct weight vals[j].
-        vals, base = sorted(set(wint)), t.n // t.m + 1
-        if base ** len(vals) >= 2**63:
-            raise BudgetExceeded(f"state weight keys need {base}^{len(vals)} >= 2^63")
         self.states = _layer_states(t, g, budget)
-        radix = np.array([base ** vals.index(x) for x in wint], dtype=np.int64)
-        key = radix[self.states].sum(axis=1)
-        _, first, key_of = np.unique(key, return_index=True, return_inverse=True)
+        # A state's weight depends only on how many of its positions take each
+        # distinct weight. Classes are refined one weight at a time, so a key
+        # stays below s * (positions + 1).
+        key_of = np.zeros(len(self.states), dtype=np.intp)
+        for x in sorted(set(wint)):
+            hits = np.array([y == x for y in wint])[self.states].sum(axis=1)
+            key = key_of * (t.n // t.m + 1) + hits
+            _, first, key_of = np.unique(key, return_index=True, return_inverse=True)
         key_w = [math.prod(wint[c] for c in row) for row in self.states[first].tolist()]
         # weights: the distinct state weights, ascending; cls: each state's place
         self.weights = tuple(sorted(set(key_w)))
@@ -471,13 +469,10 @@ class _TransferEngine:
         """Translate vertex pins into an (m, states) mask of allowed states."""
         if not pins:
             return None
+        colors = _bit_rows(_pin_masks(self.t, self.g, pins), self.g.h).astype(bool)
         out = np.ones((self.t.m, len(self.states)), dtype=bool)
-        for v, cmask in pins.items():
-            if not (0 <= v < self.t.n):
-                raise ValueError(f"pinned vertex {v} outside torus")
-            layer, pos = v % self.t.m, v // self.t.m
-            colors = _bit_rows([cmask & self.g.full_mask], self.g.h)[0].astype(bool)
-            out[layer] &= colors[self.states[:, pos]]
+        for v in pins:
+            out[v % self.t.m] &= colors[v][self.states[:, v // self.t.m]]
         return out
 
     def z_int(self, allowed: np.ndarray | None) -> tuple[int, str, str]:
@@ -566,13 +561,7 @@ class _TransferEngine:
         w_mod = np.array([x % p for x in self.weights], dtype=np.float64)
         weighted = (counts * w_mod[self.cls[sec.reps], None]).reshape(group, n * n)
         # An entry sums at most |O'| <= |G| terms below p^2, so it is exact.
-        # Column blocks keep each product small enough for the BLAS to run
-        # it on one thread, which is faster here than splitting it.
-        mats = np.empty_like(weighted)
-        for j in range(0, n * n, _CHAR_BLOCK):
-            block = slice(j, j + _CHAR_BLOCK)
-            np.matmul(chars, weighted[:, block], out=mats[:, block])
-        mats = _reduce(mats, p).reshape(group, n, n)
+        mats = _reduce(chars @ weighted, p).reshape(group, n, n)
         mats *= sec.member[:, :, None] & sec.member[:, None, :]
         return _power_trace_mod(mats, self.t.m, p)
 

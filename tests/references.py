@@ -3,7 +3,8 @@
 None of this is reached by the `torushom` program, so it lives beside the
 tests rather than in `src/`: the farthest vertex by breadth-first search,
 the definition of an admissible pair, the block sizes of a blow-up, plain
-enumeration of colorings and their weights, closed forms for pure and near-pure families, the
+enumeration of colorings and their weights, the weight of each
+layer state, closed forms for pure and near-pure families, the
 eta^(n/2) bounds on |Hom|, the enumeration twin of the not-ideal
 estimator with its edge lookup, the per-color limit targets, the exact and
 limiting influence ratios, the exact-versus-limit comparison records, the
@@ -203,6 +204,13 @@ def enumerate_colorings(
                 yield from rec(v + 1)
 
     yield from rec(0)
+
+
+def state_weights(states: np.ndarray, w: WeightSet) -> list[int]:
+    """Integer-scaled weight of each layer state (one row of colors each),
+    as a Python product over its positions."""
+    wint = w.integer_scaled()[1]
+    return [math.prod(wint[c] for c in row) for row in states.tolist()]
 
 
 def pure_coloring_weight(

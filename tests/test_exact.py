@@ -41,6 +41,7 @@ from references import (
     is_valid_coloring,
     near_pure_one_defect_count,
     pure_coloring_weight,
+    state_weights,
 )
 
 
@@ -352,14 +353,22 @@ class TestTransferMatrix:
         assert res.z == 2146443144974317720907
         assert (res.route, res.arithmetic) == ("sectors", "modular")
 
-    def test_weight_keys_past_int64_are_refused_before_any_state(self):
-        # 16 distinct weights over the 16 positions of a Z_4^3 layer need
-        # keys up to 17^16 > 2^63; the layer sweep would pass 10^20 cells
-        # only after hours
+    def test_eight_distinct_weights_on_q9_count_by_transfer(self):
+        # 8 isolated looped colors on Q_9: each Q_8 layer is one color, so
+        # 8 layer states over 256 positions, and Z = sum_c c^512
+        g = ConstraintGraph(8, tuple(1 << k for k in range(8)))
+        w = WeightSet.parse(",".join(str(c) for c in range(1, 9)))
+        res = transfer_matrix_partition_function(TorusGraph(2, 9), g, w)
+        assert res.z == sum(c**512 for c in range(1, 9))
+        assert (res.route, res.layer_states) == ("bitset", 8)
+
+    def test_sixteen_distinct_weights_are_refused_by_the_layer_sweep(self):
+        # k16 with 16 distinct weights on Z_4^3: the class refinement sets
+        # no cap of its own, and the layer sweep refuses at the default budget
         g = preset("k16")
         w = WeightSet.parse(",".join(str(k) for k in range(1, 17)))
-        with pytest.raises(BudgetExceeded, match="17\\^16"):
-            transfer_matrix_partition_function(TorusGraph(4, 3), g, w, budget=10**20)
+        with pytest.raises(BudgetExceeded, match="at layer vertex 5 of 16"):
+            transfer_matrix_partition_function(TorusGraph(4, 3), g, w)
 
     def test_method_label(self):
         g = preset("ind")
@@ -511,6 +520,59 @@ class TestTransferMatrix:
         for k in range(1, 41):
             transfer_matrix_partition_function(t, g, WeightSet.parse(f"1,1,{k}"))
         assert exact_module._engine.cache_info().currsize <= bound < 40
+
+    @pytest.mark.parametrize(
+        "t, g, w, classes",
+        [
+            *(
+                pytest.param(i.torus, i.graph, i.weights, None, id=i.name)
+                for i in standard_corpus()
+            ),
+            # distinct weight counts whose products coincide, as 1*4 = 2*2
+            (Q3, preset("k4loop"), WeightSet.parse("1,2,3,4"), 25),
+            (TorusGraph(2, 4), preset("k4loop"), WeightSet.parse("1,2,3,4"), 81),
+            (TorusGraph(2, 4), preset("k3"), WeightSet.parse("1,2,4"), 9),
+            (TorusGraph(6, 2), preset("wr"), WeightSet.parse("1,2,3"), 19),
+            (
+                TorusGraph(2, 9),
+                ConstraintGraph(8, tuple(1 << k for k in range(8))),
+                WeightSet.parse("1,2,3,4,5,6,7,8"),
+                8,
+            ),
+        ],
+    )
+    def test_weight_classes_match_products_per_state(self, t, g, w, classes):
+        eng = exact_module._TransferEngine(t, g, w, DEFAULT_TRANSFER_BUDGET)
+        ref = state_weights(eng.states, w)
+        assert eng.weights == tuple(sorted(set(ref)))
+        assert [eng.weights[c] for c in eng.cls] == ref
+        if classes is not None:
+            assert len(eng.weights) == classes
+
+
+class TestPins:
+    @pytest.mark.parametrize(
+        "route, t",
+        [
+            (brute_force_partition_function, TorusGraph(2, 3)),
+            (transfer_matrix_partition_function, TorusGraph(2, 3)),  # bitset
+            (transfer_matrix_partition_function, TorusGraph(4, 1)),  # masked
+        ],
+    )
+    def test_pin_outside_torus_is_rejected(self, route, t):
+        g = preset("k3")
+        for v in (-1, t.n):
+            with pytest.raises(ValueError, match=f"pinned vertex {v} outside torus"):
+                route(t, g, ones(g), pins={v: 1})
+
+    @pytest.mark.parametrize("t", [TorusGraph(2, 3), TorusGraph(4, 1)])
+    def test_pin_bits_past_h_are_clipped(self, t):
+        g, w = preset("wr"), WeightSet.parse("1,2,3")
+        wide = {0: 0b1000101, t.n - 1: 0b110 | 1 << g.h}
+        clipped = {0: 0b101, t.n - 1: 0b110}
+        for route in (brute_force_partition_function, transfer_matrix_partition_function):
+            z = route(t, g, w, pins=clipped).z
+            assert route(t, g, w, pins=wide).z == z > 0
 
 
 # Every m >= 4 corpus instance, and two whose pinned counts pass 2^62.
