@@ -412,11 +412,12 @@ def cmd_sample(cfg: RunConfig, meta: dict) -> dict:
     except ValueError as e:
         raise ConfigError(str(e)) from None
     stats = ChainStats()
+    states = run_chain(t, g, w, chain_cfg, cfg.initial, stats=stats)
     even, odd = t.side_table
     trace = []
     step = cfg.burn_in
     final = None
-    for state in run_chain(t, g, w, chain_cfg, cfg.initial, stats=stats):
+    for state in states:
         step += thin
         label = classify(t, g, w, state)
         trace.append(

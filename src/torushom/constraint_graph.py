@@ -216,29 +216,14 @@ class InstanceStructure:
     class_weight: dict[ColorSet, Fraction]  # lambda of each class of a pair
 
 
-_BLOCK = 8
-_BLOCK_MASK = (1 << _BLOCK) - 1
-
-
-def _block_tables(items, op, unit) -> list[list]:
-    """For each block of 8 colors, `op` folded over every subset of the
-    block by the low-bit recurrence t[s] = op(t[s minus its low bit],
-    item of the low bit): 256 entries per block, never 2^h."""
-    tables = []
-    for base in range(0, len(items), _BLOCK):
-        block = items[base : base + _BLOCK]
-        table = [unit] * (1 << len(block))
-        for s in range(1, len(table)):
-            table[s] = op(table[s & (s - 1)], block[(s & -s).bit_length() - 1])
-        tables.append(table)
-    return tables
-
-
-def _fold(tables: list[list], op, acc, mask: int):
-    for table in tables:
-        acc = op(acc, table[mask & _BLOCK_MASK])
-        mask >>= _BLOCK
-    return acc
+def _subset_table(items, op, unit) -> list:
+    """`op` folded over every subset of the items, by the low-bit recurrence
+    t[s] = op(t[s minus its low bit], item of the low bit): 2^h entries,
+    65,536 at MAX_COLORS."""
+    table = [unit] * (1 << len(items))
+    for s in range(1, len(table)):
+        table[s] = op(table[s & (s - 1)], items[(s & -s).bit_length() - 1])
+    return table
 
 
 @lru_cache(maxsize=256)
@@ -259,15 +244,15 @@ def _structure(g: ConstraintGraph, w: WeightSet) -> InstanceStructure:
         raise EmptyConstraint("constraint graph has no edge or loop")
 
     c, ints = w.integer_scaled()
-    sums = _block_tables(ints, operator.add, 0)
-    nbhd = _block_tables(g.adj, operator.and_, g.full_mask)
+    sums = _subset_table(ints, operator.add, 0)
+    nbhd = _subset_table(g.adj, operator.and_, g.full_mask)
     best = 0
     arg_masks: list[int] = []
     for a in range(1, 1 << g.h):
-        b = _fold(nbhd, operator.and_, g.full_mask, a)
+        b = nbhd[a]
         if not b:
             continue
-        prod = _fold(sums, operator.add, 0, a) * _fold(sums, operator.add, 0, b)
+        prod = sums[a] * sums[b]
         if prod > best:
             best = prod
             arg_masks = [a]
@@ -279,19 +264,15 @@ def _structure(g: ConstraintGraph, w: WeightSet) -> InstanceStructure:
 
     pairs = []
     for a in arg_masks:
-        b = common_neighborhood(g, a)
-        assert common_neighborhood(g, b) == a, "maximizer must satisfy a = n(b)"
+        b = nbhd[a]
+        assert nbhd[b] == a, "maximizer must satisfy a = n(b)"
         pairs.append(MaximalPair(a, b))
     return InstanceStructure(
         scale_c=c,
         int_weights=ints,
         eta=Fraction(best, c * c),
         pairs=tuple(pairs),
-        class_weight={
-            cls: Fraction(_fold(sums, operator.add, 0, cls), c)
-            for p in pairs
-            for cls in p
-        },
+        class_weight={cls: Fraction(sums[cls], c) for p in pairs for cls in p},
     )
 
 

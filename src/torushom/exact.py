@@ -231,6 +231,8 @@ def brute_force_partition_function(
 
 def _is_prime(n: int) -> bool:
     """Miller-Rabin to bases 2, 3, 5 and 7, which is exact below 3,215,031,751."""
+    if n < 2:
+        return False
     for q in (2, 3, 5, 7):
         if n % q == 0:
             return n == q
@@ -254,10 +256,18 @@ def _is_prime(n: int) -> bool:
 def _prime(m: int, dim: int, i: int) -> int:
     """The i-th largest prime p = 1 (mod m), any prime for m = 1, at which
     every entry and partial sum of a product of two dim x dim residue
-    matrices, at most dim * (p - 1)^2, stays below 2^53 (float64 is exact)."""
-    p = _prime(m, dim, i - 1) - 1 if i else math.isqrt((2**53 - 1) // dim) + 1
+    matrices, at most dim * (p - 1)^2, stays below 2^53 (float64 is exact).
+    BudgetExceeded when there are only i such primes."""
+    top = math.isqrt((2**53 - 1) // dim) + 1
+    p = _prime(m, dim, i - 1) - 1 if i else top
     p -= (p - 1) % m  # the largest p' <= p with p' = 1 (mod m)
     while not _is_prime(p):
+        if p <= m:
+            raise BudgetExceeded(
+                f"counting modulo primes needs more primes p = 1 (mod {m}) "
+                f"below {top}, where float64 products stay exact, "
+                f"than there are ({i})"
+            )
         p -= m
     return p
 

@@ -30,7 +30,7 @@ from .constraint_graph import (
     instance_structure,
     mask_members,
 )
-from .errors import EmptyConstraint, InvalidColoring, NoValidInitial
+from .errors import BudgetExceeded, EmptyConstraint, InvalidColoring, NoValidInitial
 from .exact import Coloring, _coloring_fault
 from .torus import TorusGraph, giant_component
 
@@ -39,6 +39,11 @@ _RNG_BUFFER = 1 << 14
 # Entries of the palette gather (states x vertices x degree) a block of
 # states may hold: many states a block on Q_2, a few on Z_8^4.
 _BLOCK_ENTRIES = 1 << 14
+# Neighbour cells (n * degree) a chain may hold. A chain keeps about
+# 190-300 bytes of tables and state per cell, the most on degree-2 tori:
+# `sample --steps 10` peaks near 790 MB on Z_1250000 (2.5M cells) and
+# 450-490 MB on Q_17 (2.2M cells), both under 1 GB.
+_CHAIN_CELLS = 2_500_000
 
 # Desk-scale defaults; the asymptotic theory leaves the thresholds free,
 # so these are explicit configuration, not derived constants.
@@ -233,7 +238,8 @@ def run_chain(
     pure start that admits the pin if every restart fails), or "pure" for a
     two-palette start from the first maximal pair whose class on the pinned
     vertex's side holds the pinned color; any other string is a ValueError.
-    `stats.start` records which start was used.
+    `stats.start` records which start was used. A torus of more than
+    _CHAIN_CELLS neighbour cells is refused (BudgetExceeded) first.
 
     Each vertex keeps a neighbour code, the sum of (degree + 1)^c over its
     neighbours' colors c, which names the multiset of colors around it. A
@@ -243,6 +249,10 @@ def run_chain(
     in `stats` are added once, when the generator is exhausted (every
     step) or closed (the steps up to the last state yielded).
     """
+    if t.n * t.degree > _CHAIN_CELLS:
+        raise BudgetExceeded(
+            f"the chain needs {t.n}*{t.degree} > {_CHAIN_CELLS} neighbour cells"
+        )
     if cfg.pinned is not None:
         y, lcol = cfg.pinned
         if not (0 <= y < t.n) or not (0 <= lcol < g.h):

@@ -4,6 +4,7 @@ determinism, CSV export, and the golden corpus runner."""
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import torushom
-from torushom import exact
+from torushom import constraint_graph, exact
 from torushom.cli import (
     RunConfig,
     build_config,
@@ -43,17 +44,25 @@ def run_json(tmp_path, argv):
     return code, (doc["result"] if doc else None)
 
 
-def run_subprocess(argv):
+def run_subprocess(argv, memory_mb=None):
     """Run the CLI module in a new interpreter with a 60 s timeout, so a
-    refusal that first built what it refuses fails the test."""
+    refusal that first built what it refuses fails the test. `memory_mb`
+    caps the interpreter's address space, for a refusal whose failure
+    would otherwise fill the machine's memory before the timeout."""
     src = str(Path(torushom.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
+
+    def cap():
+        limit = memory_mb << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
     return subprocess.run(
         [sys.executable, "-m", "torushom.cli", *argv],
         capture_output=True,
         text=True,
         timeout=60,
         env={**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")},
+        preexec_fn=None if memory_mb is None else cap,
     )
 
 
@@ -147,6 +156,14 @@ class TestAnalyzeCommand:
         # past MAX_COLORS the subset scan refuses before it starts
         assert main(["analyze", "--h", "k17"]) == 3
         assert "budget error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h", ["k17", "k24"])
+    def test_past_the_cap_refused_before_any_subset_table(self, monkeypatch, h):
+        def no_table(*args):
+            raise AssertionError("a subset table was built")
+
+        monkeypatch.setattr(constraint_graph, "_subset_table", no_table)
+        assert main(["analyze", "--h", h]) == 3
 
     def test_blowup_past_the_cap_refused_before_it_is_built(self):
         # 1,000,001 clones would need 10^12 adjacency bits
@@ -287,6 +304,18 @@ class TestCountCommand:
             r"at layer vertex \d+ of 549755813888", proc.stderr
         )
 
+    @pytest.mark.parametrize("m, found", [("100000", 105), ("200000000", 0)])
+    def test_transfer_refused_when_its_primes_run_out(self, m, found):
+        # only `found` primes p = 1 (mod m) lie below the float64 bound
+        proc = run_subprocess(
+            ["count", "--h", "ind", "--m", m, "--d", "1", "--method", "transfer"]
+        )
+        assert proc.returncode == 3
+        assert (
+            f"needs more primes p = 1 (mod {m}) below 67108864, where float64 "
+            f"products stay exact, than there are ({found})" in proc.stderr
+        )
+
     def test_one_color_brute_on_large_torus_is_counted(self, tmp_path):
         # n = 2048 vertices: deeper than the interpreter's recursion limit,
         # which the vertex sweep does not meet
@@ -369,6 +398,16 @@ class TestSampleCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    def test_chain_past_its_cells_refused_before_its_tables(self):
+        # Q_40's tables would need terabytes; the memory cap turns a missing
+        # refusal into a failure instead of an exhausted machine
+        proc = run_subprocess(
+            ["sample", "--h", "ind", "--m", "2", "--d", "40", "--steps", "10"],
+            memory_mb=2048,
+        )
+        assert proc.returncode == 3
+        assert "the chain needs 1099511627776*40 > 2500000 neighbour cells" in proc.stderr
+
     def test_different_seed_changes_trace(self, tmp_path):
         base = ["sample", "--h", "k3", "--m", "2", "--d", "2",
                 "--steps", "500"]
@@ -378,6 +417,16 @@ class TestSampleCommand:
 
 
 class TestInfluenceCommand:
+    def test_chain_past_its_cells_refused_before_its_tables(self):
+        # the exact laws are refused too, and a chain is asked for
+        proc = run_subprocess(
+            ["influence", "--h", "ind", "--m", "2", "--d", "40", "--l", "0",
+             "--steps", "10"],
+            memory_mb=2048,
+        )
+        assert proc.returncode == 3
+        assert "the chain needs 1099511627776*40 > 2500000 neighbour cells" in proc.stderr
+
     def test_exact_comparison(self, tmp_path):
         code, res = run_json(
             tmp_path,

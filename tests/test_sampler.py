@@ -23,7 +23,7 @@ from torushom.constraint_graph import (
     preset,
     subset_weight,
 )
-from torushom.errors import InvalidColoring, NoValidInitial
+from torushom.errors import BudgetExceeded, InvalidColoring, NoValidInitial
 from torushom.exact import transfer_matrix_partition_function
 from torushom import sampler
 from torushom.sampler import (
@@ -352,6 +352,17 @@ class TestInitializers:
         msg = r"is not valid: edge \(0,1\) maps to non-adjacent colors \(0,0\)$"
         with pytest.raises(InvalidColoring, match=msg):
             list(run_chain(Q2, K3, WeightSet.ones(3), ChainConfig(steps=1), (0, 0, 1, 2)))
+
+    def test_torus_past_the_cell_cap_refused_before_any_table(self, monkeypatch):
+        # Z_4^2 holds 16 * 4 neighbour cells: accepted at a cap of 64,
+        # refused at 63 before a start or a torus table is formed
+        t = TorusGraph(4, 2)
+        monkeypatch.setattr(sampler, "_CHAIN_CELLS", 63)
+        with pytest.raises(BudgetExceeded, match=r"needs 16\*4 > 63 neighbour cells"):
+            run_chain(t, K3, WeightSet.ones(3), ChainConfig(steps=1), "magic")
+        assert not {"neighbor_table", "parity_table"} & set(vars(t))
+        monkeypatch.setattr(sampler, "_CHAIN_CELLS", 64)
+        assert len(list(run_chain(t, K3, WeightSet.ones(3), ChainConfig(steps=3)))) == 3
 
     def test_explicit_initial_contradicting_pin_rejected(self):
         cfg = ChainConfig(steps=2, pinned=(0, 1))

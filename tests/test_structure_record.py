@@ -22,10 +22,10 @@ WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 
 
 @st.composite
-def instances(draw, max_colors=6):
+def instances(draw, max_colors=6, min_colors=1):
     """A random constraint graph (loops allowed, at least one edge) with
     weights drawn from WEIGHTS."""
-    h = draw(st.integers(1, max_colors))
+    h = draw(st.integers(min_colors, max_colors))
     slots = [(i, j) for i in range(h) for j in range(i, h)]
     present = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
     assume(any(present))
@@ -82,6 +82,42 @@ def test_record_matches_a_rational_pair_scan(inst):
         all((lam * smaller).denominator == 1 for lam in w.weights)
         for smaller in range(1, c)
     )
+
+
+def neighbourhood_scan(g, w):
+    """eta and every maximizing (A, n(A)) over nonempty A, with n(A) the AND
+    of the adjacency rows of A's colors and lambda summed in Fractions."""
+
+    def weight(mask):
+        return sum((w.weights[k] for k in range(g.h) if mask >> k & 1), Fraction(0))
+
+    best, arg = Fraction(0), []
+    for a in range(1, 1 << g.h):
+        b = g.full_mask
+        for k in range(g.h):
+            if a >> k & 1:
+                b &= g.adj[k]
+        if not b:
+            continue
+        prod = weight(a) * weight(b)
+        if prod > best:
+            best, arg = prod, [(a, b)]
+        elif prod == best:
+            arg.append((a, b))
+    return best, arg, weight
+
+
+@given(instances(max_colors=12, min_colors=9))
+@settings(max_examples=30, deadline=None)
+def test_record_past_eight_colors_matches_a_neighbourhood_scan(inst):
+    """Subsets that span more than one byte of colors, which the 6-color
+    pair scan above never draws."""
+    g, w = inst
+    s = instance_structure(g, w)
+    eta, arg, weight = neighbourhood_scan(g, w)
+    assert s.eta == eta
+    assert [(p.a, p.b) for p in s.pairs] == arg
+    assert s.class_weight == {m: weight(m) for pair in arg for m in pair}
 
 
 @given(instances(max_colors=5), st.data())
