@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass, fields
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -63,7 +62,14 @@ from .exact import (
     engine_cache_counts,
     transfer_matrix_partition_function,
 )
-from .sampler import ChainConfig, ChainStats, _batch_stderr, classify, run_chain
+from .sampler import (
+    ChainConfig,
+    ChainStats,
+    _batch_stderr,
+    _state_blocks,
+    label_block,
+    run_chain,
+)
 from .torus import TorusGraph
 
 COMMANDS = ("analyze", "count", "sample", "influence", "conjecture", "corpus")
@@ -413,24 +419,24 @@ def cmd_sample(cfg: RunConfig, meta: dict) -> dict:
         raise ConfigError(str(e)) from None
     stats = ChainStats()
     states = run_chain(t, g, w, chain_cfg, cfg.initial, stats=stats)
-    even, odd = t.side_table
     trace = []
     step = cfg.burn_in
     final = None
-    for state in states:
-        step += thin
-        label = classify(t, g, w, state)
-        trace.append(
-            {
-                "step": step,
-                "kind": label.kind,
-                "pair": pair_labels(g, label.pair) if label.pair else None,
-                "ideal_fraction": frac_str(label.ideal_fraction),
-                "histogram_even": _side_histogram(g, state, even),
-                "histogram_odd": _side_histogram(g, state, odd),
-            }
-        )
-        final = label
+    for block in _state_blocks(t, states):
+        labels, counts = label_block(t, g, w, block)
+        for label, (even, odd) in zip(labels, counts.tolist()):
+            step += thin
+            trace.append(
+                {
+                    "step": step,
+                    "kind": label.kind,
+                    "pair": pair_labels(g, label.pair) if label.pair else None,
+                    "ideal_fraction": frac_str(label.ideal_fraction),
+                    "histogram_even": dict(zip(g.labels, even)),
+                    "histogram_odd": dict(zip(g.labels, odd)),
+                }
+            )
+        final = labels[-1]
     meta["start"] = stats.start
     meta["restarts"] = stats.restarts
     return {
@@ -447,11 +453,6 @@ def cmd_sample(cfg: RunConfig, meta: dict) -> dict:
         },
         "final_kind": final.kind if final else None,
     }
-
-
-def _side_histogram(g: ConstraintGraph, state, side) -> dict:
-    counts = Counter(state[v] for v in side)
-    return {g.labels[k]: counts.get(k, 0) for k in range(g.h)}
 
 
 def _sample_summary(result: dict) -> str:

@@ -5,14 +5,14 @@ weights restricted to what the neighborhood allows, so the stationary
 law is exactly the Gibbs distribution. On top of the dynamics sit the
 structural observables: ideal edges (edges whose endpoint neighborhoods
 show exactly the two palettes of a maximal pair), the not-ideal
-probability estimator, and a phase classifier that labels a coloring by the largest ideal component.
+probability estimator, and a phase labeller that labels each coloring of
+a block by its largest ideal component.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -32,12 +32,13 @@ from .constraint_graph import (
 )
 from .errors import BudgetExceeded, EmptyConstraint, InvalidColoring, NoValidInitial
 from .exact import Coloring, _coloring_fault
-from .torus import TorusGraph, giant_component
+from .torus import TorusGraph
 
 _GREEDY_RESTARTS = 100
 _RNG_BUFFER = 1 << 14
 # Entries of the palette gather (states x vertices x degree) a block of
-# states may hold: many states a block on Q_2, a few on Z_8^4.
+# states may hold: 2,048 states on Q_2, 8 on Z_4^4, and one on Z_8^4,
+# whose 32,768 entries are past the cap.
 _BLOCK_ENTRIES = 1 << 14
 # Neighbour cells (n * degree) a chain may hold. A chain keeps about
 # 190-300 bytes of tables and state per cell, the most on degree-2 tori:
@@ -366,6 +367,14 @@ def _blocks(t: TorusGraph, states: Iterable) -> Iterator[list]:
     return iter(lambda: list(islice(it, rows)), [])
 
 
+def _state_blocks(t: TorusGraph, states: Iterable[Coloring]) -> Iterator[np.ndarray]:
+    """`states` in 2-D uint8 arrays of as many rows as one `_ideal_hits`
+    block holds."""
+    # colors are below MAX_COLORS = 16: a byte each
+    for block in _blocks(t, map(bytes, states)):
+        yield np.frombuffer(b"".join(block), np.uint8).reshape(len(block), t.n)
+
+
 def _batch_stderr(xs: Sequence[float]) -> float:
     nb = max(2, min(64, int(math.isqrt(len(xs)))))
     size = len(xs) // nb
@@ -397,9 +406,7 @@ def epsilon_estimate(
     s = instance_structure(g, w)
     n_edges = t.num_edges
     xs: list[float] = []
-    # colors are below MAX_COLORS = 16: a byte each
-    for block in _blocks(t, map(bytes, run_chain(t, g, w, cfg, initial))):
-        states = np.frombuffer(b"".join(block), np.uint8).reshape(len(block), t.n)
+    for states in _state_blocks(t, run_chain(t, g, w, cfg, initial)):
         hit, _ = _ideal_hits(t, s, states)
         # the same float as (n_edges - ideal count) / n_edges in Python
         xs.extend(((n_edges - hit.sum(axis=1)) / n_edges).tolist())
@@ -424,16 +431,52 @@ class PhaseLabel:
     deviations: tuple[tuple[int, float], ...] = field(default=())
 
 
-def classify(
+def _component_roots(t: TorusGraph, kept: np.ndarray) -> np.ndarray:
+    """The lowest vertex of each vertex's component in the subgraph of the
+    kept edges, where `kept` holds a truth value per row and entry of
+    t.edge_table; one row of vertices per row of `kept`.
+
+    Every vertex starts as its own root. Each round hooks the larger root
+    of every edge whose ends have different roots onto the smallest root
+    it meets there, then jumps pointers until each vertex points at a
+    root. Roots only move down, so the root of a component is its lowest
+    vertex; an edge whose ends share a root is dropped for good.
+    """
+    rows, edges = np.nonzero(kept)
+    n = t.n
+    even, odd = t.edge_array
+    u = even.take(edges) + rows * n
+    v = odd.take(edges) + rows * n
+    root = np.arange(len(kept) * n)
+    while True:
+        ru, rv = root.take(u), root.take(v)
+        split = ru != rv
+        if not split.any():
+            break
+        u, v, ru, rv = u[split], v[split], ru[split], rv[split]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = root.take(root)
+            if np.array_equal(up, root):
+                break
+            root = up
+    return root.reshape(-1, n) - np.arange(0, root.size, n)[:, None]
+
+
+def label_block(
     t: TorusGraph,
     g: ConstraintGraph,
     w: WeightSet,
-    f: Sequence[int],
+    states,
     *,
     defect_cap: float = DEFAULT_DEFECT_CAP,
     balance_tol: float = DEFAULT_BALANCE_TOL,
-) -> PhaseLabel:
-    """Label a coloring Pure(A,B) or Exceptional from its ideal subgraph.
+) -> tuple[list[PhaseLabel], np.ndarray]:
+    """Label each row of a 2-D block of colorings Pure(A,B) or Exceptional
+    from its ideal subgraph, and count each side's colors.
+
+    Returns one label per row and a (rows, 2, h) array of how many even
+    (index 0) and odd (index 1) vertices of each row hold each color.
 
     Pure requires the largest ideal-edge component to cover at least
     (1 - defect_cap) of all vertices; among equal largest components the
@@ -443,46 +486,79 @@ def classify(
     inside its side's class, so the defect sets are small by
     construction. Balance compares per-color side frequencies against
     the within-class weight proportions, multiplicatively.
+
+    The whole block shares one `_ideal_hits` gather, one component
+    search and one count of colors per side.
     """
     s = instance_structure(g, w)
-    hit, at = _ideal_hits(t, s, (f,))
-    hit, at = hit[0], at[0]
-    n_ideal = int(np.count_nonzero(hit))
-    frac = Fraction(n_ideal, t.num_edges)
-    if not n_ideal:
-        return PhaseLabel("exceptional", None, frozenset(), frozenset(), frac, None)
+    states = np.asarray(states)
+    r, n = states.shape
+    hit, at = _ideal_hits(t, s, states)
+    n_ideal = hit.sum(axis=1)
+    # component sizes, counted at each component's lowest vertex
+    roots = _component_roots(t, hit) + np.arange(0, r * n, n)[:, None]
+    sizes = np.bincount(roots.ravel(), minlength=r * n).reshape(r, n)
+    # the first largest root is the component with the lowest vertex
+    best = sizes.argmax(axis=1)
+    pure = np.flatnonzero(
+        (n_ideal > 0) & (sizes.max(axis=1) >= (1 - defect_cap) * n)
+    )
 
-    size, root, comp = giant_component(t, hit)
-    if size < (1 - defect_cap) * t.n:
-        return PhaseLabel("exceptional", None, frozenset(), frozenset(), frac, None)
+    # colors by side: sided[i, 0] on the even vertices, sided[i, 1] odd
+    h = g.h
+    sided = states.take(t.side_array, axis=1)
+    slots = np.arange(0, 2 * r * h, h).reshape(r, 2, 1)
+    counts = np.bincount(
+        (sided + slots).ravel(), minlength=2 * r * h
+    ).reshape(r, 2, h)
 
     # The component has an ideal edge at each of its vertices, and its
     # edges agree on one maximal pair by connectivity: read it off the
     # first ideal edge at the component's lowest vertex.
-    incident = t.incidence_array[:, comp.index(root)]
-    pair = s.pairs[at[incident[hit[incident]][0]]]
-    even, odd = t.side_table
-    defect_e = frozenset(v for v in even if not (pair.a >> f[v]) & 1)
-    defect_o = frozenset(v for v in odd if not (pair.b >> f[v]) & 1)
+    incident = t.incidence_array.take(best[pure], axis=1)
+    first = hit[pure, incident].argmax(axis=0)
+    which = at[pure, incident[first, np.arange(len(pure))]].tolist()
+    classes = np.array([s.pairs[k] for k in which], dtype=np.int64)
+    classes = classes.reshape(-1, 2, 1)
+    # the vertices of each side colored outside that side's class, in
+    # order of pure row, then side
+    outside = ((classes >> sided[pure]) & 1) == 0
+    place = np.nonzero(outside)
+    defects = t.side_array[place[1], place[2]].tolist()
+    bounds = [0, *outside.sum(axis=2).cumsum().tolist()]
+    sets = [frozenset(defects[a:b]) for a, b in zip(bounds, bounds[1:])]
+    found = dict(zip(pure.tolist(), zip(which, sets[0::2], sets[1::2])))
 
-    # With c of a side's half vertices colored k, the deviation
-    # |c/half - lambda_k/lambda_A| / (lambda_k/lambda_A) is the rational
-    # |c lambda_A - half lambda_k| / (half lambda_k), here in the integer-
-    # scaled weights; int / int rounds it once, as float(Fraction) does.
-    half = t.n // 2
     ints = s.int_weights
-    devs = []
-    balanced = True
-    for mask, side_vertices in ((pair.a, even), (pair.b, odd)):
-        members = mask_members(mask)
-        lam = sum(ints[k] for k in members)
-        counts = Counter(map(f.__getitem__, side_vertices))
-        for k in members:
-            target = half * ints[k]
-            rel = abs(counts[k] * lam - target) / target
-            devs.append((k, rel))
-            if rel > balance_tol:
-                balanced = False
-    return PhaseLabel(
-        "pure", pair, defect_e, defect_o, frac, balanced, tuple(devs)
-    )
+    half = n // 2
+    labels = []
+    for i, (ideal, side_counts) in enumerate(
+        zip(n_ideal.tolist(), counts.tolist())
+    ):
+        frac = Fraction(ideal, t.num_edges)
+        if i not in found:
+            labels.append(PhaseLabel(
+                "exceptional", None, frozenset(), frozenset(), frac, None
+            ))
+            continue
+        at_pair, defect_e, defect_o = found[i]
+        pair = s.pairs[at_pair]
+        # With c of a side's half vertices colored k, the deviation
+        # |c/half - lambda_k/lambda_A| / (lambda_k/lambda_A) is the rational
+        # |c lambda_A - half lambda_k| / (half lambda_k), here in the integer-
+        # scaled weights; int / int rounds it once, as float(Fraction) does.
+        devs = []
+        balanced = True
+        for mask, side in zip(pair, side_counts):
+            members = mask_members(mask)
+            lam = sum(ints[k] for k in members)
+            for k in members:
+                target = half * ints[k]
+                rel = abs(side[k] * lam - target) / target
+                devs.append((k, rel))
+                if rel > balance_tol:
+                    balanced = False
+        labels.append(PhaseLabel(
+            "pure", pair, defect_e, defect_o, frac, balanced, tuple(devs)
+        ))
+    return labels, counts

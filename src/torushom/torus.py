@@ -119,6 +119,11 @@ class TorusGraph:
         return _frozen(np.array(self.neighbor_table, dtype=np.intp).T)
 
     @cached_property
+    def side_array(self) -> np.ndarray:
+        """side_table as a (2, n/2) array: even side, then odd."""
+        return _frozen(np.array(self.side_table, dtype=np.intp))
+
+    @cached_property
     def edge_array(self) -> np.ndarray:
         """edge_table as a (2, num_edges) array: even endpoints, then odd."""
         return _frozen(np.array(self.edge_table, dtype=np.intp).T)
@@ -152,35 +157,3 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
-
-def giant_component(t: TorusGraph, kept) -> tuple[int, int, list[int]]:
-    """Components of the subgraph of the kept edges, where `kept` holds a
-    truth value per entry of t.edge_table. Returns the largest size, the
-    id of the first component of that size and a component id per vertex;
-    ids count up from 0 in the order of each component's lowest vertex."""
-    n = t.n
-    # kept neighbors per vertex; n stands in for a dropped one
-    rows = np.where(
-        np.asarray(kept, dtype=bool)[t.incidence_array], t.neighbor_array, n
-    ).T.tolist()
-    comp = [-1] * n + [0]  # the stand-in counts as visited
-    best = root = 0
-    cid = 0
-    for s in range(n):
-        if comp[s] >= 0:
-            continue
-        stack = [s]
-        comp[s] = cid
-        size = 0
-        while stack:
-            u = stack.pop()
-            size += 1
-            for v in rows[u]:
-                if comp[v] < 0:
-                    comp[v] = cid
-                    stack.append(v)
-        if size > best:
-            best, root = size, cid
-        cid += 1
-    del comp[n]
-    return best, root, comp

@@ -1,12 +1,13 @@
 """Reference definitions that tests compare the program against.
 
 None of this is reached by the `torushom` program, so it lives beside the
-tests rather than in `src/`: the farthest vertex by breadth-first search,
+tests rather than in `src/`: the largest component of a subgraph by
+depth-first search, the farthest vertex by breadth-first search,
 the definition of an admissible pair, the block sizes of a blow-up, plain
 enumeration of colorings and their weights, the weight of each
 layer state, closed forms for pure and near-pure families, the
 eta^(n/2) bounds on |Hom|, the enumeration twin of the not-ideal
-estimator with its edge lookup, the per-color limit targets, the exact and
+estimator with its edge lookup, the label of a single coloring, the per-color limit targets, the exact and
 limiting influence ratios, the exact-versus-limit comparison records, the
 q-coloring count prediction, the closed-chain count g of one color-set
 tuple with the per-pair alternating identity it checks, the JSON form of an
@@ -70,13 +71,17 @@ from torushom.proof_quantities import (
 )
 from torushom.sampler import (
     _RNG_BUFFER,
+    DEFAULT_BALANCE_TOL,
+    DEFAULT_DEFECT_CAP,
     ChainConfig,
     ChainStats,
+    PhaseLabel,
     _blocks,
     _draw,
     _ideal_hits,
     _resolve_initial,
     chain_rng,
+    label_block,
 )
 from torushom.torus import TorusGraph
 
@@ -91,6 +96,40 @@ def decode(t: TorusGraph, v: int) -> tuple[int, ...]:
         out.append(v % t.m)
         v //= t.m
     return tuple(reversed(out))
+
+
+def giant_component(t: TorusGraph, kept) -> tuple[int, int, list[int]]:
+    """Components of the subgraph of the kept edges, where `kept` holds a
+    truth value per entry of t.edge_table, by depth-first search. Returns
+    the largest size, the id of the first component of that size and a
+    component id per vertex; ids count up from 0 in the order of each
+    component's lowest vertex."""
+    n = t.n
+    # kept neighbors per vertex; n stands in for a dropped one
+    rows = np.where(
+        np.asarray(kept, dtype=bool)[t.incidence_array], t.neighbor_array, n
+    ).T.tolist()
+    comp = [-1] * n + [0]  # the stand-in counts as visited
+    best = root = 0
+    cid = 0
+    for s in range(n):
+        if comp[s] >= 0:
+            continue
+        stack = [s]
+        comp[s] = cid
+        size = 0
+        while stack:
+            u = stack.pop()
+            size += 1
+            for v in rows[u]:
+                if comp[v] < 0:
+                    comp[v] = cid
+                    stack.append(v)
+        if size > best:
+            best, root = size, cid
+        cid += 1
+    del comp[n]
+    return best, root, comp
 
 
 def far_vertex_bfs(t: TorusGraph, side: str) -> int:
@@ -413,6 +452,22 @@ def reference_chain(
 
 
 # ---------------------------------------------------------- ideal edges
+
+def classify(
+    t: TorusGraph,
+    g: ConstraintGraph,
+    w: WeightSet,
+    f: Sequence[int],
+    *,
+    defect_cap: float = DEFAULT_DEFECT_CAP,
+    balance_tol: float = DEFAULT_BALANCE_TOL,
+) -> PhaseLabel:
+    """The label of one coloring: `label_block` on a block of one."""
+    labels, _ = label_block(
+        t, g, w, [f], defect_cap=defect_cap, balance_tol=balance_tol
+    )
+    return labels[0]
+
 
 def ideal_edge_map(
     t: TorusGraph, g: ConstraintGraph, w: WeightSet, f: Sequence[int]

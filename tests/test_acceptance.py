@@ -50,8 +50,8 @@ from torushom.proof_quantities import (
 )
 from torushom.sampler import (
     ChainConfig,
-    classify,
     epsilon_estimate,
+    label_block,
     run_chain,
 )
 from torushom.torus import TorusGraph
@@ -508,22 +508,21 @@ def test_criterion_10_label_equivariance():
         cap = 0.1 * t.n
         for state in run_chain(t, g, w, cfg):
             total += 1
-            label = classify(t, g, w, state)
+            # the state, its shift and its relabelings as one block
+            block = [state, tuple(state[v] for v in sigma)]
+            block += [tuple(perm[c] for c in state) for perm in perms]
+            label, swapped, *relabelings = label_block(t, g, w, block)[0]
             if label.kind == "pure":
                 pure_seen += 1
                 ok = ok and (
                     len(label.defect_e) + len(label.defect_o) <= cap
                 )
-            swapped = classify(t, g, w, tuple(state[v] for v in sigma))
             ok = ok and swapped.kind == label.kind
             if label.pair is not None:
                 ok = ok and swapped.pair == MaximalPair(
                     label.pair.b, label.pair.a
                 )
-            for perm in perms:
-                relabeled = classify(
-                    t, g, w, tuple(perm[c] for c in state)
-                )
+            for perm, relabeled in zip(perms, relabelings):
                 ok = ok and relabeled.kind == label.kind
                 if label.pair is not None:
                     ok = ok and relabeled.pair == MaximalPair(

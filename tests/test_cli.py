@@ -724,9 +724,10 @@ class TestStructureCacheMeta:
         [
             # the instance and its blow-up
             (["analyze", "--h", "wr", "--weights", "1,3/2,1"], 2, 2),
-            # one record lookup per classified sample, and one for the start
+            # one record lookup for the start and one per block of
+            # classified samples: the 20 samples on Q_2 make one block
             (["sample", "--h", "wr", "--weights", "1,3/2,1", "--m", "2",
-              "--d", "2", "--steps", "400", "--thin", "20", "--initial", "pure"], 21, 1),
+              "--d", "2", "--steps", "400", "--thin", "20", "--initial", "pure"], 2, 1),
             (["influence", "--h", "wr", "--weights", "1,3/2,1", "--m", "2",
               "--d", "2", "--x", "antipodal", "--l", "1"], 1, 1),
         ],

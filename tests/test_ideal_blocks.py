@@ -4,6 +4,7 @@ draw tables against the clamped search they replace; the greedy restart
 count; and the estimator's refusal of a chain that yields no sample."""
 
 import math
+import random
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -28,15 +29,17 @@ from torushom.sampler import (
     _batch_stderr,
     _draw,
     _ideal_hits,
-    classify,
     epsilon_estimate,
+    label_block,
     run_chain,
 )
 from torushom.torus import TorusGraph
 from references import (
+    classify,
     coloring_weight,
     enumerate_colorings,
     exact_not_ideal_probability,
+    giant_component,
     ideal_edge_map,
 )
 
@@ -201,6 +204,116 @@ def test_any_coloring_matches_the_oracle(torus, inst, data):
     assert helper_hits(hit[0], at[0]) == hits_from_oracle(t, g, w, f)
     got = classify(t, g, w, f, defect_cap=0.6)
     assert label_tuple(got) == oracle_label(t, g, w, f, 0.6, 0.2)
+
+
+BLOCK_TORI = ["Q2", "Q3", "Z4^2", "Z6^2", "Z4^3"]
+# (defect_cap, balance_tol); caps of 1/2 and more let two equal largest
+# components both pass
+LABEL_SETTINGS = ((0.1, 0.2), (0.4, 0.05), (0.5, 0.2), (0.6, 0.5), (0.9, 0.2))
+
+
+def patched_coloring(t, cut, first, second, picks):
+    """Vertices below `cut` colored from the classes of pair `first`, the
+    rest from `second`: each vertex takes the class member its pick names."""
+    f = []
+    for v, pick in enumerate(picks):
+        pair = first if v < cut else second
+        members = mask_members(pair.b if t.parity_table[v] else pair.a)
+        f.append(members[pick % len(members)])
+    return f
+
+
+@st.composite
+def block_colorings(draw, t, g, s):
+    """One coloring: two pure patches with a few recolored vertices, any
+    coloring at all, or one color everywhere."""
+    kind = draw(st.sampled_from(["patches", "any", "constant"]))
+    if kind == "constant":
+        return (draw(st.integers(0, g.h - 1)),) * t.n
+    picks = draw(st.lists(st.integers(0, 15), min_size=t.n, max_size=t.n))
+    if kind == "any":
+        return tuple(k % g.h for k in picks)
+    pairs = st.sampled_from(s.pairs)
+    f = patched_coloring(t, draw(st.integers(0, t.n)), draw(pairs), draw(pairs), picks)
+    recolor = st.tuples(st.integers(0, t.n - 1), st.integers(0, g.h - 1))
+    for v, k in draw(st.lists(recolor, max_size=3)):
+        f[v] = k
+    return tuple(f)
+
+
+def side_counts(t, g, f):
+    return [[sum(f[v] == k for v in side) for k in range(g.h)] for side in t.side_table]
+
+
+@given(
+    torus=st.sampled_from(BLOCK_TORI),
+    inst=st.sampled_from(sorted(INSTANCES)),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_block_labels_match_the_oracle_state_by_state(torus, inst, data):
+    t = TORI[torus]
+    g, w = instance(inst)
+    block = data.draw(
+        st.lists(block_colorings(t, g, instance_structure(g, w)), min_size=1, max_size=8)
+    )
+    packed = np.array(block, dtype=np.uint8)
+    for cap, tol in LABEL_SETTINGS:
+        want = [oracle_label(t, g, w, f, cap, tol) for f in block]
+        for states in (block, packed):
+            labels, counts = label_block(
+                t, g, w, states, defect_cap=cap, balance_tol=tol
+            )
+            assert [label_tuple(label) for label in labels] == want
+            assert counts.tolist() == [side_counts(t, g, f) for f in block]
+
+
+def tied_coloring(t, g, w):
+    """A coloring, found by a seeded search over two-patch colorings, whose
+    ideal subgraph has two equal largest components showing different
+    pairs; and their size."""
+    s = instance_structure(g, w)
+    rng = random.Random(0)
+    for _ in range(5_000):
+        first, second = rng.sample(s.pairs, 2)
+        picks = [rng.randrange(16) for _ in range(t.n)]
+        f = patched_coloring(t, rng.randrange(1, t.n), first, second, picks)
+        ideal = ideal_edge_map(t, g, w, f)
+        size, _, comp = giant_component(t, [e in ideal for e in t.edge_table])
+        tops = {c for c in comp if comp.count(c) == size}
+        shown = {frozenset(p for e, p in ideal.items() if comp[e[0]] == c) for c in tops}
+        if len(tops) > 1 and len(shown) > 1:
+            return f, size
+    raise AssertionError("no tied coloring found")
+
+
+@pytest.mark.parametrize("torus", ["Q3", "Z4^2", "Z6^2", "Z4^3"])
+def test_a_mixed_block_with_a_tie_matches_the_oracle(torus):
+    t = TORI[torus]
+    g, w = instance("ind")
+    tied, size = tied_coloring(t, g, w)
+    # the tied components pass the cap, which is then at least 1/2
+    tie_cap = 1 - (size - 0.5) / t.n
+    assert tie_cap >= 0.5
+    # ind's colors are 0 = in, 1 = out. Even vertices in or out by the
+    # parity of their first coordinate, odd ones out: each odd vertex sees
+    # both colors, each even one sees out, so every edge shows ({0, 1}, {1}).
+    pure = tuple(
+        (v // (t.n // t.m)) % 2 if t.parity_table[v] == 0 else 1 for v in range(t.n)
+    )
+    nothing = (1,) * t.n  # every palette is {out}: no edge is ideal
+    block = [pure, tied, nothing, pure]
+    labels, _ = label_block(t, g, w, block)
+    assert [label.kind for label in labels] == ["pure", "exceptional", "exceptional", "pure"]
+    assert labels[0].ideal_fraction == 1
+    assert labels[1].ideal_fraction > 0 and labels[2].ideal_fraction == 0
+    for cap, tol in (*LABEL_SETTINGS, (tie_cap, 0.2)):
+        labels, _ = label_block(t, g, w, block, defect_cap=cap, balance_tol=tol)
+        assert [label_tuple(label) for label in labels] == [
+            oracle_label(t, g, w, f, cap, tol) for f in block
+        ]
+    labels, _ = label_block(t, g, w, block, defect_cap=tie_cap)
+    assert labels[1].kind == "pure"
 
 
 @pytest.mark.parametrize("torus", ["Q2", "Q3"])

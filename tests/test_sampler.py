@@ -30,7 +30,6 @@ from torushom.sampler import (
     ChainConfig,
     ChainStats,
     chain_rng,
-    classify,
     epsilon_estimate,
     run_chain,
     _pure_initial,
@@ -38,6 +37,7 @@ from torushom.sampler import (
 )
 from torushom.torus import TorusGraph
 from references import (
+    classify,
     coloring_weight,
     edge_index,
     enumerate_colorings,

@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torushom.torus import TorusGraph, giant_component
-from references import decode
+from torushom.sampler import _component_roots
+from torushom.torus import TorusGraph
+from references import decode, giant_component
 
 
 class TestConstruction:
@@ -86,26 +88,35 @@ class TestBipartition:
             assert t.parity(u) != t.parity(v)
 
 
+def roots_of(t, kept) -> list[int]:
+    """The block component routine on a block of one kept-edge vector."""
+    return _component_roots(t, np.array([kept], dtype=bool))[0].tolist()
+
+
+def largest(t, kept) -> int:
+    return max(Counter(roots_of(t, kept)).values())
+
+
 class TestGiantComponent:
     def test_no_deletion(self):
         t = TorusGraph(4, 2)
-        size, _, comp = giant_component(t, [True] * t.num_edges)
-        assert size == t.n
-        assert len(set(comp)) == 1
+        roots = roots_of(t, [True] * t.num_edges)
+        assert roots == [0] * t.n
 
     def test_all_edges_of_c4(self):
         t = TorusGraph(2, 2)
-        size, _, comp = giant_component(t, [False] * t.num_edges)
-        assert size == 1
-        assert len(set(comp)) == t.n
+        roots = roots_of(t, [False] * t.num_edges)
+        assert roots == list(range(t.n))
 
     def test_isolate_two_vertices(self):
         t = TorusGraph(4, 2)
         lone = {t.encode((0, 0)), t.encode((2, 2))}
         kept = [not lone & set(e) for e in t.edge_table]
         assert kept.count(False) == 8
-        size, _, _ = giant_component(t, kept)
-        assert size == 14
+        assert largest(t, kept) == 14
+        roots = roots_of(t, kept)
+        assert roots[t.encode((2, 2))] == t.encode((2, 2))
+        assert sorted(set(roots)) == [0, 1, t.encode((2, 2))]
 
 
 class TestAudits:
@@ -123,7 +134,7 @@ class TestAudits:
                 if nd**d * 4 ** (d - 1) >= m ** (d * (d - 1)):
                     continue
                 gone = set(dele)
-                size, _, _ = giant_component(t, [e not in gone for e in all_edges])
+                size = largest(t, [e not in gone for e in all_edges])
                 assert (t.n - size) ** (d - 1) <= nd**d
 
 
@@ -163,12 +174,41 @@ def test_kept_mask_components_match_deletion(md, data):
     for (u, v), k in zip(t.edge_table, kept):
         if k:
             assert comp[u] == comp[v]
+    # the block routine names each component by its lowest vertex
+    assert roots_of(t, kept) == [comp.index(c) for c in comp]
+
+
+@given(
+    md=st.sampled_from([(2, 1), (2, 2), (2, 3), (4, 2), (4, 3), (6, 2)]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_block_components_match_the_search_row_by_row(md, data):
+    # rows from all-dropped to all-kept, so paths, cycles and the whole
+    # torus all appear as components
+    t = TorusGraph(*md)
+    rows = data.draw(st.lists(
+        st.tuples(st.floats(0, 1), st.randoms(use_true_random=False)),
+        min_size=1, max_size=6,
+    ))
+    kept = np.array([[r.random() < p for _ in range(t.num_edges)] for p, r in rows])
+    roots = _component_roots(t, kept)
+    assert roots.shape == (len(kept), t.n)
+    for row, got in zip(kept, roots.tolist()):
+        best, root, comp = giant_component(t, row)
+        assert got == [comp.index(c) for c in comp]
+        sizes = Counter(got)
+        assert max(sizes.values()) == best
+        # the first largest component by lowest vertex is the search's
+        assert min(v for v, z in sizes.items() if z == best) == comp.index(root)
 
 
 def test_arrays_mirror_the_tables():
     t = TorusGraph(4, 3)
     assert t.neighbor_array.T.tolist() == [list(r) for r in t.neighbor_table]
     assert t.edge_array.T.tolist() == [list(e) for e in t.edge_table]
+    assert t.side_array.tolist() == [list(side) for side in t.side_table]
+    assert not t.side_array.flags.writeable
     for v in range(t.n):
         for u, e in zip(t.neighbor_array[:, v], t.incidence_array[:, v]):
             assert set(t.edge_table[e]) == {v, u}

@@ -13,6 +13,9 @@ chain with the start it reports and its greedy restarts: greedy and pure
 starts on Z_4^2, the pure fallback on Z_8^3, and a pinned pure start whose
 first maximal pair does not admit the pin. Its digests were recorded
 before the pure start became one function.
+
+The sample lock digests the `result` of two `sample` commands on Z_4^4
+and Z_8^4, recorded before `sample` labelled its states in blocks.
 """
 
 import hashlib
@@ -20,9 +23,11 @@ import json
 
 import pytest
 
+from torushom.cli import main
 from torushom.constraint_graph import WeightSet, preset
-from torushom.sampler import ChainConfig, ChainStats, classify, epsilon_estimate, run_chain
+from torushom.sampler import ChainConfig, ChainStats, epsilon_estimate, run_chain
 from torushom.torus import TorusGraph
+from references import classify
 
 SEEDS = (0, 1, 2)
 Q2 = TorusGraph(2, 2)
@@ -249,3 +254,25 @@ START_LOCKED = {
 @pytest.mark.parametrize("name", sorted(START_CASES))
 def test_start_unchanged(name):
     assert start_digests(name) == START_LOCKED[name]
+
+
+# `sample` on tori past the Q_2 golden, wr from a pure start, 100,000 steps
+# thinned to 200 states: Z_4^4 labels its states in blocks of 8, Z_8^4
+# (n * degree = 32,768 palette entries, past the block cap) one at a time.
+# (m, d) -> digest of the `result` section, recorded before the labeller
+# worked on blocks.
+SAMPLE_LOCKED = {
+    (4, 4): "d8d0b22685a25ada",
+    (8, 4): "25b8cd270d6eb758",
+}
+
+
+@pytest.mark.parametrize("m, d", sorted(SAMPLE_LOCKED))
+def test_sample_unchanged(tmp_path, m, d):
+    out = tmp_path / "sample.json"
+    argv = ["sample", "--h", "wr", "--m", str(m), "--d", str(d), "--steps", "100000",
+            "--initial", "pure", "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    result = json.loads(out.read_text())["result"]
+    assert len(result["trace"]) == 200
+    assert _digest(result) == SAMPLE_LOCKED[(m, d)]
