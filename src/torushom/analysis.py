@@ -12,9 +12,9 @@ The occupation law takes S = every maximal pair (the B classes for odd
 x); the law given f(y)=ell at a far y keeps the pairs that can show ell
 there, ell in A for even y and ell in B for odd y. The exact finite-torus
 side of every comparison, the law of f(x) with or without a pinned far
-vertex, is formed here from the counting module's pinned partition
-functions, so distances between the two are honest measurements, not
-simulations.
+vertex, is formed here from the counting module's partition functions,
+pinned and unpinned, so distances between the two are honest
+measurements, not simulations.
 """
 
 from __future__ import annotations
@@ -190,12 +190,16 @@ def exact_occupation_vector(
     x: int = 0,
     condition: tuple[int, int] | None = None,
 ) -> tuple[Fraction, ...]:
-    """Exact law of f(x), optionally given f(y)=l: the h pinned counts
-    Z(f(x)=k and condition), each divided by their sum.
+    """Exact law of f(x), optionally given f(y)=l.
 
-    The sum is the weight of the condition, so the law is exact and costs
-    h pinned transfer-matrix counts. Conditioning on a zero-weight event raises
-    ZeroConditioningEvent.
+    Given f(y)=l, it is the h pinned counts Z(f(x)=k and f(y)=l), each
+    divided by their sum, the weight of the condition. Without a condition
+    that sum is Z itself, which the unpinned transfer count forms for less
+    than a pinned count's cost: the law takes the pinned counts of the
+    first h - 1 colors, then Z, and the last color's count is Z minus the
+    others. The pinned counts come first, so a torus too large for them is
+    refused before Z is formed. Either way the law is exact.
+    Conditioning on a zero-weight event raises ZeroConditioningEvent.
     """
     if not (0 <= x < t.n):
         raise ValueError(f"vertex {x} outside torus")
@@ -206,14 +210,18 @@ def exact_occupation_vector(
             raise ValueError("conditioning pair outside instance")
         given[y] = mask_from((lcol,))
     # looked up on the module at each call, so a wrapper installed on
-    # exact.transfer_matrix_partition_function sees every pinned count
+    # exact.transfer_matrix_partition_function sees every count
     counts = [
         exact.transfer_matrix_partition_function(
             t, g, w, pins={**given, x: given.get(x, g.full_mask) & mask_from((k,))}
         ).z
-        for k in range(g.h)
+        for k in range(g.h if given else g.h - 1)
     ]
-    total = sum(counts)
+    if given:
+        total = sum(counts)
+    else:
+        total = exact.transfer_matrix_partition_function(t, g, w).z
+        counts.append(total - sum(counts))
     if total == 0:
         raise ZeroConditioningEvent("conditioning event has weight zero")
     return tuple(c / total for c in counts)

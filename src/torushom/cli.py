@@ -481,7 +481,8 @@ def cmd_influence(cfg: RunConfig, meta: dict) -> dict:
         "relation": relation,
         "labels": list(g.labels),
     }
-    # The exact laws of f(0), h pinned counts each. A refused count ends
+    # The exact laws of f(0): h - 1 pinned counts and Z for the occupation
+    # law, h pinned counts for the conditional one. A refused count ends
     # the command unless a chain is asked for, which still runs.
     try:
         occ = exact_occupation_vector(t, g, w)

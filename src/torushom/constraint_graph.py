@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .errors import CapExceeded, EmptyConstraint, ParseError
 
 MAX_COLORS = 16
@@ -45,6 +47,44 @@ def mask_size(mask: int) -> int:
     return mask.bit_count()
 
 
+# adjacency bytes `_is_symmetric` reads at a time
+_SYMMETRY_CHUNK = 2**14
+
+
+def _is_symmetric(adj: Sequence[int]) -> bool:
+    """Whether bit j of adj[i] equals bit i of adj[j] for every i and j.
+
+    Up to MAX_COLORS colors each set bit (i, j) is walked in Python: a row
+    is one machine word, and this costs less than forming the arrays. Past
+    it each row is laid out in bytes up to its highest set bit, one row
+    after another; each nonzero byte is unpacked, and each set bit (i, j)
+    reads one byte of row j. The work is linear in the bytes and the set
+    bits, and apart from the bytes no array outgrows what one chunk needs.
+    """
+    if len(adj) <= MAX_COLORS:
+        return all(adj[j] >> i & 1 for i, row in enumerate(adj) for j in mask_members(row))
+    size = np.array([(row.bit_length() + 7) // 8 for row in adj], dtype=np.int64)
+    start = np.cumsum(size) - size
+    data = np.frombuffer(
+        b"".join(row.to_bytes(n, "little") for row, n in zip(adj, size.tolist())),
+        dtype=np.uint8,
+    )
+    for lo in range(0, len(data), _SYMMETRY_CHUNK):
+        at = lo + np.flatnonzero(data[lo : lo + _SYMMETRY_CHUNK])
+        # the last row starting at or before the byte; rows before it with
+        # the same start are empty
+        row = np.searchsorted(start, at, side="right") - 1
+        hit, bit = np.nonzero(np.unpackbits(data[at, None], axis=1, bitorder="little"))
+        i = row[hit]
+        j = (at[hit] - start[i]) * 8 + bit
+        byte = i >> 3
+        if (size[j] <= byte).any():
+            return False
+        if not (data[start[j] + byte] >> (i & 7) & 1).all():
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class ConstraintGraph:
     """Symmetric adjacency on colors 0..h-1, loops allowed."""
@@ -61,11 +101,8 @@ class ConstraintGraph:
         for k, row in enumerate(self.adj):
             if row >> self.h:
                 raise ValueError(f"adjacency row {k} references colors >= {self.h}")
-        # each set bit once, so the check is linear in h plus the edges
-        for i, row in enumerate(self.adj):
-            for j in mask_members(row):
-                if not self.adj[j] >> i & 1:
-                    raise ValueError("adjacency not symmetric")
+        if not _is_symmetric(self.adj):
+            raise ValueError("adjacency not symmetric")
         if not self.labels:
             object.__setattr__(self, "labels", tuple(str(k) for k in range(self.h)))
         elif len(self.labels) != self.h:

@@ -8,7 +8,8 @@ enumeration of colorings and their weights, the weight of each
 layer state, closed forms for pure and near-pure families, the
 eta^(n/2) bounds on |Hom|, the enumeration twin of the not-ideal
 estimator with its edge lookup, the label of a single coloring, the per-color limit targets, the exact and
-limiting influence ratios, the exact-versus-limit comparison records, the
+limiting influence ratios, the law of f(x) from h pinned counts over their
+sum, the exact-versus-limit comparison records, the
 q-coloring count prediction, the closed-chain count g of one color-set
 tuple with the per-pair alternating identity it checks, the JSON form of an
 extremal-identity report, and the Glauber chain with its per-step palette AND. pytest does not
@@ -577,6 +578,18 @@ def occupation_comparison(
         exact=vec,
         distance=sup_distance(vec, target),
     )
+
+
+def pinned_occupation_law(
+    t: TorusGraph, g: ConstraintGraph, w: WeightSet, x: int
+) -> tuple[Fraction, ...]:
+    """The law of f(x) as the h pinned transfer counts Z(f(x)=k) over their
+    sum, with no unpinned count."""
+    counts = [
+        transfer_matrix_partition_function(t, g, w, pins={x: 1 << k}).z
+        for k in range(g.h)
+    ]
+    return tuple(c / sum(counts) for c in counts)
 
 
 def influence_ratio(

@@ -525,16 +525,18 @@ class TestInfluenceCommand:
 
 
 class TestInfluenceCounts:
-    """`influence` forms each law of f(0) from h pinned counts and reads
-    the exact ratio from those two laws."""
+    """`influence` forms the law of f(0) from h - 1 pinned counts and Z,
+    the law given the pin from h pinned counts, and reads the exact ratio
+    from those two laws."""
 
-    def test_forms_2h_pinned_counts(self, tmp_path, monkeypatch):
-        pins = []
+    def test_h_minus_1_pinned_counts_then_z_then_h_pinned(self, tmp_path, monkeypatch):
+        calls = []
         real = exact.transfer_matrix_partition_function
 
         def spy(*args, **kwargs):
-            pins.append(kwargs.get("pins"))
-            return real(*args, **kwargs)
+            res = real(*args, **kwargs)
+            calls.append((kwargs.get("pins"), res.route))
+            return res
 
         monkeypatch.setattr(exact, "transfer_matrix_partition_function", spy)
         code, res = run_json(
@@ -543,9 +545,22 @@ class TestInfluenceCounts:
              "--x", "antipodal", "--l", "1"],
         )
         assert code == 0
-        assert len(pins) == 6
-        assert all(p for p in pins)
+        y, ell = res["pin_vertex"], res["labels"].index(res["pin_color"])
+        assert calls == (
+            [({0: 1 << k}, "masked") for k in range(2)]
+            + [(None, "sectors")]
+            + [({y: 1 << ell, 0: 1 << k}, "masked") for k in range(3)]
+        )
         assert res["ratio_exact"] is not None
+
+    def test_refused_before_the_unpinned_count(self, monkeypatch):
+        # k3 on Z_4^3: the sectors count Z within the budget, but the
+        # pinned counts pass it, and they come first
+        def no_sectors(self, bound):
+            raise AssertionError("the unpinned count was reached")
+
+        monkeypatch.setattr(exact._TransferEngine, "_sector_sum", no_sectors)
+        assert main(["influence", "--h", "k3", "--m", "4", "--d", "3", "--l", "1"]) == 3
 
     @pytest.mark.parametrize(
         "spec,m,d,x,k,ell",  # k and ell are color labels

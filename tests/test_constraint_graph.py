@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torushom import constraint_graph
 from torushom.constraint_graph import (
     ConstraintGraph,
     MaximalPair,
@@ -326,6 +327,44 @@ class TestGraphValidation:
             ConstraintGraph(h, one_way)
         with pytest.raises(ValueError, match="references colors"):
             ConstraintGraph(h, (1 << h,) + (0,) * (h - 1))
+
+    def test_symmetry_check_walks_no_row_past_max_colors_with_mask_members(
+        self, monkeypatch
+    ):
+        # each step of mask_members is a big-int operation over a wide row
+        def walk(mask):
+            raise AssertionError("mask_members walked an adjacency row")
+
+        monkeypatch.setattr(constraint_graph, "mask_members", walk)
+        g = complete_graph(300)
+        assert g.has_edge(0, 299) and not g.is_loop(150)
+        one_way = list(g.adj)
+        one_way[7] ^= 1 << 200
+        with pytest.raises(ValueError, match="not symmetric"):
+            ConstraintGraph(300, tuple(one_way))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_symmetry_check_matches_every_pair(self, data):
+        # up to MAX_COLORS = 16 the set bits are walked; past it rows of up
+        # to 70 colors span several bytes, and flipped bits may land in a
+        # row shorter than the byte they read
+        h = data.draw(st.integers(1, 70))
+        pair = st.tuples(st.integers(0, h - 1), st.integers(0, h - 1))
+        adj = [0] * h
+        for i, j in data.draw(st.lists(pair, max_size=60)):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        for i, j in data.draw(st.lists(pair, max_size=3)):
+            adj[i] ^= 1 << j
+        symmetric = all(
+            (adj[i] >> j & 1) == (adj[j] >> i & 1) for i in range(h) for j in range(h)
+        )
+        if symmetric:
+            assert ConstraintGraph(h, tuple(adj)).adj == tuple(adj)
+        else:
+            with pytest.raises(ValueError, match="not symmetric"):
+                ConstraintGraph(h, tuple(adj))
 
     def test_cycle_path(self):
         c5 = cycle_graph(5)

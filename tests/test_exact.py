@@ -40,6 +40,7 @@ from references import (
     influence_ratio,
     is_valid_coloring,
     near_pure_one_defect_count,
+    pinned_occupation_law,
     pure_coloring_weight,
     state_weights,
 )
@@ -807,9 +808,29 @@ class TestExactMarginal:
     def test_translation_invariance(self):
         g = preset("wr")
         w = WeightSet.parse("1,2,1")
-        base = exact_occupation_vector(Q3, g, w, 0)
-        for x in (1, 3, 6, 7):
-            assert exact_occupation_vector(Q3, g, w, x) == base
+        # Z_4^2 and Z_6^2 take Z from the sectors, Q_3 from the bitset
+        for t, xs in [(Q3, (1, 3, 6, 7)), (TorusGraph(4, 2), (1, 6, 15)),
+                      (TorusGraph(6, 2), (7, 20, 35))]:
+            base = exact_occupation_vector(t, g, w, 0)
+            for x in xs:
+                assert exact_occupation_vector(t, g, w, x) == base
+
+    @pytest.mark.parametrize("inst", standard_corpus(), ids=lambda inst: inst.name)
+    def test_law_is_the_h_pinned_counts_over_their_sum(self, inst):
+        t, g, w = inst.torus, inst.graph, inst.weights
+        for x in (0, t.n - 1):
+            assert exact_occupation_vector(t, g, w, x) == pinned_occupation_law(t, g, w, x)
+
+    @pytest.mark.parametrize(
+        "m,spec,weights",
+        [(4, "ind", "3/2,1"), (6, "wr", "1,2,1"), (6, "k3", "1,1,1")],
+    )
+    def test_last_entry_from_the_sector_count(self, m, spec, weights):
+        # Z comes from the sectors here, the other entries from masked counts
+        t, g, w = TorusGraph(m, 2), preset(spec), WeightSet.parse(weights)
+        assert transfer_matrix_partition_function(t, g, w).route == "sectors"
+        for x in (0, m + 1):
+            assert exact_occupation_vector(t, g, w, x) == pinned_occupation_law(t, g, w, x)
 
     def test_routes_agree_on_marginals(self):
         # the law of f(5) given f(0)=0, from each route's pinned counts
